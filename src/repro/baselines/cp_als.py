@@ -99,26 +99,17 @@ class CpAls:
                 error = reconstruction_error(tensor, core, factors)
                 loss = regularized_loss(tensor, core, factors, config.regularization)
 
-            trace.add(
+            if trace.record_iteration(
                 IterationRecord(
                     iteration=iteration,
                     reconstruction_error=error,
                     loss=loss,
                     seconds=timer.seconds[-1],
                     core_nnz=rank,
-                )
-            )
-            if (
-                iteration >= config.min_iterations
-                and trace.relative_change() < config.tolerance
+                ),
+                config,
             ):
-                trace.converged = True
-                trace.stop_reason = (
-                    f"relative error change below tolerance {config.tolerance}"
-                )
                 break
-        else:
-            trace.stop_reason = f"reached max_iterations={config.max_iterations}"
 
         core = self._cp_core(rank, tensor.order, weights)
         return TuckerResult(

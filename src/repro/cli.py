@@ -178,8 +178,9 @@ def _build_parser() -> argparse.ArgumentParser:
         metavar="DIR",
         default="",
         help="write a crash-safe checkpoint (factors + core + trace, "
-        "checksummed, manifest last) into DIR during the fit; ptucker "
-        "only.  An interrupted run restarts with --resume",
+        "checksummed, manifest last) into DIR during the fit; P-Tucker "
+        "algorithms except ptucker-cache.  An interrupted run restarts "
+        "with --resume",
     )
     factorize.add_argument(
         "--checkpoint-every",
@@ -463,7 +464,11 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _command_factorize(args: argparse.Namespace) -> int:
-    if (args.shards or args.from_text) and args.algorithm != "ptucker":
+    # The P-Tucker variants refuse what they cannot honour themselves
+    # (ShapeError, exit 2 with the library's reason); the baselines do not
+    # read these config fields at all, so they are refused here.
+    p_tucker = issubclass(ALGORITHMS[args.algorithm], PTucker)
+    if (args.shards or args.from_text) and not p_tucker:
         flag = "--shards" if args.shards else "--from-text"
         print(
             f"error: {flag} supports the base 'ptucker' algorithm only "
@@ -478,10 +483,10 @@ def _command_factorize(args: argparse.Namespace) -> int:
             file=sys.stderr,
         )
         return 2
-    if args.checkpoint_dir and args.algorithm != "ptucker":
+    if args.checkpoint_dir and not p_tucker:
         print(
-            "error: --checkpoint-dir supports the base 'ptucker' algorithm "
-            f"only (got --algorithm {args.algorithm})",
+            "error: --checkpoint-dir supports the P-Tucker algorithms only "
+            f"(got --algorithm {args.algorithm})",
             file=sys.stderr,
         )
         return 2

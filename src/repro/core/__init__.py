@@ -10,10 +10,11 @@ from .core_tensor import (
     least_squares_core,
     orthogonalize,
 )
-from .ptucker import PTucker, fit_ptucker
+from .ptucker import PTucker, fit_ptucker, run_als
 from .result import TuckerResult
 from .sampled import PTuckerSampled
 from .row_update import (
+    InMemorySource,
     brute_force_row_update,
     build_mode_context,
     compute_delta_block,
@@ -33,6 +34,7 @@ __all__ = [
     "ConvergenceTrace",
     "IterationRecord",
     "fit_ptucker",
+    "run_als",
     "orthogonalize",
     "initialize_core",
     "initialize_factors",
@@ -41,6 +43,7 @@ __all__ = [
     "partial_reconstruction_errors",
     "truncate_noisy_entries",
     "update_factor_mode",
+    "InMemorySource",
     "build_mode_context",
     "compute_delta_block",
     "core_unfolding",

@@ -11,7 +11,7 @@ zeroed every iteration.
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -96,6 +96,9 @@ class PTuckerApprox(PTucker):
     def __init__(self, config: Optional[PTuckerConfig] = None) -> None:
         super().__init__(config)
         self.removed_per_iteration: List[int] = []
+
+    def _variant_parameters(self) -> Optional[Dict[str, Any]]:
+        return {"name": self.name, "truncation_rate": self.config.truncation_rate}
 
     def _after_iteration(
         self,

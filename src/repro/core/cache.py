@@ -22,6 +22,7 @@ from typing import List, Optional
 
 import numpy as np
 
+from ..exceptions import ShapeError
 from ..kernels import contract_delta_block
 from ..metrics.memory import BYTES_PER_FLOAT, MemoryTracker
 from ..tensor.coo import SparseTensor
@@ -39,9 +40,20 @@ class PTuckerCache(PTucker):
         super().__init__(config)
         self._pres: Optional[np.ndarray] = None
         self._core_flat: Optional[np.ndarray] = None
+        self._previous_factor: Optional[np.ndarray] = None
         self._zero_tolerance = 1e-12
 
     # ------------------------------------------------------------------
+    def _check_supported(self, streaming: bool = False) -> None:
+        super()._check_supported(streaming)
+        if self.config.checkpoint_dir:
+            raise ShapeError(
+                "checkpoint_dir does not support P-Tucker-Cache: its "
+                "incrementally rescaled Pres table is not part of a "
+                "checkpoint, so a resumed fit would not be bitwise-identical "
+                "to an uninterrupted one"
+            )
+
     def _prepare(
         self,
         tensor: SparseTensor,
@@ -82,11 +94,13 @@ class PTuckerCache(PTucker):
         core entries β are then reduced over their j_n groups to produce the
         length-J_n vector δ.  Entries whose divisor is (numerically) zero are
         recomputed with the direct product, matching the paper's note on
-        lines 12 and 19.
+        lines 12 and 19.  The mode's current factor is kept for the
+        rescale that follows the update (:meth:`_after_mode_update`).
         """
         pres = self._pres
         if pres is None:
             return None
+        self._previous_factor = factors[mode].copy()
         core_arr = np.asarray(core)
         rank = core_arr.shape[mode]
         # Column grouping of the flattened (C-order) core by its mode-n index.
@@ -125,7 +139,6 @@ class PTuckerCache(PTucker):
         factors: List[np.ndarray],
         core: np.ndarray,
         mode: int,
-        previous_factor: np.ndarray,
     ) -> None:
         """Rescale Pres by new/old factor entries (Algorithm 3 lines 16-19)."""
         if self._pres is None:
@@ -133,7 +146,7 @@ class PTuckerCache(PTucker):
         core_arr = np.asarray(core)
         jn_of_column = np.indices(core_arr.shape)[mode].reshape(-1)
         mode_rows = tensor.indices[:, mode]
-        old_cells = previous_factor[mode_rows][:, jn_of_column]
+        old_cells = self._previous_factor[mode_rows][:, jn_of_column]
         new_cells = np.asarray(factors[mode])[mode_rows][:, jn_of_column]
         safe = np.abs(old_cells) > self._zero_tolerance
         ratio = np.ones_like(old_cells)
@@ -146,13 +159,3 @@ class PTuckerCache(PTucker):
                 tensor, factors, skip=-1, entry_rows=stale_entries
             )
             self._pres[stale_entries] = weights * core_arr.reshape(-1)[None, :]
-
-    # ------------------------------------------------------------------
-    def _after_iteration(
-        self,
-        tensor: SparseTensor,
-        factors: List[np.ndarray],
-        core: np.ndarray,
-        iteration: int,
-    ) -> np.ndarray:
-        return core

@@ -9,11 +9,16 @@ factors orthogonal and folds the R factors into the core (Eqs. 7-8).
 The memory-optimised default keeps only the per-row workspace (δ, B, c and the
 inverse) as intermediate data — O(T·J²), Theorem 4 — which is what lets it
 scale where the HOOI-style baselines run out of memory.
+
+:func:`run_als` is that loop, written once: every fit — in-core, sharded,
+streamed, and the Cache, Approx and Sampled variants through the hook
+methods of :class:`PTucker` — runs it, so all of them share the same
+initialisation, checkpoint/resume and stop rule.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence
+from typing import Any, Dict, List, Optional, Sequence
 
 import numpy as np
 
@@ -26,7 +31,7 @@ from ..tensor.coo import SparseTensor
 from .config import PTuckerConfig
 from .core_tensor import initialize_core, initialize_factors, orthogonalize
 from .result import TuckerResult
-from .row_update import ModeContext, build_all_mode_contexts, update_factor_mode
+from .row_update import InMemorySource, update_factor_mode
 from .trace import ConvergenceTrace, IterationRecord
 
 
@@ -55,16 +60,42 @@ class PTucker:
         self.config = config if config is not None else PTuckerConfig()
 
     # ------------------------------------------------------------------
-    # Hooks overridden by the Cache and Approx variants
+    # Hooks overridden by the Cache, Approx and Sampled variants
     # ------------------------------------------------------------------
+    def _check_supported(self, streaming: bool = False) -> None:
+        """Refuse a configuration this solver cannot honour, before any work.
+
+        Every fit path runs this one check.  Out-of-core fits (``shard_dir``
+        or :meth:`fit_streaming`) support the base solver only: each
+        variant keeps per-entry state indexed by the in-RAM entry order.
+        """
+        if (streaming or self.config.shard_dir) and type(self) is not PTucker:
+            what = "streaming ingest" if streaming else "shard_dir streaming"
+            raise ShapeError(
+                f"{what} supports the base P-Tucker solver only, not "
+                f"{type(self).__name__} (its per-entry state indexes the "
+                "in-RAM entry order)"
+            )
+
+    def _variant_parameters(self) -> Optional[Dict[str, Any]]:
+        """Trajectory-critical variant settings pinned in the checkpoint digest."""
+        return None
+
     def _prepare(
         self,
-        tensor: SparseTensor,
+        tensor: Optional[SparseTensor],
         factors: List[np.ndarray],
         core: np.ndarray,
         memory: Optional[MemoryTracker],
     ) -> None:
         """Per-run initialisation hook (the cache variant builds Pres here)."""
+
+    def _update_source(self, tensor: Optional[SparseTensor], entries, iteration: int):
+        """Entry source the factor updates of ``iteration`` read.
+
+        The sampled variant substitutes a random sample of Ω here.
+        """
+        return entries
 
     def _delta_provider(self, tensor: SparseTensor, factors, core, mode: int):
         """Return a δ provider for :func:`update_factor_mode`, or None."""
@@ -72,17 +103,16 @@ class PTucker:
 
     def _after_mode_update(
         self,
-        tensor: SparseTensor,
+        tensor: Optional[SparseTensor],
         factors: List[np.ndarray],
         core: np.ndarray,
         mode: int,
-        previous_factor: np.ndarray,
     ) -> None:
         """Hook called after one factor matrix is updated (cache refresh)."""
 
     def _after_iteration(
         self,
-        tensor: SparseTensor,
+        tensor: Optional[SparseTensor],
         factors: List[np.ndarray],
         core: np.ndarray,
         iteration: int,
@@ -103,20 +133,15 @@ class PTucker:
         tensor).  The entries are spilled into a shard store with the
         external-memory build (reading at most ``config.ingest_chunk_nnz``
         entries at a time — see
-        :meth:`repro.shards.ShardStore.build_streaming`) and the fit is
-        delegated to the out-of-core
+        :meth:`repro.shards.ShardStore.build_streaming`) and the fit runs
+        out of core through
         :class:`~repro.shards.executor.ShardedSweepExecutor`, so peak
         memory stays bounded by the chunk/block sizes from raw file to
         fitted model.  The store lands at ``config.shard_dir`` when set,
         otherwise in a temporary directory that is removed after the fit.
         """
         config = self.config
-        if type(self) is not PTucker:
-            raise ShapeError(
-                "streaming ingest supports the base P-Tucker solver only, "
-                f"not {type(self).__name__} (its per-entry state indexes "
-                "the in-RAM entry order)"
-            )
+        self._check_supported(streaming=True)
         from ..shards import ShardedSweepExecutor, ShardStore
 
         def fit_at(directory: str) -> TuckerResult:
@@ -143,18 +168,13 @@ class PTucker:
         """Factorize ``tensor`` and return the fitted model.
 
         With ``config.shard_dir`` set, the sweeps run out of core: the
-        tensor is sharded to (or reused from) that directory and the fit is
-        delegated to :class:`~repro.shards.executor.ShardedSweepExecutor`,
-        whose streamed updates are bitwise-equal to the in-core ones.
+        tensor is sharded to (or reused from) that directory and streamed
+        through :class:`~repro.shards.executor.ShardedSweepExecutor`,
+        whose updates are bitwise-equal to the in-core ones.
         """
         config = self.config
+        self._check_supported()
         if config.shard_dir:
-            if type(self) is not PTucker:
-                raise ShapeError(
-                    "shard_dir streaming supports the base P-Tucker solver "
-                    f"only, not {type(self).__name__} (its per-entry state "
-                    "indexes the in-RAM entry order)"
-                )
             from ..shards import ShardedSweepExecutor, ShardStore
 
             store = ShardStore.for_tensor(
@@ -167,140 +187,167 @@ class PTucker:
                 store, backend=config.backend, block_size=config.block_size
             )
             return executor.fit(config)
-        ranks = config.resolve_ranks(tensor.order)
-        rng = np.random.default_rng(config.seed)
+        return run_als(tensor, config, self)
 
-        factors = initialize_factors(tensor.shape, ranks, rng)
-        core = initialize_core(ranks, rng)
 
-        memory = (
-            MemoryTracker(budget_bytes=config.memory_budget_bytes)
-            if config.track_memory
-            else None
+def run_als(
+    source, config: PTuckerConfig, hooks: Optional[PTucker] = None
+) -> TuckerResult:
+    """Algorithm 2: the one ALS loop every P-Tucker fit runs.
+
+    ``source`` is either the in-RAM :class:`~repro.tensor.coo.SparseTensor`
+    or a :class:`~repro.shards.executor.ShardedSweepExecutor` over a shard
+    store.  The loop owns the whole sequence: seeded initialisation,
+    checkpoint digest and resume, per-mode row updates, one residual pass
+    per iteration (Eqs. 5-6), the stop rule, the checkpoint save and the
+    final QR orthogonalisation (Eqs. 7-8).  ``hooks`` is the solver whose
+    hook methods specialise it (the Cache, Approx and Sampled variants);
+    ``None`` means plain P-Tucker.
+
+    An in-RAM tensor is updated through this module's
+    :func:`update_factor_mode` and measured with
+    :func:`~repro.metrics.errors.error_and_loss` over its original entry
+    order; a store is reached only through the executor's
+    ``update_factor_mode`` / ``error_and_loss`` methods, whose kernel
+    ``backend`` and ``block_size`` then replace the config's.
+    """
+    hooks = hooks if hooks is not None else PTucker(config)
+    if isinstance(source, SparseTensor):
+        tensor, executor = source, None
+        entries = InMemorySource.build(tensor, index_dtype=config.index_dtype)
+        backend, block_size = config.backend, config.block_size
+    else:
+        tensor, executor = None, source
+        entries = executor.store
+        backend, block_size = executor.backend, executor.block_size
+    ranks = config.resolve_ranks(entries.order)
+    rng = np.random.default_rng(config.seed)
+    factors = initialize_factors(entries.shape, ranks, rng)
+    core = initialize_core(ranks, rng)
+
+    memory = (
+        MemoryTracker(budget_bytes=config.memory_budget_bytes)
+        if config.track_memory
+        else None
+    )
+    scheduler = RowScheduler(n_threads=config.threads, scheduling=config.scheduling)
+    trace = ConvergenceTrace()
+    timer = IterationTimer()
+
+    checkpoints = None
+    digest = ""
+    start_iteration = 1
+    if config.checkpoint_dir:
+        from ..resilience.checkpoint import (
+            CheckpointManager,
+            fit_state_digest,
+            resume_state,
         )
-        scheduler = RowScheduler(
-            n_threads=config.threads, scheduling=config.scheduling
+        from ..shards.store import _tensor_digest
+
+        checkpoints = CheckpointManager(
+            config.checkpoint_dir,
+            every=config.checkpoint_every,
+            diff=config.checkpoint_diff,
         )
-        contexts: List[ModeContext] = build_all_mode_contexts(
-            tensor, index_dtype=config.index_dtype
+        digest = fit_state_digest(
+            shape=entries.shape,
+            nnz=entries.nnz,
+            ranks=ranks,
+            regularization=config.regularization,
+            seed=config.seed,
+            orthogonalize=config.orthogonalize,
+            backend=backend,
+            block_size=block_size,
+            entries_sha256=(
+                _tensor_digest(tensor)
+                if executor is None
+                else entries.fingerprint.get("entries_sha256")
+            ),
+            variant=hooks._variant_parameters(),
         )
-        trace = ConvergenceTrace()
-        timer = IterationTimer()
+        resumed = resume_state(checkpoints, config.resume, digest)
+        if resumed is not None:
+            # The RNG only seeds the *initial* factors, which the checkpoint
+            # supersedes, so re-entering the deterministic loop at
+            # iteration+1 continues bitwise-identically.
+            factors = [
+                np.ascontiguousarray(f, dtype=np.float64) for f in resumed.factors
+            ]
+            core = np.ascontiguousarray(resumed.core, dtype=np.float64)
+            trace = resumed.trace
+            start_iteration = resumed.iteration + 1
 
-        checkpoints = None
-        digest = ""
-        start_iteration = 1
-        if config.checkpoint_dir:
-            from ..resilience.checkpoint import (
-                CheckpointManager,
-                fit_state_digest,
-                resume_state,
-            )
-            from ..shards.store import _tensor_digest
+    hooks._prepare(tensor, factors, core, memory)
 
-            checkpoints = CheckpointManager(
-                config.checkpoint_dir,
-                every=config.checkpoint_every,
-                diff=config.checkpoint_diff,
-            )
-            digest = fit_state_digest(
-                shape=tensor.shape,
-                nnz=tensor.nnz,
-                ranks=ranks,
-                regularization=config.regularization,
-                seed=config.seed,
-                orthogonalize=config.orthogonalize,
-                backend=config.backend,
-                block_size=config.block_size,
-                entries_sha256=_tensor_digest(tensor),
-            )
-            resumed = resume_state(checkpoints, config.resume, digest)
-            if resumed is not None:
-                # The RNG only seeds the *initial* factors, which the
-                # checkpoint supersedes, so re-entering the deterministic
-                # loop at iteration+1 continues bitwise-identically.
-                factors = [
-                    np.ascontiguousarray(f, dtype=np.float64)
-                    for f in resumed.factors
-                ]
-                core = np.ascontiguousarray(resumed.core, dtype=np.float64)
-                trace = resumed.trace
-                start_iteration = resumed.iteration + 1
-
-        self._prepare(tensor, factors, core, memory)
-
-        for iteration in range(start_iteration, config.max_iterations + 1):
-            if trace.converged:
-                break  # a resumed checkpoint already recorded convergence
-            with timer.iteration():
-                for mode in range(tensor.order):
-                    previous = factors[mode].copy()
-                    provider = self._delta_provider(tensor, factors, core, mode)
+    for iteration in range(start_iteration, config.max_iterations + 1):
+        if trace.converged:
+            break  # a resumed checkpoint already recorded convergence
+        with timer.iteration():
+            update_source = hooks._update_source(tensor, entries, iteration)
+            for mode in range(entries.order):
+                if executor is None:
                     update_factor_mode(
-                        tensor,
+                        update_source,
                         factors,
                         core,
                         mode,
                         config.regularization,
-                        context=contexts[mode],
-                        block_size=config.block_size,
+                        block_size=block_size,
                         memory=memory,
-                        delta_provider=provider,
-                        backend=config.backend,
+                        delta_provider=hooks._delta_provider(
+                            tensor, factors, core, mode
+                        ),
+                        backend=backend,
                     )
-                    scheduler.record_mode(contexts[mode].row_counts)
-                    self._after_mode_update(tensor, factors, core, mode, previous)
+                else:
+                    executor.update_factor_mode(
+                        factors, core, mode, config.regularization, memory
+                    )
+                scheduler.record_mode(update_source.mode_segmentation(mode)[2])
+                hooks._after_mode_update(tensor, factors, core, mode)
 
-                # One residual pass yields both metrics (Eqs. 5 and 6).
+            # One residual pass yields both metrics (Eqs. 5 and 6).
+            if executor is None:
                 error, loss = error_and_loss(
                     tensor, core, factors, config.regularization
                 )
-                core = self._after_iteration(tensor, factors, core, iteration)
-
-            trace.add(
-                IterationRecord(
-                    iteration=iteration,
-                    reconstruction_error=error,
-                    loss=loss,
-                    seconds=timer.seconds[-1],
-                    core_nnz=int(np.count_nonzero(core)),
+            else:
+                error, loss = executor.error_and_loss(
+                    core, factors, config.regularization
                 )
-            )
-            if (
-                iteration >= config.min_iterations
-                and trace.relative_change() < config.tolerance
-            ):
-                trace.converged = True
-                trace.stop_reason = (
-                    f"relative error change below tolerance {config.tolerance}"
-                )
-            elif iteration == config.max_iterations:
-                trace.stop_reason = (
-                    f"reached max_iterations={config.max_iterations}"
-                )
-            # Checkpoint after the stopping decision so a resumed fit knows
-            # whether the trajectory already finished; the final iteration
-            # is always saved regardless of the cadence.
-            if checkpoints is not None and checkpoints.due(
-                iteration,
-                final=trace.converged or iteration == config.max_iterations,
-            ):
-                checkpoints.save(iteration, factors, core, trace, digest)
-            if trace.converged:
-                break
+            core = hooks._after_iteration(tensor, factors, core, iteration)
 
-        if config.orthogonalize:
-            factors, core = orthogonalize(factors, core)
-
-        result = TuckerResult(
-            core=core,
-            factors=list(factors),
-            trace=trace,
-            memory=memory,
-            algorithm=self.name,
+        stop = trace.record_iteration(
+            IterationRecord(
+                iteration=iteration,
+                reconstruction_error=error,
+                loss=loss,
+                seconds=timer.seconds[-1],
+                core_nnz=int(np.count_nonzero(core)),
+            ),
+            config,
         )
-        result.scheduler = scheduler  # type: ignore[attr-defined]
-        return result
+        # Checkpoint after the stopping decision so a resumed fit knows
+        # whether the trajectory already finished; the final iteration is
+        # always saved regardless of the cadence.
+        if checkpoints is not None and checkpoints.due(iteration, final=stop):
+            checkpoints.save(iteration, factors, core, trace, digest)
+        if stop:
+            break
+
+    if config.orthogonalize:
+        factors, core = orthogonalize(factors, core)
+
+    result = TuckerResult(
+        core=core,
+        factors=list(factors),
+        trace=trace,
+        memory=memory,
+        algorithm=hooks.name,
+    )
+    result.scheduler = scheduler  # type: ignore[attr-defined]
+    return result
 
 
 def fit_ptucker(

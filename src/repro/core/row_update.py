@@ -26,13 +26,14 @@ pluggable through the ``backend=`` knob (:mod:`repro.kernels.backends`).
 The result is numerically identical to the paper's update (tests compare it
 against a brute-force per-row least-squares).
 
-Entries can also be streamed from disk instead of sliced from RAM: the
-``source=`` knob accepts any *entry source* — an object exposing ``nnz``,
-``mode_segmentation(mode)`` and ``read_mode_block(mode, start, stop)``,
-such as :class:`~repro.shards.store.ShardStore` — and the block loop then
-reads each mode-sorted chunk through it.  Because the blocks carry the same
-data at the same boundaries, the streamed update is bitwise-equal to the
-in-core one.
+Every update reads its entries from an *entry source*: an object exposing
+``nnz``, ``mode_segmentation(mode)`` and ``read_mode_block(mode, start,
+stop)``.  The in-RAM tensor is one (:class:`InMemorySource`, whose blocks
+are views of its :class:`ModeContext` arrays), and so are the on-disk
+:class:`~repro.shards.store.ShardStore` and the delta-log
+:class:`~repro.updates.union.UnionEntrySource`.  There is one block loop
+and one read path: because every source yields the same data at the same
+block boundaries, a streamed update is bitwise-equal to the in-core one.
 
 The seed kernel — a running Kronecker product against the unfolded core plus
 ``np.add.at`` scatter accumulation — is kept available as
@@ -150,6 +151,58 @@ def build_all_mode_contexts(
     ]
 
 
+class InMemorySource:
+    """An in-RAM tensor as an entry source, built once from its mode contexts.
+
+    Speaks the protocol :class:`~repro.shards.store.ShardStore` speaks
+    (``nnz``, ``mode_segmentation``, ``read_mode_block``); every block it
+    returns is a view of a context's sorted arrays, never a copy.
+    :meth:`sort_permutation` additionally maps sorted positions back to
+    the tensor's original entry order, which the cache variant's δ
+    provider indexes.
+    """
+
+    def __init__(self, tensor: SparseTensor, contexts: Sequence[ModeContext]) -> None:
+        self.tensor = tensor
+        self.contexts: Dict[int, ModeContext] = {ctx.mode: ctx for ctx in contexts}
+
+    @classmethod
+    def build(
+        cls,
+        tensor: SparseTensor,
+        index_dtype: str = "wide",
+        modes: Optional[Sequence[int]] = None,
+    ) -> "InMemorySource":
+        """Sort ``tensor`` once per mode (every mode unless ``modes`` is given)."""
+        modes = range(tensor.order) if modes is None else modes
+        contexts = [build_mode_context(tensor, mode, index_dtype) for mode in modes]
+        return cls(tensor, contexts)
+
+    @property
+    def nnz(self) -> int:
+        return self.tensor.nnz
+
+    @property
+    def order(self) -> int:
+        return self.tensor.order
+
+    @property
+    def shape(self) -> Tuple[int, ...]:
+        return self.tensor.shape
+
+    def mode_segmentation(self, mode: int) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        ctx = self.contexts[mode]
+        return ctx.row_ids, ctx.row_starts, ctx.row_counts
+
+    def read_mode_block(self, mode: int, start: int, stop: int):
+        ctx = self.contexts[mode]
+        return ctx.sorted_indices[start:stop], ctx.sorted_values[start:stop]
+
+    def sort_permutation(self, mode: int) -> np.ndarray:
+        """Original entry position of each mode-sorted entry."""
+        return self.contexts[mode].perm
+
+
 def core_unfolding(core: np.ndarray, mode: int) -> np.ndarray:
     """Mode-``mode`` unfolding of the core in C order over the other modes.
 
@@ -222,20 +275,29 @@ def accumulate_normal_equations(
 
 
 def update_factor_mode(
-    tensor: Optional[SparseTensor],
+    source,
     factors: List[np.ndarray],
     core: np.ndarray,
     mode: int,
     regularization: float,
-    context: Optional[ModeContext] = None,
     block_size: int = 200_000,
     memory: Optional[MemoryTracker] = None,
     delta_provider=None,
     kernel: str = "contracted",
     backend: BackendSpec = "numpy",
-    source=None,
 ) -> np.ndarray:
     """Update every row of factor matrix ``A^(mode)`` in place and return it.
+
+    ``source`` is the entry source the mode-sorted entries are read from:
+    an :class:`InMemorySource`, a :class:`~repro.shards.store.ShardStore`,
+    or anything else with ``nnz``, ``mode_segmentation(mode)`` and
+    ``read_mode_block(mode, start, stop)``.  A plain
+    :class:`~repro.tensor.coo.SparseTensor` is accepted too and sorted for
+    this one mode.  Blocks may be plain ``(m, N)`` index matrices or narrow
+    columnar :class:`~repro.columns.IndexColumns` (what a format-v2 store
+    returns); every backend consumes both without widening.  Every source
+    yields the same data at the same ``block_size`` boundaries, so the
+    update is bitwise-equal whichever one it reads.
 
     ``delta_provider`` allows the cache variant to substitute its own δ
     computation: it is called as ``delta_provider(entry_positions, mode)``
@@ -248,6 +310,8 @@ def update_factor_mode(
     (default) uses the progressive core contraction and segment-sorted
     reductions of :mod:`repro.kernels`; ``"kron"`` uses the seed Kronecker +
     scatter-add kernel, kept for benchmarking and regression comparison.
+    Both ``delta_provider`` and ``kernel="kron"`` need an in-RAM source
+    (they index the tensor's original entry ordering).
 
     ``backend`` selects the execution strategy of the contracted kernel: a
     registered backend name (``"numpy"``, ``"threaded"``, ``"numba"`` where
@@ -257,42 +321,26 @@ def update_factor_mode(
     ``kernel="kron"`` path ignores the knob.  With a ``delta_provider`` the
     backend still runs the reduction and solve, but δ comes from the
     provider.
-
-    ``source`` streams the mode-sorted entries from disk instead of slicing
-    them from RAM: any object with ``nnz``, ``mode_segmentation(mode)`` and
-    ``read_mode_block(mode, start, stop)`` (a
-    :class:`~repro.shards.store.ShardStore`) works, and ``tensor`` /
-    ``context`` may then be ``None``.  Blocks may be plain ``(m, N)``
-    index matrices or narrow columnar
-    :class:`~repro.columns.IndexColumns` (what a format-v2 store
-    returns); every backend consumes both without widening.  The block
-    boundaries and the data in each block are identical to the in-core
-    path, so the streamed update is bitwise-equal to it.  A ``source`` cannot be combined with
-    ``delta_provider`` or ``kernel="kron"`` (both index into the tensor's
-    in-RAM entry ordering).
     """
     if kernel not in ("contracted", "kron"):
         raise ValueError(f"unknown kernel {kernel!r}; use 'contracted' or 'kron'")
-    if source is not None and (delta_provider is not None or kernel == "kron"):
+    if source is None:
+        raise ValueError("provide an entry source or a SparseTensor")
+    if isinstance(source, SparseTensor):
+        source = InMemorySource.build(source, modes=(mode,))
+    use_legacy = kernel == "kron"
+    if (delta_provider is not None or use_legacy) and not isinstance(
+        source, InMemorySource
+    ):
         raise ValueError(
             "a streamed entry source cannot be combined with delta_provider "
             "or the legacy kernel='kron' path"
         )
-    if source is None and tensor is None and context is None:
-        raise ValueError("provide a tensor, a prebuilt context, or a source")
-    if source is not None:
-        row_ids, row_starts, row_counts = source.mode_segmentation(mode)
-        n_entries = int(source.nnz)
-        ctx = None
-    else:
-        ctx = context if context is not None else build_mode_context(tensor, mode)
-        row_ids, row_starts = ctx.row_ids, ctx.row_starts
-        row_counts = ctx.row_counts
-        n_entries = ctx.sorted_indices.shape[0]
+    row_ids, row_starts, row_counts = source.mode_segmentation(mode)
+    n_entries = int(source.nnz)
     kernel_backend = resolve_backend(backend)
     factor = factors[mode]
     rank = factor.shape[1]
-    use_legacy = kernel == "kron"
     core_unfolded = core_unfolding(core, mode) if use_legacy else None
 
     n_listed_rows = row_ids.shape[0]
@@ -300,9 +348,10 @@ def update_factor_mode(
         return factor
 
     if use_legacy:
-        # Map every sorted entry to the position of its row in ctx.row_ids
+        # Map every sorted entry to the position of its row in row_ids
         # (only the scatter-add kernel consumes this nnz-sized array).
         segment_of_entry = np.repeat(np.arange(n_listed_rows), row_counts)
+    positions = source.sort_permutation(mode) if delta_provider is not None else None
 
     b_matrices = np.zeros((n_listed_rows, rank, rank), dtype=np.float64)
     c_vectors = np.zeros((n_listed_rows, rank), dtype=np.float64)
@@ -321,52 +370,39 @@ def update_factor_mode(
         )
     for start in range(0, n_entries, block_size):
         stop = min(start + block_size, n_entries)
-        block_slice = slice(start, stop)
+        indices_block, values_block = source.read_mode_block(mode, start, stop)
+        # The provider (cache variant) takes precedence over either δ kernel.
+        deltas = None
+        if delta_provider is not None:
+            deltas = delta_provider(positions[start:stop], mode)
         if use_legacy:
-            # The provider (cache variant) takes precedence over the seed
-            # δ kernel here too, matching the contracted branch below.
-            if delta_provider is not None:
-                deltas = delta_provider(ctx.perm[block_slice], mode)
-            else:
+            if deltas is None:
                 deltas = compute_delta_block(
-                    ctx.sorted_indices[block_slice], factors, core_unfolded, mode
+                    indices_block, factors, core_unfolded, mode
                 )
             partial_b, partial_c = accumulate_normal_equations(
-                deltas,
-                ctx.sorted_values[block_slice],
-                segment_of_entry[block_slice],
-                n_listed_rows,
+                deltas, values_block, segment_of_entry[start:stop], n_listed_rows
             )
             b_matrices += partial_b
             c_vectors += partial_c
+            continue
+        # Entries are row-sorted, so each row is one contiguous run inside
+        # the block; a run can only split across blocks, in which case its
+        # partial sums land on the same destination row twice.  The rows
+        # overlapping this block and their local run boundaries come
+        # straight from the mode's row segmentation.
+        first = np.searchsorted(row_starts, start, side="right") - 1
+        last = np.searchsorted(row_starts, stop, side="left")
+        local_rows = np.arange(first, last)
+        local_starts = np.maximum(row_starts[first:last] - start, 0)
+        if deltas is not None:
+            partial_b, partial_c = kernel_backend.normal_equations_sorted(
+                deltas, values_block, local_starts
+            )
         else:
-            # Entries are row-sorted, so each row is one contiguous run inside
-            # the block; a run can only split across blocks, in which case its
-            # partial sums land on the same destination row twice.  The rows
-            # overlapping this block and their local run boundaries come
-            # straight from the mode's row segmentation.
-            first = np.searchsorted(row_starts, start, side="right") - 1
-            last = np.searchsorted(row_starts, stop, side="left")
-            local_rows = np.arange(first, last)
-            local_starts = np.maximum(row_starts[first:last] - start, 0)
-            if delta_provider is not None:
-                deltas = delta_provider(ctx.perm[block_slice], mode)
-                partial_b, partial_c = kernel_backend.normal_equations_sorted(
-                    deltas, ctx.sorted_values[block_slice], local_starts
-                )
-            else:
-                if source is not None:
-                    indices_block, values_block = source.read_mode_block(
-                        mode, start, stop
-                    )
-                else:
-                    indices_block = ctx.sorted_indices[block_slice]
-                    values_block = ctx.sorted_values[block_slice]
-                partial_b, partial_c = ne_kernel(
-                    indices_block, values_block, local_starts
-                )
-            b_matrices[local_rows] += partial_b
-            c_vectors[local_rows] += partial_c
+            partial_b, partial_c = ne_kernel(indices_block, values_block, local_starts)
+        b_matrices[local_rows] += partial_b
+        c_vectors[local_rows] += partial_c
 
     new_rows = kernel_backend.solve_rows(b_matrices, c_vectors, regularization)
     factor[row_ids] = new_rows

@@ -17,7 +17,7 @@ trade-off.
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import Any, Dict, List, Optional
 
 import numpy as np
 
@@ -26,7 +26,8 @@ from ..metrics.memory import MemoryTracker
 from ..tensor.coo import SparseTensor
 from .config import PTuckerConfig
 from .ptucker import PTucker
-from .row_update import build_all_mode_contexts
+from .result import TuckerResult
+from .row_update import InMemorySource
 
 
 class PTuckerSampled(PTucker):
@@ -38,10 +39,16 @@ class PTuckerSampled(PTucker):
         Standard :class:`PTuckerConfig`.
     sample_fraction:
         Fraction of Ω used for the factor updates each iteration (0 < s <= 1).
-        ``1.0`` makes the solver identical to plain P-Tucker.
+        ``1.0`` makes the solver's trajectory identical to plain P-Tucker's.
     resample_each_iteration:
         Draw a fresh sample every iteration (default) or reuse one fixed
         sample for the whole run.
+
+    The fit runs the shared ALS driver (:func:`~repro.core.ptucker.run_als`)
+    and only swaps the entries each iteration's updates read from.  The
+    samples come from a generator seeded with ``config.seed + 1``; a
+    resumed fit replays the draws of the iterations its checkpoint already
+    covers, so with a fixed seed it continues bitwise-identically.
     """
 
     name = "P-Tucker-Sampled"
@@ -57,108 +64,63 @@ class PTuckerSampled(PTucker):
             raise ShapeError("sample_fraction must be in (0, 1]")
         self.sample_fraction = float(sample_fraction)
         self.resample_each_iteration = bool(resample_each_iteration)
-        self._full_tensor: Optional[SparseTensor] = None
         self._sample_rng: Optional[np.random.Generator] = None
+        self._draws = 0
+        self._sample = None
 
     # ------------------------------------------------------------------
-    def _draw_sample(self, tensor: SparseTensor) -> SparseTensor:
-        """Random subset of the observed entries used for the next update pass."""
-        assert self._sample_rng is not None
-        n_keep = max(1, int(round(self.sample_fraction * tensor.nnz)))
-        if n_keep >= tensor.nnz:
-            return tensor
-        rows = self._sample_rng.choice(tensor.nnz, size=n_keep, replace=False)
-        return SparseTensor(tensor.indices[rows], tensor.values[rows], tensor.shape)
+    def _variant_parameters(self) -> Optional[Dict[str, Any]]:
+        return {
+            "name": self.name,
+            "sample_fraction": self.sample_fraction,
+            "resample_each_iteration": self.resample_each_iteration,
+        }
+
+    def _prepare(
+        self,
+        tensor: SparseTensor,
+        factors: List[np.ndarray],
+        core: np.ndarray,
+        memory: Optional[MemoryTracker],
+    ) -> None:
+        seed = self.config.seed
+        self._sample_rng = np.random.default_rng(None if seed is None else seed + 1)
+        self._draws = 0
+        self._sample = None
+
+    def _update_source(self, tensor: SparseTensor, entries, iteration: int):
+        """The sample iteration ``iteration`` updates from.
+
+        One sample is drawn for iteration 1 and, when resampling, one more
+        per later iteration.  The draws an iteration needs but that have not
+        happened yet — all the earlier ones after a resume — are made here,
+        so the generator is always in the uninterrupted fit's state.
+        """
+        needed = iteration if self.resample_each_iteration else 1
+        if self._draws < needed:
+            for _ in range(needed - self._draws):
+                rows = self._draw_rows(tensor.nnz)
+            self._draws = needed
+            self._sample = entries
+            if rows is not None:
+                sample = SparseTensor(
+                    tensor.indices[rows], tensor.values[rows], tensor.shape
+                )
+                self._sample = InMemorySource.build(
+                    sample, index_dtype=self.config.index_dtype
+                )
+        return self._sample
+
+    def _draw_rows(self, nnz: int) -> Optional[np.ndarray]:
+        """Positions of one random sample of Ω (None when it is all of Ω)."""
+        n_keep = max(1, int(round(self.sample_fraction * nnz)))
+        if n_keep >= nnz:
+            return None
+        return self._sample_rng.choice(nnz, size=n_keep, replace=False)
 
     # ------------------------------------------------------------------
-    def fit(self, tensor: SparseTensor) -> "TuckerResult":  # noqa: F821 - see result module
+    def fit(self, tensor: SparseTensor) -> TuckerResult:
         """Factorize ``tensor``; updates use samples, errors use all of Ω."""
-        # With no sampling the behaviour (and the code path) is exactly P-Tucker.
-        if self.sample_fraction >= 1.0:
-            return super().fit(tensor)
-
-        from ..metrics.errors import error_and_loss
-        from ..metrics.timing import IterationTimer
-        from ..parallel.scheduler import RowScheduler
-        from .core_tensor import initialize_core, initialize_factors, orthogonalize
-        from .result import TuckerResult
-        from .row_update import update_factor_mode
-        from .trace import ConvergenceTrace, IterationRecord
-
-        config = self.config
-        ranks = config.resolve_ranks(tensor.order)
-        rng = np.random.default_rng(config.seed)
-        self._sample_rng = np.random.default_rng(
-            None if config.seed is None else config.seed + 1
-        )
-
-        factors = initialize_factors(tensor.shape, ranks, rng)
-        core = initialize_core(ranks, rng)
-        memory = (
-            MemoryTracker(budget_bytes=config.memory_budget_bytes)
-            if config.track_memory
-            else None
-        )
-        scheduler = RowScheduler(n_threads=config.threads, scheduling=config.scheduling)
-        trace = ConvergenceTrace()
-        timer = IterationTimer()
-
-        sample = self._draw_sample(tensor)
-        sample_contexts = build_all_mode_contexts(sample)
-
-        for iteration in range(1, config.max_iterations + 1):
-            with timer.iteration():
-                if self.resample_each_iteration and iteration > 1:
-                    sample = self._draw_sample(tensor)
-                    sample_contexts = build_all_mode_contexts(sample)
-                for mode in range(tensor.order):
-                    update_factor_mode(
-                        sample,
-                        factors,
-                        core,
-                        mode,
-                        config.regularization,
-                        context=sample_contexts[mode],
-                        block_size=config.block_size,
-                        memory=memory,
-                        backend=config.backend,
-                    )
-                    scheduler.record_mode(sample_contexts[mode].row_counts)
-                error, loss = error_and_loss(
-                    tensor, core, factors, config.regularization
-                )
-
-            trace.add(
-                IterationRecord(
-                    iteration=iteration,
-                    reconstruction_error=error,
-                    loss=loss,
-                    seconds=timer.seconds[-1],
-                    core_nnz=int(np.count_nonzero(core)),
-                )
-            )
-            if (
-                iteration >= config.min_iterations
-                and trace.relative_change() < config.tolerance
-            ):
-                trace.converged = True
-                trace.stop_reason = (
-                    f"relative error change below tolerance {config.tolerance}"
-                )
-                break
-        else:
-            trace.stop_reason = f"reached max_iterations={config.max_iterations}"
-
-        if config.orthogonalize:
-            factors, core = orthogonalize(factors, core)
-
-        result = TuckerResult(
-            core=core,
-            factors=list(factors),
-            trace=trace,
-            memory=memory,
-            algorithm=self.name,
-        )
-        result.scheduler = scheduler  # type: ignore[attr-defined]
+        result = super().fit(tensor)
         result.sample_fraction = self.sample_fraction  # type: ignore[attr-defined]
         return result

@@ -28,6 +28,27 @@ class ConvergenceTrace:
     def add(self, record: IterationRecord) -> None:
         self.records.append(record)
 
+    def record_iteration(self, record: IterationRecord, config) -> bool:
+        """Append ``record`` and apply the stop rule; True when the run stops.
+
+        The run has converged once ``config.min_iterations`` iterations are
+        done and the relative error change drops below ``config.tolerance``;
+        otherwise it stops at ``config.max_iterations``.  ``converged`` and
+        ``stop_reason`` record the verdict.
+        """
+        self.add(record)
+        if (
+            record.iteration >= config.min_iterations
+            and self.relative_change() < config.tolerance
+        ):
+            self.converged = True
+            self.stop_reason = (
+                f"relative error change below tolerance {config.tolerance}"
+            )
+        elif record.iteration >= config.max_iterations:
+            self.stop_reason = f"reached max_iterations={config.max_iterations}"
+        return self.converged or record.iteration >= config.max_iterations
+
     @property
     def n_iterations(self) -> int:
         return len(self.records)

@@ -67,8 +67,8 @@ from ..metrics.environment import bench_environment
 from ..metrics.environment import blas_thread_count as _blas_thread_count
 
 from ..core.row_update import (
+    InMemorySource,
     brute_force_row_update,
-    build_mode_context,
     update_factor_mode,
 )
 from ..exceptions import DataFormatError
@@ -131,18 +131,17 @@ def _time_update(
     backend: str = "numpy",
 ) -> float:
     """Best-of-``repeats`` wall time of one mode-0 factor update."""
-    context = build_mode_context(tensor, 0)
+    source = InMemorySource.build(tensor, modes=(0,))
     best = float("inf")
     for _ in range(repeats):
         fresh = [np.array(f, copy=True) for f in factors]
         start = perf_counter()
         update_factor_mode(
-            tensor,
+            source,
             fresh,
             core,
             0,
             regularization,
-            context=context,
             kernel=kernel,
             backend=backend,
         )
@@ -165,7 +164,7 @@ import json, os, sys, threading
 
 import numpy as np
 
-from repro.core.row_update import build_mode_context, update_factor_mode
+from repro.core.row_update import InMemorySource, update_factor_mode
 from repro.shards import ShardStore, ShardedSweepExecutor
 
 PAGE = os.sysconf("SC_PAGE_SIZE")
@@ -200,10 +199,8 @@ def sample():
 sampler = threading.Thread(target=sample, daemon=True)
 sampler.start()
 if kind == "incore":
-    context = build_mode_context(tensor, 0)
-    update_factor_mode(
-        tensor, factors, core, 0, 0.01, context=context, block_size=block_size
-    )
+    source = InMemorySource.build(tensor, modes=(0,))
+    update_factor_mode(source, factors, core, 0, 0.01, block_size=block_size)
 else:
     ShardedSweepExecutor(store, block_size=block_size).update_factor_mode(
         factors, core, 0, 0.01
@@ -291,7 +288,7 @@ def _bench_sharded_vs_incore(
     is outside every measurement), then runs both paths at the *same*
     block size (an eighth of nnz, so the streaming structure is exercised)
     and measures each with the RSS sampler and tracemalloc.  The in-core
-    measurement includes its ``build_mode_context`` — the nnz-sized sorted
+    measurement includes its ``InMemorySource.build`` — the nnz-sized sorted
     copies are precisely the resident state the shard store replaces.
     """
     from ..shards import ShardStore, ShardedSweepExecutor
@@ -308,15 +305,9 @@ def _bench_sharded_vs_incore(
             tensor._mode_sorted_cache.clear()
             fresh = [np.array(f, copy=True) for f in factors]
             start = perf_counter()
-            context = build_mode_context(tensor, 0)
+            source = InMemorySource.build(tensor, modes=(0,))
             update_factor_mode(
-                tensor,
-                fresh,
-                core,
-                0,
-                regularization,
-                context=context,
-                block_size=block_size,
+                source, fresh, core, 0, regularization, block_size=block_size
             )
             return perf_counter() - start, fresh[0]
 
@@ -724,13 +715,11 @@ def _brute_force_error(
     evaluated on a few rows, each restricted to its own entries via
     ``mode_slice`` (the reference only ever reads the row's Ω anyway).
     """
-    context = build_mode_context(tensor, 0)
+    source = InMemorySource.build(tensor, modes=(0,))
     updated = [np.array(f, copy=True) for f in factors]
-    update_factor_mode(
-        tensor, updated, core, 0, regularization, context=context, kernel="contracted"
-    )
+    update_factor_mode(source, updated, core, 0, regularization, kernel="contracted")
     worst = 0.0
-    for row in context.row_ids[:n_rows]:
+    for row in source.mode_segmentation(0)[0][:n_rows]:
         row_tensor = tensor.mode_slice(0, int(row))
         expected = brute_force_row_update(
             row_tensor, list(factors), core, 0, int(row), regularization

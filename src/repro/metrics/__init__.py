@@ -11,7 +11,7 @@ from .errors import (
 )
 from .environment import bench_environment, blas_thread_count
 from .memory import BYTES_PER_FLOAT, MemoryModel, MemoryTracker, TensorAttributes
-from .timing import Counters, IterationTimer, LatencyWindow, Stopwatch, percentile
+from .timing import Counters, IterationTimer, LatencyWindow, percentile
 
 __all__ = [
     "reconstruction_error",
@@ -26,7 +26,6 @@ __all__ = [
     "TensorAttributes",
     "BYTES_PER_FLOAT",
     "IterationTimer",
-    "Stopwatch",
     "Counters",
     "LatencyWindow",
     "percentile",

@@ -1,6 +1,6 @@
 """Timing and counting helpers shared by solvers, benchmarks and serving.
 
-:class:`Stopwatch` and :class:`IterationTimer` back the fit side;
+:class:`IterationTimer` records a fit's per-iteration wall times;
 :class:`Counters` and :class:`LatencyWindow` are the one structured-stats
 mechanism every serving component reports through — the LRU caches count
 hits/misses/evictions in a :class:`Counters`, the micro-batcher counts
@@ -19,41 +19,6 @@ from collections import deque
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Deque, Dict, Iterator, List
-
-
-@dataclass
-class Stopwatch:
-    """Accumulates named wall-clock durations.
-
-    Solvers use one stopwatch per run to attribute time to phases
-    ("update-factors", "error", "truncate-core"), which the experiments then
-    report as per-iteration times.
-    """
-
-    durations: Dict[str, float] = field(default_factory=dict)
-    counts: Dict[str, int] = field(default_factory=dict)
-
-    @contextmanager
-    def measure(self, label: str) -> Iterator[None]:
-        """Context manager adding the elapsed time under ``label``."""
-        start = time.perf_counter()
-        try:
-            yield
-        finally:
-            elapsed = time.perf_counter() - start
-            self.durations[label] = self.durations.get(label, 0.0) + elapsed
-            self.counts[label] = self.counts.get(label, 0) + 1
-
-    def total(self) -> float:
-        """Total time across all labels."""
-        return float(sum(self.durations.values()))
-
-    def mean(self, label: str) -> float:
-        """Mean duration of one occurrence of ``label`` (0 when never seen)."""
-        count = self.counts.get(label, 0)
-        if count == 0:
-            return 0.0
-        return self.durations[label] / count
 
 
 @dataclass

@@ -21,12 +21,13 @@ verifiable or invisible; there is no torn state to misread.
 Resuming restores the factor matrices, core and convergence trace and
 re-enters the ALS loop at ``iteration + 1``.  The per-iteration update is
 deterministic given that state (the RNG only seeds the *initial* factors,
-which the checkpoint supersedes), so a resumed fit continues the
-trajectory **bitwise-identically** to an uninterrupted one — the chaos
-tests kill fits at random iterations and assert exact equality of the
-final model.  A ``config_digest`` recorded in the manifest pins the
-trajectory-critical hyper-parameters (ranks, regularization, seed,
-backend, block size, orthogonalization) plus the data fingerprint, so
+which the checkpoint supersedes; the sampled variant replays its sample
+draws), so a resumed fit continues the trajectory **bitwise-identically**
+to an uninterrupted one — the chaos tests kill fits at random iterations
+and assert exact equality of the final model.  A ``config_digest``
+recorded in the manifest pins the trajectory-critical hyper-parameters
+(ranks, regularization, seed, backend, block size, orthogonalization,
+solver variant) plus the data fingerprint, so
 resuming against different data or maths fails loudly instead of
 continuing a different fit; stopping-only knobs (``max_iterations``,
 ``tolerance``, ``min_iterations``) are deliberately excluded so a resume
@@ -93,6 +94,7 @@ def fit_state_digest(
     backend: object,
     block_size: int,
     entries_sha256: Optional[str] = None,
+    variant: Optional[Dict[str, object]] = None,
 ) -> str:
     """Digest of everything that fixes a fit's numerical trajectory.
 
@@ -103,7 +105,11 @@ def fit_state_digest(
     the same trajectory, which is a feature, not a mismatch.  ``backend``
     accepts a name or a backend instance (its ``name`` is digested);
     every registered backend is bitwise-equal anyway, so this is a
-    belt-and-braces pin, not a numerical necessity.
+    belt-and-braces pin, not a numerical necessity.  ``variant`` names a
+    solver variant and its trajectory-critical settings (for example
+    ``{"name": "P-Tucker-Approx", "truncation_rate": 0.2}``), so a variant
+    never resumes another solver's checkpoint; plain P-Tucker passes
+    ``None`` and keeps the digest it always had.
     """
     payload = {
         "format": CHECKPOINT_FORMAT,
@@ -117,6 +123,8 @@ def fit_state_digest(
         "block_size": int(block_size),
         "entries_sha256": entries_sha256,
     }
+    if variant:
+        payload["variant"] = variant
     text = json.dumps(payload, sort_keys=True)
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
 

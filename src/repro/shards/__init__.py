@@ -21,8 +21,8 @@ disjoint row ranges.  This package provides the two pieces:
   kernel backend (``numpy`` / ``threaded`` / ``numba`` / ``auto``), and
   merges the per-row results — bitwise-equal to the in-core sweep, with a
   resident working set bounded by ``block_size`` instead of nnz.  Its
-  :meth:`~repro.shards.executor.ShardedSweepExecutor.fit` runs the whole
-  P-Tucker loop out of core.
+  :meth:`~repro.shards.executor.ShardedSweepExecutor.fit` runs the one
+  P-Tucker driver (:func:`~repro.core.ptucker.run_als`) out of core.
 * :mod:`~repro.shards.merge` — the external-memory build behind
   :meth:`~repro.shards.store.ShardStore.build_streaming`: chunks from any
   entry reader (:mod:`repro.tensor.io`) are spilled as per-mode sorted
@@ -31,7 +31,7 @@ disjoint row ranges.  This package provides the two pieces:
   closes the last in-RAM stage of the pipeline: a raw text file becomes a
   store — and a fitted model — without the tensor ever existing in RAM.
 
-Entry points elsewhere in the library: ``update_factor_mode(source=store)``
+Entry points elsewhere in the library: ``update_factor_mode(store, ...)``
 streams a single mode update, ``PTuckerConfig(shard_dir=..., shard_nnz=...,
 ingest_chunk_nnz=...)`` routes a whole
 :meth:`~repro.core.ptucker.PTucker.fit` through a store,

@@ -1,13 +1,13 @@
 """Streaming sweeps over a shard store: out-of-core P-Tucker.
 
-:class:`ShardedSweepExecutor` drives the row-wise update of
-:mod:`repro.core.row_update` from a :class:`~repro.shards.store.ShardStore`
-instead of an in-RAM :class:`~repro.core.row_update.ModeContext`: shards are
-memory-mapped and streamed one ``block_size`` run of entries at a time, each
-block's normal equations are computed by any registered kernel backend
-(``numpy`` / ``threaded`` / ``numba`` / ``auto``), and the per-row partial
-sums are merged into the factor matrix exactly as the in-core block loop
-merges them.
+:class:`ShardedSweepExecutor` hands a :class:`~repro.shards.store.ShardStore`
+to :func:`repro.core.row_update.update_factor_mode` as its entry source,
+in place of the in-RAM :class:`~repro.core.row_update.InMemorySource`:
+shards are memory-mapped and streamed one ``block_size`` run of entries at
+a time, each block's normal equations are computed by any registered
+kernel backend (``numpy`` / ``threaded`` / ``procpool`` / ``numba`` /
+``auto``), and the per-row partial sums are merged into the factor matrix
+by the same block loop the in-core update runs.
 
 Because the store's mode-sorted shards hold bit-identical data to the
 in-core sorted arrays and the executor uses the same global block
@@ -18,10 +18,14 @@ difference is the working set: instead of nnz-sized sorted index/value
 copies per mode, only the current block (plus the factor matrices, core and
 per-row ``(B, c)`` stacks) is resident.
 
-:meth:`ShardedSweepExecutor.fit` runs the full P-Tucker loop (Algorithm 2)
-against the store — per-mode streamed updates, a streamed residual pass for
-the convergence metrics, and the final orthogonalisation — without ever
-materialising the tensor, so |Omega| is bounded by disk, not RAM.
+:meth:`ShardedSweepExecutor.fit` runs the P-Tucker loop (Algorithm 2)
+against the store through the one ALS driver,
+:func:`repro.core.ptucker.run_als`, which reaches the store only through
+this class's :meth:`~ShardedSweepExecutor.update_factor_mode` and
+:meth:`~ShardedSweepExecutor.error_and_loss` — per-mode streamed updates,
+a streamed residual pass for the convergence metrics, checkpoint/resume
+and the final orthogonalisation — without ever materialising the tensor,
+so |Omega| is bounded by disk, not RAM.
 
 One scoping note on the bitwise contract: the *convergence metric* is
 accumulated over the store's canonical (mode-0 sorted) entry order.  When
@@ -40,15 +44,12 @@ from typing import List, Optional
 import numpy as np
 
 from ..core.config import PTuckerConfig
-from ..core.core_tensor import initialize_core, initialize_factors, orthogonalize
+from ..core.ptucker import run_als
 from ..core.result import TuckerResult
 from ..core.row_update import update_factor_mode
-from ..core.trace import ConvergenceTrace, IterationRecord
 from ..kernels.backends import BackendSpec
 from ..metrics.errors import RECONSTRUCT_BLOCK_SIZE, error_and_loss_stream
 from ..metrics.memory import MemoryTracker
-from ..metrics.timing import IterationTimer
-from ..parallel.scheduler import RowScheduler
 from .store import ShardStore
 
 
@@ -93,7 +94,7 @@ class ShardedSweepExecutor:
     ) -> np.ndarray:
         """Update ``A^(mode)`` in place from the store's streamed shards."""
         return update_factor_mode(
-            None,
+            self.store,
             factors,
             core,
             mode,
@@ -101,7 +102,6 @@ class ShardedSweepExecutor:
             block_size=self.block_size,
             memory=memory,
             backend=self.backend,
-            source=self.store,
         )
 
     def sweep(
@@ -143,131 +143,18 @@ class ShardedSweepExecutor:
     def fit(self, config: Optional[PTuckerConfig] = None) -> TuckerResult:
         """Fit P-Tucker (Algorithm 2) against the store, out of core.
 
-        Mirrors :meth:`repro.core.ptucker.PTucker.fit` step for step —
-        same seeded initialisation, per-mode row updates, one streamed
-        residual pass per iteration, the same convergence rule and the
-        final QR orthogonalisation — with every entry access streamed from
-        disk.  The executor's ``backend`` and ``block_size`` govern the
-        kernels (``config.backend`` / ``config.block_size`` configure the
-        in-core path and are not consulted here); every other
-        hyper-parameter comes from ``config``.
+        Runs :func:`repro.core.ptucker.run_als` — the same loop the in-core
+        fit runs — with every entry access streamed from disk.  The
+        executor's ``backend`` and ``block_size`` govern the kernels (and
+        the checkpoint digest); every other hyper-parameter, including
+        ``checkpoint_dir`` / ``resume``, comes from ``config``.
 
         Before the first sweep the store's files get a cheap sanity check
         (:meth:`~repro.shards.store.ShardStore.verify_files` — headers and
         sizes only, no data reads), so a truncated or half-written store
         fails up front with a path-naming
         :class:`~repro.exceptions.DataFormatError` instead of hours into
-        the fit.  ``config.checkpoint_dir`` / ``resume`` behave exactly as
-        in the in-core fit: versioned crash-safe checkpoints, bitwise
-        resume (see :mod:`repro.resilience.checkpoint`).
+        the fit.
         """
-        config = config if config is not None else PTuckerConfig()
-        store = self.store
-        store.verify_files()
-        ranks = config.resolve_ranks(store.order)
-        rng = np.random.default_rng(config.seed)
-
-        factors = initialize_factors(store.shape, ranks, rng)
-        core = initialize_core(ranks, rng)
-
-        memory = (
-            MemoryTracker(budget_bytes=config.memory_budget_bytes)
-            if config.track_memory
-            else None
-        )
-        scheduler = RowScheduler(
-            n_threads=config.threads, scheduling=config.scheduling
-        )
-        trace = ConvergenceTrace()
-        timer = IterationTimer()
-
-        checkpoints = None
-        digest = ""
-        start_iteration = 1
-        if config.checkpoint_dir:
-            from ..resilience.checkpoint import (
-                CheckpointManager,
-                fit_state_digest,
-                resume_state,
-            )
-
-            checkpoints = CheckpointManager(
-                config.checkpoint_dir,
-                every=config.checkpoint_every,
-                diff=config.checkpoint_diff,
-            )
-            digest = fit_state_digest(
-                shape=store.shape,
-                nnz=store.nnz,
-                ranks=ranks,
-                regularization=config.regularization,
-                seed=config.seed,
-                orthogonalize=config.orthogonalize,
-                backend=self.backend,
-                block_size=self.block_size,
-                entries_sha256=store.fingerprint.get("entries_sha256"),
-            )
-            resumed = resume_state(checkpoints, config.resume, digest)
-            if resumed is not None:
-                factors = [
-                    np.ascontiguousarray(f, dtype=np.float64)
-                    for f in resumed.factors
-                ]
-                core = np.ascontiguousarray(resumed.core, dtype=np.float64)
-                trace = resumed.trace
-                start_iteration = resumed.iteration + 1
-
-        for iteration in range(start_iteration, config.max_iterations + 1):
-            if trace.converged:
-                break  # a resumed checkpoint already recorded convergence
-            with timer.iteration():
-                for mode in range(store.order):
-                    self.update_factor_mode(
-                        factors, core, mode, config.regularization, memory
-                    )
-                    scheduler.record_mode(store.mode_segmentation(mode)[2])
-                error, loss = self.error_and_loss(
-                    core, factors, config.regularization
-                )
-
-            trace.add(
-                IterationRecord(
-                    iteration=iteration,
-                    reconstruction_error=error,
-                    loss=loss,
-                    seconds=timer.seconds[-1],
-                    core_nnz=int(np.count_nonzero(core)),
-                )
-            )
-            if (
-                iteration >= config.min_iterations
-                and trace.relative_change() < config.tolerance
-            ):
-                trace.converged = True
-                trace.stop_reason = (
-                    f"relative error change below tolerance {config.tolerance}"
-                )
-            elif iteration == config.max_iterations:
-                trace.stop_reason = (
-                    f"reached max_iterations={config.max_iterations}"
-                )
-            if checkpoints is not None and checkpoints.due(
-                iteration,
-                final=trace.converged or iteration == config.max_iterations,
-            ):
-                checkpoints.save(iteration, factors, core, trace, digest)
-            if trace.converged:
-                break
-
-        if config.orthogonalize:
-            factors, core = orthogonalize(factors, core)
-
-        result = TuckerResult(
-            core=core,
-            factors=list(factors),
-            trace=trace,
-            memory=memory,
-            algorithm="P-Tucker",
-        )
-        result.scheduler = scheduler  # type: ignore[attr-defined]
-        return result
+        self.store.verify_files()
+        return run_als(self, config if config is not None else PTuckerConfig())

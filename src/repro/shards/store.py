@@ -337,7 +337,7 @@ class ShardStore:
     (:attr:`nnz` / :attr:`shape` / :attr:`order`,
     :meth:`mode_segmentation`, :meth:`read_mode_block`,
     :meth:`gather_mode_entries`), so it can be passed directly as
-    ``update_factor_mode(source=...)`` or wrapped in a
+    the ``source`` of ``update_factor_mode`` or wrapped in a
     :class:`~repro.shards.executor.ShardedSweepExecutor`.  Blocks come back
     as narrow :class:`~repro.columns.IndexColumns`, which every kernel
     backend consumes without widening.

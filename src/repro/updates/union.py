@@ -4,7 +4,7 @@
 without materializing the union:
 
 * the **entry-source protocol** (``nnz`` / ``shape`` / ``mode_segmentation``
-  / ``read_mode_block``) consumed by ``update_factor_mode(source=...)`` and
+  / ``read_mode_block``) consumed by ``update_factor_mode(source, ...)`` and
   the targeted re-solver — so the union can drive the same three-primitive
   kernel backends as the base store;
 * the **chunked entry-reader protocol** (``iter_entry_chunks``) consumed by

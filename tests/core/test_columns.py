@@ -129,7 +129,11 @@ class TestDtypeHelpers:
 class TestAutoBackendWithNarrowBlocks:
     def test_autotuned_dispatch_consumes_columns(self, rng):
         """backend="auto" calibrates over narrow blocks without widening."""
-        from repro.core.row_update import build_mode_context, update_factor_mode
+        from repro.core.row_update import (
+            InMemorySource,
+            build_mode_context,
+            update_factor_mode,
+        )
         from repro.data import random_sparse_tensor
 
         tensor = random_sparse_tensor((30, 20, 10), nnz=400, seed=2)
@@ -142,7 +146,8 @@ class TestAutoBackendWithNarrowBlocks:
             context = build_mode_context(tensor, 0, index_dtype=policy)
             fresh = [np.array(f, copy=True) for f in factors]
             update_factor_mode(
-                tensor, fresh, core, 0, 0.01, context=context, backend="auto"
+                InMemorySource(tensor, [context]), fresh, core, 0, 0.01,
+                backend="auto",
             )
             results[policy] = fresh[0]
         np.testing.assert_array_equal(results["auto"], results["wide"])

@@ -86,6 +86,24 @@ class TestTrace:
         assert trace.losses == [9.0]
         assert trace.n_iterations == 1
 
+    def test_record_iteration_stop_rule(self):
+        config = PTuckerConfig(max_iterations=4, min_iterations=3, tolerance=0.2)
+        trace = ConvergenceTrace()
+        # A small change before min_iterations does not stop the run.
+        assert not trace.record_iteration(self._record(1, 10.0), config)
+        assert not trace.record_iteration(self._record(2, 9.9), config)
+        assert trace.record_iteration(self._record(3, 9.8), config)
+        assert trace.converged
+        assert trace.stop_reason == "relative error change below tolerance 0.2"
+
+    def test_record_iteration_stops_at_max_iterations(self):
+        config = PTuckerConfig(max_iterations=2, tolerance=0.0)
+        trace = ConvergenceTrace()
+        assert not trace.record_iteration(self._record(1, 10.0), config)
+        assert trace.record_iteration(self._record(2, 5.0), config)
+        assert not trace.converged
+        assert trace.stop_reason == "reached max_iterations=2"
+
 
 class TestTuckerResult:
     def test_summary_contains_key_facts(self, planted_small):

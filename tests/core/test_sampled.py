@@ -73,3 +73,21 @@ class TestBehaviour:
         config = PTuckerConfig(ranks=(3, 3, 3), max_iterations=3, seed=0)
         result = PTuckerSampled(config, sample_fraction=0.5).fit(planted_small.tensor)
         assert result.orthogonality_defect() < 1e-8
+
+
+class TestOutOfCoreRefusal:
+    @pytest.mark.parametrize("fraction", [0.3, 0.5, 1.0])
+    def test_shard_dir_refused_at_every_fraction(
+        self, planted_small, tmp_path, fraction
+    ):
+        config = PTuckerConfig(
+            ranks=(3, 3, 3), max_iterations=1, shard_dir=str(tmp_path / "s")
+        )
+        with pytest.raises(
+            ShapeError,
+            match="shard_dir streaming supports the base P-Tucker solver only",
+        ):
+            PTuckerSampled(config, sample_fraction=fraction).fit(
+                planted_small.tensor
+            )
+        assert not (tmp_path / "s").exists()

@@ -93,7 +93,7 @@ def test_readme_documents_the_cli_flags():
         ("repro.columns", ("IndexColumns", "uint8", "zero-copy")),
         ("repro.shards", ("ShardStore", "ShardedSweepExecutor", "manifest")),
         ("repro.shards.store", ("read_mode_block", "mode_segmentation", "uint8")),
-        ("repro.shards.executor", ("bitwise", "fit")),
+        ("repro.shards.executor", ("bitwise", "fit", "run_als")),
         ("repro.shards.merge", ("streaming_build", "k-way", "bitwise", "narrow")),
         ("repro.shards.legacy", ("V1StoreReader", "migrate_v1_store")),
         ("repro.tensor.io", ("iter_entry_chunks", "TextEntryReader", "rcoo")),
@@ -131,6 +131,8 @@ def test_readme_documents_the_cli_flags():
         ("repro.model_io", ("save_model", "load_result", "digest")),
         ("repro.metrics.timing", ("Counters", "LatencyWindow", "percentile")),
         ("repro.metrics.environment", ("single_cpu_caveat", "blas")),
+        ("repro.core.row_update", ("InMemorySource", "read_mode_block", "bitwise")),
+        ("repro.core.ptucker", ("run_als", "update_factor_mode", "error_and_loss")),
     ],
 )
 def test_pydoc_renders_public_api(module, expected):

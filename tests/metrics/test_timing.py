@@ -10,39 +10,8 @@ from repro.metrics import (
     Counters,
     IterationTimer,
     LatencyWindow,
-    Stopwatch,
     percentile,
 )
-
-
-class TestStopwatch:
-    def test_accumulates_by_label(self):
-        watch = Stopwatch()
-        with watch.measure("a"):
-            time.sleep(0.01)
-        with watch.measure("a"):
-            time.sleep(0.01)
-        with watch.measure("b"):
-            pass
-        assert watch.counts["a"] == 2
-        assert watch.durations["a"] >= 0.02
-        assert watch.total() >= watch.durations["a"]
-
-    def test_mean_unknown_label_is_zero(self):
-        assert Stopwatch().mean("missing") == 0.0
-
-    def test_mean(self):
-        watch = Stopwatch()
-        with watch.measure("x"):
-            time.sleep(0.01)
-        assert watch.mean("x") == pytest.approx(watch.durations["x"])
-
-    def test_records_time_even_on_exception(self):
-        watch = Stopwatch()
-        with pytest.raises(RuntimeError):
-            with watch.measure("boom"):
-                raise RuntimeError("fail")
-        assert watch.counts["boom"] == 1
 
 
 class TestIterationTimer:

@@ -7,7 +7,13 @@ import pytest
 
 from faultinject import FaultInjector
 from repro.cli import main
-from repro.core import PTucker, PTuckerConfig
+from repro.core import (
+    PTucker,
+    PTuckerApprox,
+    PTuckerCache,
+    PTuckerConfig,
+    PTuckerSampled,
+)
 from repro.core.trace import ConvergenceTrace, IterationRecord
 from repro.exceptions import DataFormatError, ShapeError
 from repro.resilience import CheckpointManager, fit_state_digest, resume_state
@@ -24,6 +30,26 @@ def _assert_models_bitwise_equal(result, reference):
     assert result.core.tobytes() == reference.core.tobytes()
     for mine, theirs in zip(result.factors, reference.factors):
         assert mine.tobytes() == theirs.tobytes()
+
+
+class _Killed(Exception):
+    """Stands in for a SIGKILL landing right after a checkpoint commits."""
+
+
+def _fit_killed_after(solver, tensor, iteration, monkeypatch):
+    """Run ``solver.fit`` and abort it once iteration ``iteration`` is saved."""
+    save = CheckpointManager.save
+
+    def save_then_die(self, saved_iteration, *args, **kwargs):
+        path = save(self, saved_iteration, *args, **kwargs)
+        if saved_iteration == iteration:
+            raise _Killed
+        return path
+
+    with monkeypatch.context() as patch:
+        patch.setattr(CheckpointManager, "save", save_then_die)
+        with pytest.raises(_Killed):
+            solver.fit(tensor)
 
 
 def _sample_trace() -> ConvergenceTrace:
@@ -142,6 +168,27 @@ class TestCheckpointManager:
         assert digest != fit_state_digest(**{**base, "regularization": 0.02})
         assert digest != fit_state_digest(**{**base, "ranks": (3, 2, 2)})
 
+    def test_plain_digest_is_unchanged_and_variants_differ(self):
+        base = dict(
+            shape=(4, 4, 4),
+            nnz=10,
+            ranks=(2, 2, 2),
+            regularization=0.01,
+            seed=0,
+            orthogonalize=False,
+            backend="numpy",
+            block_size=100_000,
+        )
+        # Pinned: checkpoints written before variants were digested resume.
+        assert fit_state_digest(**base) == (
+            "47f57c78dde999ff029af35f0e0bd62bc8a6f88d70c52282de5380b507d0ed70"
+        )
+        approx = {"name": "P-Tucker-Approx", "truncation_rate": 0.2}
+        assert fit_state_digest(**base, variant=approx) != fit_state_digest(**base)
+        assert fit_state_digest(**base, variant=approx) != fit_state_digest(
+            **base, variant={**approx, "truncation_rate": 0.3}
+        )
+
 
 class TestFitResume:
     def test_resume_is_bitwise_identical_to_uninterrupted(
@@ -207,6 +254,72 @@ class TestFitResume:
             tensor, shard_dir=shards, checkpoint_dir=ckpt, resume=True
         )
         _assert_models_bitwise_equal(resumed, reference)
+
+    @pytest.mark.parametrize(
+        "first, second",
+        [(PTucker, PTuckerApprox), (PTuckerApprox, PTucker)],
+        ids=["approx-from-plain", "plain-from-approx"],
+    )
+    def test_variant_mismatch_refuses_resume(
+        self, planted_small, tmp_path, first, second
+    ):
+        ckpt = str(tmp_path / "ckpt")
+        config = PTuckerConfig(
+            ranks=(3, 3, 3), max_iterations=3, tolerance=0.0,
+            checkpoint_dir=ckpt,
+        )
+        first(config).fit(planted_small.tensor)
+        with pytest.raises(DataFormatError, match="config digest"):
+            second(config.with_updates(resume=True)).fit(planted_small.tensor)
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            pytest.param(PTuckerApprox, id="approx"),
+            pytest.param(
+                lambda c: PTuckerSampled(c, sample_fraction=0.5), id="sampled"
+            ),
+            pytest.param(
+                lambda c: PTuckerSampled(
+                    c, sample_fraction=0.5, resample_each_iteration=False
+                ),
+                id="sampled-fixed",
+            ),
+        ],
+    )
+    @pytest.mark.parametrize("killed_after", [1, 3])
+    def test_variant_resume_is_bitwise_identical(
+        self, planted_small, tmp_path, monkeypatch, bitwise, make, killed_after
+    ):
+        """Kill a variant's fit right after iteration k's checkpoint lands;
+        the resumed fit reproduces the uninterrupted model byte for byte."""
+        tensor = planted_small.tensor
+        config = PTuckerConfig(
+            ranks=(3, 3, 3), max_iterations=5, tolerance=0.0, seed=2
+        )
+        reference = make(config).fit(tensor)
+
+        ckpt = str(tmp_path / "ckpt")
+        checkpointed = config.with_updates(checkpoint_dir=ckpt)
+        _fit_killed_after(make(checkpointed), tensor, killed_after, monkeypatch)
+        assert CheckpointManager(ckpt).latest_iteration() == killed_after
+
+        resumed = make(checkpointed.with_updates(resume=True)).fit(tensor)
+        bitwise(resumed.core, reference.core, "core")
+        for mode, (mine, theirs) in enumerate(
+            zip(resumed.factors, reference.factors)
+        ):
+            bitwise(mine, theirs, f"factor {mode}")
+        assert resumed.trace.errors == reference.trace.errors
+
+    def test_cache_refuses_checkpointing(self, planted_small, tmp_path):
+        config = PTuckerConfig(
+            ranks=(3, 3, 3), max_iterations=2,
+            checkpoint_dir=str(tmp_path / "ckpt"),
+        )
+        with pytest.raises(ShapeError, match="Pres table is not part of a"):
+            PTuckerCache(config).fit(planted_small.tensor)
+        assert not os.path.exists(tmp_path / "ckpt")
 
     def test_config_validation(self):
         with pytest.raises(ShapeError, match="checkpoint_every"):

@@ -15,7 +15,11 @@ import numpy as np
 import pytest
 
 from repro.columns import IndexColumns, index_dtype_for_dim, index_dtypes_for_shape
-from repro.core.row_update import build_mode_context, update_factor_mode
+from repro.core.row_update import (
+    InMemorySource,
+    build_mode_context,
+    update_factor_mode,
+)
 from repro.data import random_sparse_tensor
 from repro.exceptions import DataFormatError, ShapeError
 from repro.shards import (
@@ -155,12 +159,11 @@ class TestNarrowVsWideBitwise:
                         assert isinstance(context.sorted_indices, IndexColumns)
                     fresh = [np.array(f, copy=True) for f in factors]
                     update_factor_mode(
-                        tensor,
+                        InMemorySource(tensor, [context]),
                         fresh,
                         core,
                         mode,
                         0.01,
-                        context=context,
                         block_size=150,
                         backend=backend,
                     )

@@ -41,7 +41,7 @@ def test_streamed_update_bitwise_equal_per_mode(shape, ranks, tmp_path):
     streamed = [f.copy() for f in factors]
     for mode in range(tensor.order):
         update_factor_mode(tensor, factors, core, mode, 0.01)
-        update_factor_mode(None, streamed, core, mode, 0.01, source=store)
+        update_factor_mode(store, streamed, core, mode, 0.01)
         np.testing.assert_array_equal(streamed[mode], factors[mode])
 
 
@@ -51,9 +51,7 @@ def test_streamed_update_bitwise_equal_across_backends(backend, tmp_path):
     store = ShardStore.build(tensor, tmp_path / "s", shard_nnz=128)
     streamed = [f.copy() for f in factors]
     update_factor_mode(tensor, factors, core, 0, 0.01, backend=backend)
-    update_factor_mode(
-        None, streamed, core, 0, 0.01, source=store, backend=backend
-    )
+    update_factor_mode(store, streamed, core, 0, 0.01, backend=backend)
     np.testing.assert_array_equal(streamed[0], factors[0])
 
 
@@ -88,7 +86,7 @@ def test_shard_smaller_than_one_segment(tmp_path):
     streamed = [f.copy() for f in factors]
     for mode in range(3):
         update_factor_mode(tensor, factors, core, mode, 0.01)
-        update_factor_mode(None, streamed, core, mode, 0.01, source=store)
+        update_factor_mode(store, streamed, core, mode, 0.01)
         np.testing.assert_array_equal(streamed[mode], factors[mode])
 
 
@@ -133,9 +131,7 @@ def test_small_block_size_still_bitwise_equal_to_itself(tmp_path):
     store = ShardStore.build(tensor, tmp_path / "s", shard_nnz=80)
     streamed = [f.copy() for f in factors]
     update_factor_mode(tensor, factors, core, 0, 0.01, block_size=50)
-    update_factor_mode(
-        None, streamed, core, 0, 0.01, source=store, block_size=50
-    )
+    update_factor_mode(store, streamed, core, 0, 0.01, block_size=50)
     np.testing.assert_array_equal(streamed[0], factors[0])
 
 
@@ -175,17 +171,14 @@ def test_source_conflicts_are_rejected(tmp_path):
     tensor, factors, core = _problem((8, 7, 6), (2, 2, 2), nnz=100)
     store = ShardStore.build(tensor, tmp_path / "s", shard_nnz=30)
     with pytest.raises(ValueError):
-        update_factor_mode(
-            None, factors, core, 0, 0.01, source=store, kernel="kron"
-        )
+        update_factor_mode(store, factors, core, 0, 0.01, kernel="kron")
     with pytest.raises(ValueError):
         update_factor_mode(
-            None,
+            store,
             factors,
             core,
             0,
             0.01,
-            source=store,
             delta_provider=lambda positions, mode: None,
         )
     with pytest.raises(ValueError):

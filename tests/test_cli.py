@@ -179,6 +179,34 @@ class TestFactorizeCommand:
         assert code == 2
         assert "--shards" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("algorithm", ["ptucker-approx", "ptucker-sampled"])
+    def test_checkpoint_dir_accepts_variants(
+        self, tensor_file, tmp_path, capsys, algorithm
+    ):
+        path, _ = tensor_file
+        ckpt = tmp_path / "ckpt"
+        code = main(
+            ["fit", path, "--algorithm", algorithm, "--ranks", "2",
+             "--max-iterations", "2", "--tolerance", "0",
+             "--checkpoint-dir", str(ckpt)]
+        )
+        assert code == 0
+        assert "error=" in capsys.readouterr().out
+        assert (ckpt / "iter0000002" / "manifest.json").exists()
+
+    def test_checkpoint_dir_rejects_cache_with_library_reason(
+        self, tensor_file, tmp_path, capsys
+    ):
+        path, _ = tensor_file
+        code = main(
+            ["fit", path, "--algorithm", "ptucker-cache", "--ranks", "2",
+             "--checkpoint-dir", str(tmp_path / "ckpt")]
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "checkpoint_dir does not support P-Tucker-Cache" in err
+        assert "Pres table" in err
+
     def test_all_registered_algorithms_are_constructible(self):
         config = PTuckerConfig(ranks=(2, 2, 2), max_iterations=1)
         for name, cls in ALGORITHMS.items():

@@ -97,12 +97,11 @@ class TestUnionView:
         for mode in range(len(shape)):
             reference = [f.copy() for f in factors]
             update_factor_mode(
-                None,
+                fresh,
                 reference,
                 core,
                 mode,
                 0.1,
-                source=fresh,
                 backend=backend,
                 block_size=BLOCK_SIZE,
             )
@@ -151,8 +150,8 @@ class TestFreshRows:
             assert fresh_mode_rows.size > 0
             reference = [f.copy() for f in factors]
             update_factor_mode(
-                None, reference, core, mode, 0.05,
-                source=fresh, backend=backend, block_size=BLOCK_SIZE,
+                fresh, reference, core, mode, 0.05,
+                backend=backend, block_size=BLOCK_SIZE,
             )
             solved_rows, new_rows = solve_touched_rows(
                 union, factors, core, mode, union.touched_rows(mode),
