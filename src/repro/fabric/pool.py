@@ -29,6 +29,7 @@ import sys
 import time
 from typing import Any, Dict, List, Optional, Tuple
 
+from ..metrics.environment import BLAS_THREAD_VARIABLES
 from ..metrics.timing import Counters
 from ..resilience.retry import BackoffPolicy
 from .protocol import HEARTBEAT_ENV, FrameKind, FrameReader, encode_frame
@@ -45,15 +46,25 @@ HEARTBEAT_MISSES = 8
 DEFAULT_SPAWN_GRACE = 30.0
 
 
-def worker_environment(heartbeat_interval: float) -> Dict[str, str]:
+def worker_environment(
+    heartbeat_interval: float, n_workers: int
+) -> Dict[str, str]:
     """The spawned worker's environment: inherit, ensure importability.
 
     The parent may be running from a source tree via ``sys.path``
     manipulation (pytest, ``PYTHONPATH=src``); the child is a fresh
     interpreter, so the directory containing the ``repro`` package is
     prepended to its ``PYTHONPATH`` explicitly.
+
+    The ``n_workers`` workers of one pool share the CPUs, so each
+    worker's BLAS gets ``max(1, cpu_count // n_workers)`` threads: more
+    would oversubscribe the cores and make every small GEMM wait on a
+    thread hand-off.  A thread count the caller set explicitly is kept.
     """
     env = dict(os.environ)
+    blas_threads = str(max(1, (os.cpu_count() or 1) // max(1, n_workers)))
+    for variable in BLAS_THREAD_VARIABLES:
+        env.setdefault(variable, blas_threads)
     # __file__ is .../src/repro/fabric/pool.py; the import root is .../src.
     package_root = os.path.dirname(os.path.dirname(
         os.path.dirname(os.path.abspath(__file__))
@@ -68,14 +79,16 @@ def worker_environment(heartbeat_interval: float) -> Dict[str, str]:
 class WorkerHandle:
     """One live worker process and its protocol state."""
 
-    def __init__(self, worker_id: int, heartbeat_interval: float) -> None:
+    def __init__(
+        self, worker_id: int, heartbeat_interval: float, n_workers: int
+    ) -> None:
         self.worker_id = worker_id
         self.proc = subprocess.Popen(
             [sys.executable, "-m", "repro.fabric.worker"],
             stdin=subprocess.PIPE,
             stdout=subprocess.PIPE,
             stderr=None,  # worker stderr (and stray prints) go to ours
-            env=worker_environment(heartbeat_interval),
+            env=worker_environment(heartbeat_interval, n_workers),
         )
         os.set_blocking(self.proc.stdout.fileno(), False)
         os.set_blocking(self.proc.stdin.fileno(), False)
@@ -216,7 +229,9 @@ class WorkerPool:
         for slot in self.slots:
             if slot.handle is not None or now < slot.respawn_at:
                 continue
-            handle = WorkerHandle(slot.worker_id, self.heartbeat_interval)
+            handle = WorkerHandle(
+                slot.worker_id, self.heartbeat_interval, self.n_workers
+            )
             for seq, key, fn_path, payload in self._setups:
                 handle.send(FrameKind.SETUP, (seq, key, fn_path, payload))
             slot.handle = handle

@@ -36,8 +36,11 @@ Per block of ``m`` entries the seed path costs
 ``O(nnz · Π J)`` per sweep with a full-width temporary per entry.  The
 contraction schedule performs the same ``O(m · |G|)`` leading GEMM but every
 later step operates on a strictly smaller tensor, giving
-``O(nnz · Σ_k |G| / Π_{j<k} J_j)  ≈  O(nnz · Σ J · max|G|/J)`` time with a
-largest temporary of ``O(m · |G| / max_k J_k)`` — and for the reductions,
+``O(nnz · Σ_k |G| / Π_{j<k} J_j)  ≈  O(nnz · Σ J · max|G|/J)`` time.  The
+block is evaluated in consecutive tiles sized to
+:data:`~repro.kernels.contraction.TILE_BYTES`, so the largest contraction
+temporary is about ``2 · TILE_BYTES`` per call whatever ``m`` is (plus the
+``(m, J_n)`` output) — and for the reductions,
 ``np.add.reduceat`` segment sums over mode-sorted entries replace
 ``np.add.at`` scatter-adds (which degrade to per-element scalar dispatch),
 while per-row Gram matrices are accumulated as segmented δᵀδ products so the

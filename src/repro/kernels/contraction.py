@@ -18,6 +18,12 @@ complementary contraction strategies are combined per mode:
 
 Every step removes one mode, so the per-entry intermediate only shrinks —
 the ``(m, Π_{k≠n} J_k)`` Kronecker matrix of the seed kernel never exists.
+A block is evaluated in consecutive tiles whose widest per-entry
+intermediate spans about :data:`TILE_BYTES`, each written into its slice of
+one preallocated output, so the largest temporary is about
+``2 · TILE_BYTES`` per call whatever the caller's block size.  Every row
+is computed on its own, and no piece is shorter than a tile (so BLAS never
+sees a tiny tail), so tiling does not change a bit of the result.
 
 See the package docstring of :mod:`repro.kernels` for the complexity
 comparison against the seed Kronecker kernel.
@@ -35,6 +41,11 @@ from ..columns import as_index_block
 #: the hybrid never trades the eliminated Kronecker intermediate for an
 #: equally large table on wide-dimension modes.
 PRECONTRACT_CELL_BUDGET = 1 << 21
+
+#: Entry blocks are contracted in tiles whose widest per-entry intermediate
+#: spans about this many bytes (half of a 2 MiB per-core L2), so the
+#: contraction temporaries stay cache-resident whatever the block size.
+TILE_BYTES = 1 << 20
 
 
 class _ContractionPlan:
@@ -64,6 +75,8 @@ class _ContractionPlan:
         "rest",
         "loop_modes",
         "batch_invariant",
+        "width",
+        "out_width",
     )
 
     def __init__(
@@ -78,6 +91,7 @@ class _ContractionPlan:
         other = [k for k in range(order) if k != keep_mode]
         self.factors = factors
         self.batch_invariant = bool(batch_invariant)
+        self.out_width = core_arr.shape[keep_mode] if keep_mode is not None else 1
 
         # Greedy precontraction set: smallest dimensions first, while the
         # table stays under budget and beats the batched cost over the sweep.
@@ -120,6 +134,7 @@ class _ContractionPlan:
             )
             self.g = None
             self.loop_modes = batch
+            self.width = self.flat.shape[1]
         else:
             # The first batched step reduces the core's last axis as one GEMM.
             self.g = np.transpose(core_arr, kept + batch)
@@ -127,9 +142,29 @@ class _ContractionPlan:
             self.pre_dims = ()
             self.flat = None
             self.loop_modes = batch
+            self.width = self.g.size // self.g.shape[-1]
 
     def apply(self, indices_block: np.ndarray) -> np.ndarray:
-        """Contract the planned modes for one ``(m, N)`` entry block."""
+        """Contract the planned modes for one ``(m, N)`` entry block.
+
+        Tiles are at least ``TILE_BYTES // (8 · width)`` entries long,
+        ``width`` being the widest per-entry intermediate of the plan.
+        """
+        n_entries = indices_block.shape[0]
+        tile = max(1, TILE_BYTES // (8 * self.width))
+        pieces = max(1, n_entries // tile)
+        if pieces == 1:
+            return self._apply_tile(indices_block)
+        # Near-equal consecutive pieces, none shorter than a tile: BLAS
+        # never sees a tiny tail.
+        bounds = np.arange(pieces + 1, dtype=np.int64) * n_entries // pieces
+        out = np.empty((n_entries, self.out_width), dtype=np.float64)
+        for lo, hi in zip(bounds[:-1].tolist(), bounds[1:].tolist()):
+            self._apply_tile(indices_block[lo:hi], out[lo:hi])
+        return out
+
+    def _apply_tile(self, indices_block, out=None) -> np.ndarray:
+        """Contract the planned modes for one tile of entries (into ``out``)."""
         n_entries = indices_block.shape[0]
         factors = self.factors
         if self.pre:
@@ -137,6 +172,16 @@ class _ContractionPlan:
             linear = np.zeros(n_entries, dtype=np.int64)
             for axis, k in enumerate(self.pre):
                 linear = linear * self.pre_dims[axis] + indices_block[:, k]
+            if not self.loop_modes:
+                # Every mode precontracted: gather straight into the output.
+                # ``take`` buffers ``out`` under its default bounds mode, so
+                # the bounds are checked here and the gather never wraps.
+                n_rows = self.flat.shape[0]
+                if n_entries and not 0 <= linear.min() <= linear.max() < n_rows:
+                    raise IndexError("entry index outside the factor matrices")
+                if out is None:
+                    out = np.empty((n_entries, self.out_width), dtype=np.float64)
+                return self.flat.take(linear, axis=0, out=out, mode="wrap")
             temp = self.flat.take(linear, axis=0)
             loop_modes = self.loop_modes
         else:
@@ -163,7 +208,10 @@ class _ContractionPlan:
             temp = np.einsum(
                 "zxj,zj->zx", temp.reshape(n_entries, -1, rank_k), rows
             )
-        return temp.reshape(n_entries, -1)
+        if out is None:
+            return temp.reshape(n_entries, -1)
+        out[...] = temp.reshape(n_entries, -1)
+        return out
 
 
 def make_delta_contractor(

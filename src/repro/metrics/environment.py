@@ -22,6 +22,9 @@ from typing import Dict, Optional
 
 import numpy as np
 
+#: Thread-count variables of the BLAS builds NumPy ships with.
+BLAS_THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
 
 def blas_thread_count() -> Optional[int]:
     """Best-effort number of BLAS threads numpy will use.
@@ -43,7 +46,7 @@ def blas_thread_count() -> Optional[int]:
         counts = [c for c in counts if c]
         if counts:
             return int(max(counts))
-    for variable in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    for variable in BLAS_THREAD_VARIABLES:
         value = os.environ.get(variable)
         if value and value.isdigit():
             return int(value)

@@ -25,9 +25,9 @@ from ..kernels import make_value_contractor
 from ..tensor.coo import SparseTensor
 from ..tensor.operations import sparse_reconstruct
 
-#: Entries reconstructed per residual block — matches
-#: :func:`repro.tensor.operations.sparse_reconstruct`'s chunking, so the
-#: in-core and streamed metrics accumulate over identical block boundaries.
+#: Entries per residual block of the in-core metric; a stream chunked the
+#: same way accumulates its squared residuals over identical block
+#: boundaries, so the in-core and streamed metrics agree bit for bit.
 RECONSTRUCT_BLOCK_SIZE = 262_144
 
 

@@ -65,19 +65,23 @@ DEFAULT_MAX_RETRIES = 2
 #: its own process with ``os._exit`` — exactly the abrupt death (no
 #: exception, no cleanup) a SIGKILL or OOM-kill produces.  Because the
 #: path then exists, every later attempt proceeds normally, giving the
-#: chaos tests a deterministic die-once worker.
+#: chaos tests a deterministic die-once worker.  Set to
+#: :data:`INJECT_DEATH_ALWAYS` instead, it kills every task attempt, so no
+#: re-dispatch or hedged twin can finish the work.
 INJECT_WORKER_DEATH_ENV = "REPRO_INJECT_WORKER_DEATH"
+INJECT_DEATH_ALWAYS = "always"
 
 
 def _maybe_inject_worker_death() -> None:
     sentinel = os.environ.get(INJECT_WORKER_DEATH_ENV, "")
     if not sentinel:
         return
-    try:
-        fd = os.open(sentinel, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
-    except FileExistsError:
-        return  # already died once; behave normally from here on
-    os.close(fd)
+    if sentinel != INJECT_DEATH_ALWAYS:
+        try:
+            fd = os.open(sentinel, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
+        except FileExistsError:
+            return  # already died once; behave normally from here on
+        os.close(fd)
     os._exit(1)
 
 

@@ -84,7 +84,6 @@ def sparse_reconstruct(
     core: np.ndarray,
     factors: Sequence[np.ndarray],
     entry_rows: Optional[np.ndarray] = None,
-    block_size: int = 262_144,
 ) -> np.ndarray:
     """Model prediction (Eq. 4) at each observed entry of ``tensor``.
 
@@ -93,20 +92,14 @@ def sparse_reconstruct(
     the core against the gathered factor rows mode by mode
     (:func:`repro.kernels.contraction.contract_value_block`), so neither a
     dense reconstruction nor the full ``(nnz, |G|)`` Kronecker weight matrix
-    is ever materialised; entries are processed in blocks of ``block_size``.
+    is ever materialised; the contractor tiles the entries itself.
     """
     if len(factors) != tensor.order:
         raise ShapeError(
             f"expected {tensor.order} factor matrices, got {len(factors)}"
         )
     idx = tensor.indices if entry_rows is None else tensor.indices[entry_rows]
-    n_entries = idx.shape[0]
-    contractor = make_value_contractor(factors, core, n_entries)
-    out = np.empty(n_entries, dtype=np.float64)
-    for start in range(0, n_entries, block_size):
-        stop = min(start + block_size, n_entries)
-        out[start:stop] = contractor(idx[start:stop])
-    return out
+    return make_value_contractor(factors, core, idx.shape[0])(idx)
 
 
 def sparse_ttm_chain(

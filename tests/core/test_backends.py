@@ -13,11 +13,13 @@ import pytest
 
 from repro.core.row_update import build_mode_context, update_factor_mode
 from repro.kernels import available_backends, get_backend, resolve_backend
+from repro.kernels import contraction as contraction_module
 from repro.kernels.backends import (
     HAVE_NUMBA,
     AutoBackend,
     KernelBackend,
     NumpyBackend,
+    ProcpoolBackend,
     ThreadedBackend,
     backend_names_for_cli,
     register_backend,
@@ -190,6 +192,40 @@ def test_threaded_chunked_is_bitwise_equal_to_numpy():
     )
     np.testing.assert_array_equal(b_thr, b_ref)
     np.testing.assert_array_equal(c_thr, c_ref)
+
+
+def test_backends_bitwise_equal_on_multi_tile_block():
+    """numpy, threaded and procpool agree bitwise when blocks span tiles.
+
+    The block is several default-size tiles long with an uneven tail, so
+    every backend (procpool's workers run the module default too) tiles
+    its chunks differently and must still reduce the same rows.
+    """
+    rng = np.random.default_rng(13)
+    shape, ranks, mode, nnz = (3_000, 2_000, 12, 24), (10, 10, 5, 5), 2, 5_000
+    indices = np.stack([rng.integers(0, d, nnz) for d in shape], axis=1)
+    tensor = SparseTensor(indices, rng.uniform(0.5, 5.0, nnz), shape)
+    factors = [rng.uniform(-1.0, 1.0, size=(d, r)) for d, r in zip(shape, ranks)]
+    core = rng.uniform(-1.0, 1.0, size=ranks)
+    ctx = build_mode_context(tensor, mode)
+    plan = contraction_module._ContractionPlan(factors, core, mode, nnz)
+    tile = contraction_module.TILE_BYTES // (8 * plan.width)
+    assert nnz >= 3 * tile and nnz % tile
+
+    stacks = [
+        backend.make_normal_equations_kernel(factors, core, mode, nnz)(
+            ctx.sorted_indices, ctx.sorted_values, ctx.row_starts
+        )
+        for backend in (
+            NumpyBackend(),
+            ThreadedBackend(n_workers=2, min_chunk_entries=8),
+            ProcpoolBackend(n_workers=2, min_chunk_entries=8),
+        )
+    ]
+    b_ref, c_ref = stacks[0]
+    for b, c in stacks[1:]:
+        np.testing.assert_array_equal(b, b_ref)
+        np.testing.assert_array_equal(c, c_ref)
 
 
 def test_threaded_primitives_match_reference():

@@ -125,6 +125,130 @@ class TestBatchInvariantContraction:
         np.testing.assert_allclose(invariant, default, atol=1e-12)
 
 
+class TestTiledContraction:
+    """Blocks are contracted in ``TILE_BYTES`` tiles, bitwise like one piece."""
+
+    #: Entries per tile the monkeypatched budget gives.
+    TILE = 6
+    SIZES = [0, 1, TILE - 1, TILE, 2 * TILE - 1, 3 * TILE + 7]
+
+    @pytest.mark.parametrize("n_entries", SIZES)
+    @pytest.mark.parametrize("batch_invariant", [False, True])
+    @pytest.mark.parametrize("path", ["all-precontracted", "precontracted", "gemm"])
+    @pytest.mark.parametrize("kind", ["delta", "value"])
+    def test_tiled_equals_single_piece_bitwise(
+        self, rng, monkeypatch, kind, path, batch_invariant, n_entries
+    ):
+        # Mode 2 is wider than the planned sweep, so it stays batched (the
+        # einsum steps) even when the other modes are precontracted.
+        wide = 20 if path == "all-precontracted" else 2000
+        shape, ranks, mode = (9, 8, wide, 6), (3, 4, 2, 3), 1
+        _, factors, core = random_problem(rng, shape, ranks, 1)
+        indices = np.stack(
+            [rng.integers(0, d, size=n_entries) for d in shape], axis=1
+        )
+        if path == "gemm":
+            monkeypatch.setattr(contraction_module, "PRECONTRACT_CELL_BUDGET", 0)
+        keep = mode if kind == "delta" else None
+        # A plan sized for a large sweep, as the solvers' block loops use it.
+        plan = contraction_module._ContractionPlan(
+            factors, core, keep, 1000, batch_invariant
+        )
+        assert bool(plan.pre) == (path != "gemm")
+        assert bool(plan.loop_modes) == (path != "all-precontracted")
+        if kind == "delta":
+            contract = contraction_module.make_delta_contractor(
+                factors, core, mode, 1000, batch_invariant=batch_invariant
+            )
+        else:
+            contract = contraction_module.make_value_contractor(
+                factors, core, 1000, batch_invariant=batch_invariant
+            )
+
+        monkeypatch.setattr(contraction_module, "TILE_BYTES", 1 << 62)
+        whole = contract(indices)
+
+        tiles = []
+        apply_tile = contraction_module._ContractionPlan._apply_tile
+
+        def counting(plan_self, block, *out):
+            tiles.append(block.shape[0])
+            return apply_tile(plan_self, block, *out)
+
+        monkeypatch.setattr(
+            contraction_module._ContractionPlan, "_apply_tile", counting
+        )
+        monkeypatch.setattr(
+            contraction_module, "TILE_BYTES", 8 * plan.width * self.TILE
+        )
+        tiled = contract(indices)
+
+        np.testing.assert_array_equal(tiled, whole)
+        assert tiled.shape == whole.shape
+        expected_pieces = max(1, n_entries // self.TILE) if n_entries else 0
+        assert len(tiles) == expected_pieces
+        assert sum(tiles) == n_entries
+        if len(tiles) > 1:
+            assert min(tiles) >= self.TILE
+
+    @pytest.mark.parametrize("n_entries", [1, 3 * TILE + 7])
+    def test_gather_past_the_table_raises(self, rng, monkeypatch, n_entries):
+        shape, ranks = (9, 8, 20), (3, 4, 2)
+        _, factors, core = random_problem(rng, shape, ranks, 1)
+        contract = contraction_module.make_value_contractor(factors, core, 1000)
+        assert contract.precontracted == frozenset(range(3))
+        monkeypatch.setattr(contraction_module, "TILE_BYTES", 8 * self.TILE)
+        indices = np.zeros((n_entries, 3), dtype=np.int64)
+        indices[-1] = shape
+        with pytest.raises(IndexError):
+            contract(indices)
+
+    def test_delta_call_peaks_within_tile_budget(self):
+        """No block-wide intermediate: the peak is the output plus ~tiles."""
+        import tracemalloc
+
+        rng = np.random.default_rng(4)
+        shape, ranks, mode, nnz = (50_000, 8_000, 12, 24), (10, 10, 5, 5), 2, 20_000
+        _, factors, core = random_problem(rng, shape, ranks, 1)
+        indices = np.stack([rng.integers(0, d, size=nnz) for d in shape], axis=1)
+        contract = contraction_module.make_delta_contractor(
+            factors, core, mode, nnz
+        )
+        output_bytes = nnz * ranks[mode] * 8
+        tracemalloc.start()
+        try:
+            contract(indices)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < output_bytes + 4 * contraction_module.TILE_BYTES
+
+    def test_reconstruct_peaks_within_tile_budget(self):
+        """A plan that precontracts every mode is tiled too."""
+        import tracemalloc
+
+        from repro.tensor.operations import sparse_reconstruct
+
+        rng = np.random.default_rng(5)
+        shape, ranks, nnz = (60, 50, 40), (8, 8, 4), 1_000_000
+        _, factors, core = random_problem(rng, shape, ranks, 1)
+        indices = np.stack([rng.integers(0, d, size=nnz) for d in shape], axis=1)
+        tensor = SparseTensor(indices, np.zeros(nnz), shape)
+        contract = contraction_module.make_value_contractor(factors, core, nnz)
+        assert contract.precontracted == frozenset(range(3))
+        expected = contract(indices)
+        tracemalloc.start()
+        try:
+            predicted = sparse_reconstruct(tensor, core, factors)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        np.testing.assert_array_equal(predicted, expected)
+        # The output, the precontracted (I_0, I_1, I_2) table and ~tiles.
+        table_bytes = int(np.prod(shape)) * 8
+        assert peak < nnz * 8 + table_bytes + 4 * contraction_module.TILE_BYTES
+
+
 class TestSegments:
     def test_block_segment_starts(self):
         ids = np.array([4, 4, 7, 9, 9, 9])

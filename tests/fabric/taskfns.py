@@ -21,7 +21,8 @@ def double(context, payload):
 
 
 def pid(context, payload):
-    """Return this worker's process id."""
+    """Sleep ``payload`` milliseconds, then return this worker's process id."""
+    time.sleep(payload / 1000.0)
     return os.getpid()
 
 

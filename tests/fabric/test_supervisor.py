@@ -15,6 +15,7 @@ from repro.fabric import (
     TaskRetryError,
     TaskSupervisor,
 )
+from repro.fabric.pool import worker_environment
 from repro.metrics import Counters
 from repro.resilience import BackoffPolicy
 
@@ -50,7 +51,11 @@ class TestDispatch:
             np.testing.assert_array_equal(sent, received)
 
     def test_work_spreads_across_workers(self, supervisor):
-        # Enough slow-ish tasks that both workers must participate.
+        # Both workers must be up (a setup ack is an answer) before the
+        # wave, or a fast-booting worker drains it alone; then enough
+        # slow-ish tasks that both workers must participate.
+        supervisor.broadcast_setup("spread", f"{TASKFNS}:setup_store", None)
+        assert supervisor.wait_ready(30.0)
         pids = supervisor.run_tasks(_tasks("pid", [5] * 8))
         assert len(set(pids)) == 2
 
@@ -62,6 +67,17 @@ class TestDispatch:
             assert supervisor.run_tasks(
                 _tasks("double", [round_no])
             ) == [2 * round_no]
+
+
+def test_worker_blas_threads_share_the_cpus(monkeypatch):
+    """A pool's workers split the CPUs' BLAS threads; caller values win."""
+    monkeypatch.setattr("repro.fabric.pool.os.cpu_count", lambda: 8)
+    monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
+    monkeypatch.setenv("OMP_NUM_THREADS", "3")
+    assert worker_environment(1.0, 2)["OPENBLAS_NUM_THREADS"] == "4"
+    assert worker_environment(1.0, 3)["OPENBLAS_NUM_THREADS"] == "2"
+    assert worker_environment(1.0, 16)["OPENBLAS_NUM_THREADS"] == "1"
+    assert worker_environment(1.0, 2)["OMP_NUM_THREADS"] == "3"
 
 
 class TestSetups:

@@ -10,7 +10,7 @@ from repro.core.core_tensor import initialize_core, initialize_factors
 from repro.core.row_update import update_factor_mode
 from repro.exceptions import WorkerFailureError
 from repro.parallel import parallel_update_factor_mode
-from repro.parallel.executor import INJECT_WORKER_DEATH_ENV
+from repro.parallel.executor import INJECT_DEATH_ALWAYS, INJECT_WORKER_DEATH_ENV
 
 
 @pytest.mark.parametrize("mode", [0, 1, 2])
@@ -112,20 +112,24 @@ def test_worker_death_on_first_call_recovers(
 
 
 def test_retry_budget_exhaustion_names_mode_and_rows(
-    planted_small, tmp_path, monkeypatch
+    planted_small, monkeypatch
 ):
     tensor = planted_small.tensor
     generator = np.random.default_rng(0)
     factors = initialize_factors(tensor.shape, (3, 3, 3), generator)
     core = initialize_core((3, 3, 3), np.random.default_rng(1))
 
-    monkeypatch.setenv(INJECT_WORKER_DEATH_ENV, str(tmp_path / "die"))
+    # Every attempt dies: a die-once worker would race a hedged twin of
+    # its task on the other worker, which could finish it first.
+    monkeypatch.setenv(INJECT_WORKER_DEATH_ENV, INJECT_DEATH_ALWAYS)
     with pytest.raises(WorkerFailureError, match="mode-1") as excinfo:
         parallel_update_factor_mode(
             tensor, factors, core, 1, regularization=0.01, n_workers=2,
             max_retries=0,
         )
     assert "rows never finished" in str(excinfo.value)
+    # The function's own supervisor got the budget: one attempt, no retry.
+    assert "max_task_retries=0" in str(excinfo.value)
 
 
 def test_worker_exceptions_propagate_without_retry(planted_small):
