@@ -20,8 +20,11 @@ comes from the progressive core contraction of
 reductions are the segment-sorted bucketed-GEMM normal equations of
 :func:`~repro.kernels.segments.normal_equations_sorted` (equal-length row
 segments reduced as one batched ``matmul`` each, never an ``(m, J, J)``
-outer-product temporary), and the per-row solves are one batched
-``numpy.linalg.solve``.  The execution strategy of those primitives is
+outer-product temporary), and the per-row solves are batched
+``numpy.linalg.solve`` calls, one per entry block: a block solves the rows
+it holds completely (in the worker that reduced them, under ``procpool``),
+and only a row split across blocks carries its ``(B, c)`` to the end of
+the sweep.  The execution strategy of those primitives is
 pluggable through the ``backend=`` knob (:mod:`repro.kernels.backends`).
 The result is numerically identical to the paper's update (tests compare it
 against a brute-force per-row least-squares).
@@ -59,7 +62,7 @@ from ..kernels import (  # noqa: F401 - re-exported for downstream callers
     resolve_backend,
     solve_rows,
 )
-from ..kernels.backends import BackendSpec
+from ..kernels.backends import BackendSpec, solve_segment_range
 from ..metrics.memory import BYTES_PER_FLOAT, MemoryTracker
 from ..tensor.coo import SparseTensor
 
@@ -274,6 +277,125 @@ def accumulate_normal_equations(
     return b_matrices, c_vectors
 
 
+def _row_solving_sweep(
+    source,
+    factors: List[np.ndarray],
+    core: np.ndarray,
+    mode: int,
+    regularization: float,
+    block_size: int,
+    row_starts: np.ndarray,
+    row_counts: np.ndarray,
+    kernel_backend,
+    deltas_for,
+) -> np.ndarray:
+    """New values of every listed row, solved block by block (Eq. 9).
+
+    Entries are row-sorted, so each row is one contiguous run of entries.
+    A block solves the rows whose run it holds completely; a run split by
+    a block boundary comes back as per-block ``(B, c)`` partial sums,
+    which are added (``0 + B₁ + B₂ + …``, in block order) and solved once
+    after the last block.  Only those straddling rows ever hold a J×J
+    matrix beyond their block; no ``(n_rows, J, J)`` array exists.
+    """
+    n_entries = int(source.nnz)
+    n_rows = row_starts.shape[0]
+    rank = factors[mode].shape[1]
+    row_ends = row_starts + row_counts
+    new_rows = np.empty((n_rows, rank), dtype=np.float64)
+    # Partial (B, c) sums of rows split across blocks, by listed position.
+    pending: Dict[int, Tuple[np.ndarray, np.ndarray]] = {}
+
+    solver = None
+    if deltas_for is None:
+        # Entry-independent kernel state (precontraction tables, thread
+        # pools, worker broadcasts) is built once per sweep and shared by
+        # every block below.
+        solver = kernel_backend.make_row_solver(
+            factors, core, mode, regularization, n_entries
+        )
+    for start in range(0, n_entries, block_size):
+        stop = min(start + block_size, n_entries)
+        indices_block, values_block = source.read_mode_block(mode, start, stop)
+        # The rows overlapping this block, their block-local run starts,
+        # and the range [lo, hi) of them whose runs lie wholly inside it.
+        first = int(np.searchsorted(row_starts, start, side="right")) - 1
+        last = int(np.searchsorted(row_starts, stop, side="left"))
+        local_starts = np.maximum(row_starts[first:last] - start, 0)
+        lo = 0 if row_starts[first] >= start else 1
+        hi = max(lo, last - first - (1 if row_ends[last - 1] > stop else 0))
+        if solver is not None:
+            rows, partial_b, partial_c = solver(
+                indices_block, values_block, local_starts, lo, hi
+            )
+        else:
+            # The provider (cache variant) supplies δ; the backend reduces
+            # and solves.
+            deltas = deltas_for(start, stop)
+            b_matrices, c_vectors = kernel_backend.normal_equations_sorted(
+                deltas, values_block, local_starts
+            )
+            rows, partial_b, partial_c = solve_segment_range(
+                kernel_backend.solve_rows,
+                b_matrices, c_vectors, regularization, lo, hi,
+            )
+        new_rows[first + lo : first + hi] = rows
+        split = list(range(first, first + lo)) + list(range(first + hi, last))
+        for row, b_part, c_part in zip(split, partial_b, partial_c):
+            b_sum, c_sum = pending.setdefault(
+                row, (np.zeros((rank, rank)), np.zeros(rank))
+            )
+            b_sum += b_part
+            c_sum += c_part
+
+    if pending:
+        b_sums, c_sums = zip(*pending.values())
+        new_rows[list(pending)] = kernel_backend.solve_rows(
+            np.stack(b_sums), np.stack(c_sums), regularization
+        )
+    return new_rows
+
+
+def _legacy_sweep(
+    source,
+    factors: List[np.ndarray],
+    core: np.ndarray,
+    mode: int,
+    regularization: float,
+    block_size: int,
+    row_counts: np.ndarray,
+    kernel_backend,
+    deltas_for,
+) -> np.ndarray:
+    """The seed Kronecker + scatter-add sweep (``kernel="kron"``).
+
+    Keeps whole-mode ``(n_rows, J, J)`` accumulators and one solve at the
+    end, as the seed kernel did; the microbenchmarks measure against it.
+    """
+    n_entries = int(source.nnz)
+    n_rows = row_counts.shape[0]
+    rank = factors[mode].shape[1]
+    core_unfolded = core_unfolding(core, mode)
+    # Map every sorted entry to the position of its row in row_ids
+    # (only the scatter-add kernel consumes this nnz-sized array).
+    segment_of_entry = np.repeat(np.arange(n_rows), row_counts)
+    b_matrices = np.zeros((n_rows, rank, rank), dtype=np.float64)
+    c_vectors = np.zeros((n_rows, rank), dtype=np.float64)
+    for start in range(0, n_entries, block_size):
+        stop = min(start + block_size, n_entries)
+        indices_block, values_block = source.read_mode_block(mode, start, stop)
+        if deltas_for is not None:
+            deltas = deltas_for(start, stop)
+        else:
+            deltas = compute_delta_block(indices_block, factors, core_unfolded, mode)
+        partial_b, partial_c = accumulate_normal_equations(
+            deltas, values_block, segment_of_entry[start:stop], n_rows
+        )
+        b_matrices += partial_b
+        c_vectors += partial_c
+    return kernel_backend.solve_rows(b_matrices, c_vectors, regularization)
+
+
 def update_factor_mode(
     source,
     factors: List[np.ndarray],
@@ -337,74 +459,33 @@ def update_factor_mode(
             "or the legacy kernel='kron' path"
         )
     row_ids, row_starts, row_counts = source.mode_segmentation(mode)
-    n_entries = int(source.nnz)
     kernel_backend = resolve_backend(backend)
     factor = factors[mode]
     rank = factor.shape[1]
-    core_unfolded = core_unfolding(core, mode) if use_legacy else None
-
-    n_listed_rows = row_ids.shape[0]
-    if n_listed_rows == 0:
+    if row_ids.shape[0] == 0:
         return factor
 
-    if use_legacy:
-        # Map every sorted entry to the position of its row in row_ids
-        # (only the scatter-add kernel consumes this nnz-sized array).
-        segment_of_entry = np.repeat(np.arange(n_listed_rows), row_counts)
-    positions = source.sort_permutation(mode) if delta_provider is not None else None
+    deltas_for = None
+    if delta_provider is not None:
+        positions = source.sort_permutation(mode)
 
-    b_matrices = np.zeros((n_listed_rows, rank, rank), dtype=np.float64)
-    c_vectors = np.zeros((n_listed_rows, rank), dtype=np.float64)
+        def deltas_for(start: int, stop: int) -> np.ndarray:
+            return delta_provider(positions[start:stop], mode)
 
     if memory is not None:
         # Per-thread workspace of the paper: B, its inverse, c and δ (Theorem 4).
         memory.allocate((2 * rank * rank + 2 * rank) * BYTES_PER_FLOAT, "row-update")
 
-    ne_kernel = None
-    if delta_provider is None and not use_legacy:
-        # Entry-independent kernel state (precontraction tables, thread
-        # pools, JIT specialisations) is built once per sweep and shared by
-        # every block below.
-        ne_kernel = kernel_backend.make_normal_equations_kernel(
-            factors, core, mode, n_entries
+    if use_legacy:
+        new_rows = _legacy_sweep(
+            source, factors, core, mode, regularization, block_size,
+            row_counts, kernel_backend, deltas_for,
         )
-    for start in range(0, n_entries, block_size):
-        stop = min(start + block_size, n_entries)
-        indices_block, values_block = source.read_mode_block(mode, start, stop)
-        # The provider (cache variant) takes precedence over either δ kernel.
-        deltas = None
-        if delta_provider is not None:
-            deltas = delta_provider(positions[start:stop], mode)
-        if use_legacy:
-            if deltas is None:
-                deltas = compute_delta_block(
-                    indices_block, factors, core_unfolded, mode
-                )
-            partial_b, partial_c = accumulate_normal_equations(
-                deltas, values_block, segment_of_entry[start:stop], n_listed_rows
-            )
-            b_matrices += partial_b
-            c_vectors += partial_c
-            continue
-        # Entries are row-sorted, so each row is one contiguous run inside
-        # the block; a run can only split across blocks, in which case its
-        # partial sums land on the same destination row twice.  The rows
-        # overlapping this block and their local run boundaries come
-        # straight from the mode's row segmentation.
-        first = np.searchsorted(row_starts, start, side="right") - 1
-        last = np.searchsorted(row_starts, stop, side="left")
-        local_rows = np.arange(first, last)
-        local_starts = np.maximum(row_starts[first:last] - start, 0)
-        if deltas is not None:
-            partial_b, partial_c = kernel_backend.normal_equations_sorted(
-                deltas, values_block, local_starts
-            )
-        else:
-            partial_b, partial_c = ne_kernel(indices_block, values_block, local_starts)
-        b_matrices[local_rows] += partial_b
-        c_vectors[local_rows] += partial_c
-
-    new_rows = kernel_backend.solve_rows(b_matrices, c_vectors, regularization)
+    else:
+        new_rows = _row_solving_sweep(
+            source, factors, core, mode, regularization, block_size,
+            row_starts, row_counts, kernel_backend, deltas_for,
+        )
     factor[row_ids] = new_rows
 
     if memory is not None:

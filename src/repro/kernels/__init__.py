@@ -50,9 +50,12 @@ Backend selection
 -----------------
 The three hot primitives — ``contract_delta_block``,
 ``normal_equations_sorted`` and ``solve_rows`` — are pluggable through the
-:mod:`~repro.kernels.backends` registry.  Every consumer of the row update
-accepts a ``backend=`` knob (``update_factor_mode``, ``PTuckerConfig``,
-the parallel executor, the CLI's ``--backend`` and the microbench grid):
+:mod:`~repro.kernels.backends` registry, as is the per-sweep *row solver*
+that chains them and returns solved factor rows for the rows a block
+holds completely (``(B, c)`` only for the at most two rows a block
+boundary splits).  Every consumer of the row update accepts a
+``backend=`` knob (``update_factor_mode``, ``PTuckerConfig``, the
+parallel executor, the CLI's ``--backend`` and the microbench grid):
 
 * ``"numpy"`` (default) — the serial reference path described above.
 * ``"threaded"`` — splits each mode-sorted entry block at *segment
@@ -61,6 +64,11 @@ the parallel executor, the CLI's ``--backend`` and the microbench grid):
   Section III-B) means the chunks write disjoint slices of ``(B, c)``
   with no locks, and the GEMMs inside release the GIL.  Worker count
   follows the CPU count (override with ``REPRO_KERNEL_THREADS``).
+* ``"procpool"`` — the same segment-aligned chunks on supervised worker
+  processes of :mod:`repro.fabric`; each worker contracts, reduces *and
+  solves* its chunk's rows, so factor rows (J floats per row), not
+  normal equations (J² + J), cross the process pipe.  Degrades to the
+  serial reference with one worker (``REPRO_PROC_WORKERS``).
 * ``"numba"`` — fused ``@njit(parallel=True)`` row loops, available only
   when ``numba`` is importable (``pip install .[numba]``); the name
   resolves to the NumPy reference elsewhere, so configs stay portable.

@@ -44,6 +44,7 @@ from .base import (
     get_backend,
     register_backend,
     resolve_backend,
+    solve_segment_range,
 )
 from .threaded import ThreadedBackend
 from .procpool import ProcpoolBackend
@@ -80,4 +81,5 @@ __all__ = [
     "register_backend",
     "resolve_backend",
     "shape_class_key",
+    "solve_segment_range",
 ]

@@ -5,10 +5,13 @@ loops of the row-wise update: the δ contraction
 (:func:`~repro.kernels.contraction.contract_delta_block`), the per-row
 normal-equation reduction
 (:func:`~repro.kernels.segments.normal_equations_sorted`) and the batched
-row solve (:func:`~repro.kernels.solve.solve_rows`).  Every backend must
-produce the same values as the reference NumPy implementation up to
-floating-point associativity; only the execution strategy (serial NumPy,
-shared-memory threads, JIT compilation, ...) may differ.
+row solve (:func:`~repro.kernels.solve.solve_rows`).  The per-sweep *row
+solver* (:meth:`KernelBackend.make_row_solver`) chains all three, so a
+backend may solve rows where it reduced them and hand back factor rows
+instead of J×J normal equations.  Every backend must produce the same
+values as the reference NumPy implementation up to floating-point
+associativity; only the execution strategy (serial NumPy, shared-memory
+threads, JIT compilation, ...) may differ.
 
 Backends register themselves by name in a process-global registry;
 :func:`resolve_backend` maps the user-facing ``backend=`` knob (a name, a
@@ -37,15 +40,49 @@ NormalEquationsKernel = Callable[
     [np.ndarray, np.ndarray, np.ndarray], Tuple[np.ndarray, np.ndarray]
 ]
 
+#: Signature of a per-sweep row solver: maps one mode-sorted entry block
+#: ``(indices, values, segment_starts, lo, hi)`` to ``(rows, B, c)`` — the
+#: solved factor rows of segments ``[lo, hi)`` and the ``(B, c)`` stacks of
+#: the segments outside that range, in segment order.
+RowSolverKernel = Callable[
+    [np.ndarray, np.ndarray, np.ndarray, int, int],
+    Tuple[np.ndarray, np.ndarray, np.ndarray],
+]
+
+
+def solve_segment_range(
+    solve: Callable[[np.ndarray, np.ndarray, float], np.ndarray],
+    b_matrices: np.ndarray,
+    c_vectors: np.ndarray,
+    regularization: float,
+    lo: int,
+    hi: int,
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Solve segments ``[lo, hi)`` with ``solve``; pass the others' ``(B, c)`` on.
+
+    The segments outside the range are the (at most two) rows a block
+    boundary leaves partial; their sums are finished by the caller.
+    """
+    # ``+ 0.0`` turns a -0.0 into +0.0 exactly as the straddling rows'
+    # zero-started sums do, so no row's answer depends on where the block
+    # boundaries fell.
+    rows = solve(b_matrices[lo:hi], c_vectors[lo:hi] + 0.0, regularization)
+    return (
+        rows,
+        np.concatenate((b_matrices[:lo], b_matrices[hi:])),
+        np.concatenate((c_vectors[:lo], c_vectors[hi:])),
+    )
+
 
 class KernelBackend:
     """Base class: the reference (serial NumPy) execution strategy.
 
     Subclasses override :meth:`make_normal_equations_kernel` (the fused
     δ-contraction + segmented-reduction pass that dominates a sweep) and,
-    optionally, the individual primitives.  The base implementations are
-    the plain :mod:`repro.kernels` functions, so a subclass only has to
-    replace the pieces its strategy actually accelerates.
+    optionally, the individual primitives or :meth:`make_row_solver`.  The
+    base implementations are the plain :mod:`repro.kernels` functions, so
+    a subclass only has to replace the pieces its strategy actually
+    accelerates.
     """
 
     #: Registry name; subclasses must override.
@@ -79,6 +116,40 @@ class KernelBackend:
             return self.normal_equations_sorted(deltas, values_block, starts)
 
         return kernel
+
+    def make_row_solver(
+        self,
+        factors: Sequence[np.ndarray],
+        core: np.ndarray,
+        mode: int,
+        regularization: float,
+        expected_entries: int,
+    ) -> RowSolverKernel:
+        """Build the per-sweep ``(indices, values, starts, lo, hi)`` row solver.
+
+        The returned callable solves the block's complete segments
+        ``[lo, hi)`` into factor rows (Eq. 9) and returns ``(B, c)`` only
+        for the segments outside that range.  This implementation composes
+        :meth:`make_normal_equations_kernel` and :meth:`solve_rows`;
+        backends that reduce elsewhere (``procpool``) solve there too.
+        """
+        ne_kernel = self.make_normal_equations_kernel(
+            factors, core, mode, expected_entries
+        )
+
+        def solver(
+            indices_block: np.ndarray,
+            values_block: np.ndarray,
+            starts: np.ndarray,
+            lo: int,
+            hi: int,
+        ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+            b_matrices, c_vectors = ne_kernel(indices_block, values_block, starts)
+            return solve_segment_range(
+                self.solve_rows, b_matrices, c_vectors, regularization, lo, hi
+            )
+
+        return solver
 
     # -- individual primitives ------------------------------------------
     def contract_delta_block(

@@ -1,26 +1,33 @@
 """Supervised process-pool backend: chunked sweeps on the execution fabric.
 
-``procpool`` runs the fused normal-equations pass on worker *processes*
-supervised by :class:`repro.fabric.TaskSupervisor` instead of threads.
-Each sweep broadcasts the mode's factors and core to the pool once (a
-``SETUP`` frame, compacted in the replay log so long fits stay bounded);
-each entry block is then split at segment boundaries — the same
+``procpool`` runs the row-wise update on worker *processes* supervised by
+:class:`repro.fabric.TaskSupervisor` instead of threads.  Each sweep
+broadcasts the other modes' factors, the core and λ to the pool once (a
+``SETUP`` frame, compacted in the replay log so long fits stay bounded;
+the updated mode's factor travels as an empty placeholder because the
+contraction never reads it); each entry block is then split at segment
+boundaries — the same
 :func:`~repro.kernels.backends.threaded.chunk_boundaries` geometry as the
-``threaded`` backend — and the chunks are dispatched as fabric tasks.
-Chunk results are concatenated in chunk order, and every worker builds
-its contractor from the same broadcast ``expected_entries``, so the
-``(B, c)`` stacks are bitwise identical to the serial reference whatever
-the chunking, worker count, or mid-sweep worker deaths.
+``threaded`` backend — and the chunks are dispatched as fabric tasks.  A
+worker contracts δ, reduces the normal equations *and solves its rows*
+(Algorithm 3's fully parallel row update), returning J floats per
+complete row instead of the J² + J of ``(B, c)``; only a row that a block
+boundary leaves partial comes back as ``(B, c)`` for the driver to finish.
+Every worker builds its contractor from the same broadcast
+``expected_entries`` and each row's solve is an independent
+factorisation, so the rows are bitwise identical to the serial reference
+whatever the chunking, worker count, or mid-sweep worker deaths.
 
 Compared to ``threaded`` this pays pickling (factors per sweep, entry
-slices per chunk) to buy freedom from the GIL: on multicore hosts where
-the per-segment ``reduceat`` bookkeeping between the GEMMs keeps threads
-serialised, separate interpreters overlap fully.  It also inherits the
-fabric's whole failure model — a worker SIGKILLed or hung mid-sweep is
-respawned, the replay log restores its factors, and its chunk is
-re-dispatched with no effect on the output.  With one effective worker
-the backend degrades to the serial reference path and spawns nothing, so
-single-CPU hosts (and CI) see neither process overhead nor a regression.
+slices out and factor rows back per chunk) to buy freedom from the GIL:
+on multicore hosts where the per-segment ``reduceat`` bookkeeping between
+the GEMMs keeps threads serialised, separate interpreters overlap fully.
+It also inherits the fabric's whole failure model — a worker SIGKILLed or
+hung mid-sweep is respawned, the replay log restores its factors, and its
+chunk is re-dispatched with no effect on the output.  With one effective
+worker the backend degrades to the serial reference path and spawns
+nothing, so single-CPU hosts (and CI) see neither process overhead nor a
+regression.
 
 Worker count resolution: constructor override, else the
 ``REPRO_PROC_WORKERS`` environment variable, else the CPU count.
@@ -37,7 +44,13 @@ import numpy as np
 
 from ..contraction import make_delta_contractor
 from ..segments import normal_equations_sorted
-from .base import KernelBackend, NormalEquationsKernel
+from ..solve import solve_rows
+from .base import (
+    KernelBackend,
+    NormalEquationsKernel,
+    RowSolverKernel,
+    solve_segment_range,
+)
 from .threaded import chunk_boundaries
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -117,8 +130,8 @@ def _shutdown_shared_supervisor() -> None:  # pragma: no cover - atexit
 # Worker-side callables (referenced by dotted path in fabric frames)
 # ----------------------------------------------------------------------
 
-def _setup_ne(context, payload):
-    """Build this sweep's kernel from the broadcast factors, in-worker.
+def _setup_sweep(context, payload):
+    """Build this sweep's row solver from the broadcast factors, in-worker.
 
     Supersedes any previous sweep: older ``ne:`` setups and cache entries
     are dropped so worker memory stays bounded over long fits.  The
@@ -129,21 +142,30 @@ def _setup_ne(context, payload):
     for stale in [k for k in context.setups if str(k).startswith("ne:")]:
         del context.setups[stale]
     context.cache.clear()
-    factors, core, mode, expected_entries = payload
+    factors, core, mode, expected_entries, regularization = payload
     contractor = make_delta_contractor(factors, core, mode, expected_entries)
 
-    def kernel(indices_block, values_block, starts):
+    def solver(indices_block, values_block, starts, lo, hi):
         deltas = contractor(indices_block)
-        return normal_equations_sorted(deltas, values_block, starts)
+        b_matrices, c_vectors = normal_equations_sorted(
+            deltas, values_block, starts
+        )
+        return solve_segment_range(
+            solve_rows, b_matrices, c_vectors, regularization, lo, hi
+        )
 
-    return kernel
+    return solver
 
 
-def _ne_chunk(context, payload):
-    """Run one segment-aligned chunk through the sweep's kernel."""
-    setup_key, indices_block, values_block, starts = payload
-    kernel = context.setups[setup_key]
-    return kernel(indices_block, values_block, starts)
+def _solve_chunk(context, payload):
+    """Run one segment-aligned chunk through the sweep's row solver.
+
+    Returns ``(rows, B, c)``: factor rows for the chunk's local solve
+    range ``[lo, hi)`` and normal equations for its other segments.
+    """
+    setup_key, indices_block, values_block, starts, lo, hi = payload
+    solver = context.setups[setup_key]
+    return solver(indices_block, values_block, starts, lo, hi)
 
 
 # ----------------------------------------------------------------------
@@ -196,10 +218,38 @@ class ProcpoolBackend(KernelBackend):
         expected_entries: int,
     ) -> NormalEquationsKernel:
         if self.n_workers <= 1:
-            # Nothing to overlap: serve the serial reference directly and
-            # never spawn a process (the single-CPU / CI degradation).
             return super().make_normal_equations_kernel(
                 factors, core, mode, expected_entries
+            )
+        # The row solver with an empty solve range: every segment comes
+        # back as (B, c).  λ is never used, so any value will do.
+        solver = self.make_row_solver(factors, core, mode, 0.0, expected_entries)
+
+        def kernel(
+            indices_block: np.ndarray,
+            values_block: np.ndarray,
+            starts: np.ndarray,
+        ) -> Tuple[np.ndarray, np.ndarray]:
+            _, b_matrices, c_vectors = solver(
+                indices_block, values_block, starts, 0, 0
+            )
+            return b_matrices, c_vectors
+
+        return kernel
+
+    def make_row_solver(
+        self,
+        factors: Sequence[np.ndarray],
+        core: np.ndarray,
+        mode: int,
+        regularization: float,
+        expected_entries: int,
+    ) -> RowSolverKernel:
+        if self.n_workers <= 1:
+            # Nothing to overlap: serve the serial reference directly and
+            # never spawn a process (the single-CPU / CI degradation).
+            return super().make_row_solver(
+                factors, core, mode, regularization, expected_entries
             )
         from ...fabric import Task
 
@@ -208,28 +258,37 @@ class ProcpoolBackend(KernelBackend):
             setup_key = f"ne:{ProcpoolBackend._sweep_counter}"
         supervisor = self._get_supervisor()
         factors = [np.ascontiguousarray(f) for f in factors]
+        # The contraction for ``mode`` never reads factors[mode]; ship an
+        # empty placeholder of the right rank instead of the matrix.
+        shipped = list(factors)
+        shipped[mode] = np.empty((0, factors[mode].shape[1]), dtype=np.float64)
         supervisor.broadcast_setup(
             setup_key,
-            "repro.kernels.backends.procpool:_setup_ne",
-            (factors, np.asarray(core), mode, expected_entries),
+            "repro.kernels.backends.procpool:_setup_sweep",
+            (shipped, np.asarray(core), mode, expected_entries, regularization),
             replace_prefix="ne:",
         )
         # Fallback for blocks below the dispatch floor (and a guarantee
         # that degradation can never change values).
-        serial = super().make_normal_equations_kernel(
-            factors, core, mode, expected_entries
+        serial = KernelBackend.make_normal_equations_kernel(
+            self, factors, core, mode, expected_entries
         )
 
-        def kernel(
+        def solver(
             indices_block: np.ndarray,
             values_block: np.ndarray,
             starts: np.ndarray,
-        ) -> Tuple[np.ndarray, np.ndarray]:
+            lo: int,
+            hi: int,
+        ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
             n_entries = indices_block.shape[0]
             n_segments = starts.shape[0]
             n_chunks = self._n_chunks(n_entries, n_segments)
             if n_chunks <= 1:
-                return serial(indices_block, values_block, starts)
+                b_matrices, c_vectors = serial(indices_block, values_block, starts)
+                return solve_segment_range(
+                    self.solve_rows, b_matrices, c_vectors, regularization, lo, hi
+                )
 
             edges = chunk_boundaries(starts, n_entries, n_chunks)
             tasks = []
@@ -239,21 +298,29 @@ class ProcpoolBackend(KernelBackend):
                 entry_hi = (
                     int(starts[seg_hi]) if seg_hi < n_segments else n_entries
                 )
+                # This chunk's share of the solve range, chunk-local.
+                local_lo = min(max(lo, seg_lo), seg_hi) - seg_lo
+                local_hi = min(max(hi, seg_lo), seg_hi) - seg_lo
                 tasks.append(
                     Task(
                         key=chunk,
-                        fn="repro.kernels.backends.procpool:_ne_chunk",
+                        fn="repro.kernels.backends.procpool:_solve_chunk",
                         payload=(
                             setup_key,
                             indices_block[entry_lo:entry_hi],
                             values_block[entry_lo:entry_hi],
                             starts[seg_lo:seg_hi] - entry_lo,
+                            local_lo,
+                            local_hi,
                         ),
                     )
                 )
             parts = supervisor.run_tasks(tasks)
-            b_matrices = np.concatenate([part[0] for part in parts], axis=0)
-            c_vectors = np.concatenate([part[1] for part in parts], axis=0)
-            return b_matrices, c_vectors
+            # Chunks are consecutive, so concatenating in chunk order yields
+            # the rows of [lo, hi) and the (B, c) of the segments outside.
+            return tuple(
+                np.concatenate([part[k] for part in parts], axis=0)
+                for k in range(3)
+            )
 
-        return kernel
+        return solver

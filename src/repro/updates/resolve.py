@@ -19,8 +19,9 @@ Why bitwise equality holds (and is tested, not assumed):
   *keeping* of per-row partials differs, and ``+=`` into disjoint row
   slots is order-free across rows;
 * solving — every backend's ``solve_rows`` factorizes each ``(B_i, c_i)``
-  pair independently (batched LAPACK loops per matrix), so a row's
-  solution does not depend on which other rows share the batch.
+  pair independently (batched LAPACK loops per matrix, and a singular
+  system is retried row by row), so a row's solution does not depend on
+  which other rows share the batch.
 
 Rows with zero union entries have singular all-zero normal equations and
 are left at their current values, matching the full sweep (which never

@@ -355,3 +355,37 @@ class TestUpdateFactorModeKernels:
             np.testing.assert_allclose(
                 solutions[row], np.linalg.solve(b[row] + 0.1 * np.eye(2), c[row])
             )
+
+    @pytest.mark.parametrize("regularization", [0.0, 0.1])
+    def test_solve_rows_answer_does_not_depend_on_the_batch(
+        self, rng, regularization
+    ):
+        """One singular system must not send its batch mates elsewhere.
+
+        Every non-singular row solved in a batch that also holds an
+        exactly singular system equals that row solved alone, bit for
+        bit, and so the chunked threaded solve equals the serial one.
+        """
+        from repro.kernels.backends import NumpyBackend, ThreadedBackend
+
+        n_rows, rank, singular = 64, 4, 37
+        gram = rng.standard_normal((n_rows, rank, rank))
+        b_matrices = gram @ gram.transpose(0, 2, 1)
+        c_vectors = rng.standard_normal((n_rows, rank))
+        # B + ridge·I is exactly the zero matrix for this row.
+        ridge = regularization if regularization > 0 else 1e-12
+        b_matrices[singular] = -ridge * np.eye(rank)
+
+        batch = solve_rows(b_matrices, c_vectors, regularization)
+        for row in range(n_rows):
+            alone = solve_rows(
+                b_matrices[row : row + 1], c_vectors[row : row + 1], regularization
+            )[0]
+            assert alone.tobytes() == batch[row].tobytes(), row
+        assert np.all(np.isfinite(batch[singular]))
+
+        threaded = ThreadedBackend(n_workers=2, min_chunk_entries=8).solve_rows(
+            b_matrices, c_vectors, regularization
+        )
+        serial = NumpyBackend().solve_rows(b_matrices, c_vectors, regularization)
+        assert threaded.tobytes() == serial.tobytes()

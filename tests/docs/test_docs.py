@@ -99,7 +99,7 @@ def test_readme_documents_the_cli_flags():
         ("repro.tensor.io", ("iter_entry_chunks", "TextEntryReader", "rcoo")),
         ("repro.tensor.textparse", ("parse_numeric_block", "float(token)")),
         ("repro.kernels.backends", ("KernelBackend", "resolve_backend", "auto")),
-        ("repro.kernels.backends.base", ("make_normal_equations_kernel",)),
+        ("repro.kernels.backends.base", ("make_normal_equations_kernel", "make_row_solver")),
         ("repro.resilience", ("atomic_open", "CheckpointManager", "bitwise")),
         ("repro.resilience.atomic", ("fsync", "rename", "crash")),
         ("repro.resilience.checkpoint", ("manifest", "bitwise", "resume")),
@@ -111,7 +111,7 @@ def test_readme_documents_the_cli_flags():
         ("repro.fabric.supervisor", ("hedg", "deadline", "poison")),
         ("repro.fabric.pool", ("setup log", "respawn", "backoff")),
         ("repro.fabric.worker", ("dotted path", "HEARTBEAT", "SIGSTOP")),
-        ("repro.kernels.backends.procpool", ("fabric", "GIL", "bitwise")),
+        ("repro.kernels.backends.procpool", ("fabric", "GIL", "bitwise", "solves")),
         ("repro.serve.workers", ("item axis", "degrades", "no-blend")),
         ("repro.updates", ("DeltaLog", "targeted", "compaction")),
         ("repro.updates.deltalog", ("deltalog.json", "commit", "sha256")),

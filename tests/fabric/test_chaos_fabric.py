@@ -1,11 +1,12 @@
 """Chaos suite: the three worker failure modes, injected at seeded points.
 
-Each test runs a real chunked normal-equations sweep on the ``procpool``
-backend with a fault injected into the worker pool — SIGKILL (abrupt
-death), SIGSTOP (hung: heartbeats stop, process lingers) or a wedge
-(heartbeats keep flowing, the task never finishes) — at a task ordinal
-drawn from a seeded RNG, and asserts the recovered ``(B, c)`` stacks are
-**byte-identical** to an undisturbed run.  Row/segment independence is
+Each test runs a real chunked sweep on the ``procpool`` backend with a
+fault injected into the worker pool — SIGKILL (abrupt death), SIGSTOP
+(hung: heartbeats stop, process lingers) or a wedge (heartbeats keep
+flowing, the task never finishes) — at a task ordinal drawn from a seeded
+RNG, and asserts the recovered ``(B, c)`` stacks, or the factor rows the
+workers solved during ``update_factor_mode``, are **byte-identical** to an
+undisturbed run.  Row/segment independence is
 what makes this possible: re-dispatching a lost chunk to another worker
 replays the exact same IEEE operation sequence.
 
@@ -144,3 +145,44 @@ def test_wedged_task_is_caught_by_the_deadline(sweep, tmp_path, monkeypatch):
     )
     assert counters.get("fabric.deadline_kills") >= 1
     assert counters.get("fabric.redispatches") >= 1
+
+
+@pytest.mark.parametrize("seed", [5, 6])
+def test_sigkill_mid_mode_update_is_byte_invisible(
+    planted_small, tmp_path, monkeypatch, seed
+):
+    """A worker SIGKILLed while solving rows of ``update_factor_mode``
+    leaves the updated factors bitwise equal to an undisturbed run."""
+    from repro.core.row_update import update_factor_mode
+
+    tensor = planted_small.tensor
+    factors = initialize_factors(
+        tensor.shape, (3, 3, 3), np.random.default_rng(0)
+    )
+    core = initialize_core((3, 3, 3), np.random.default_rng(1))
+    expected = [f.copy() for f in factors]
+    for mode in range(3):
+        update_factor_mode(tensor, expected, core, mode, 0.1, block_size=97)
+
+    fire_at = int(np.random.default_rng(seed).integers(1, 6))
+    monkeypatch.setenv(INJECT_KILL_ENV, str(tmp_path / "kill"))
+    monkeypatch.setenv(INJECT_AT_ENV, str(fire_at))
+    counters = Counters()
+    supervisor = TaskSupervisor(
+        2, backoff=FAST_BACKOFF, counters=counters, name="chaos"
+    )
+    backend = ProcpoolBackend(
+        n_workers=2, min_chunk_entries=8, supervisor=supervisor
+    )
+    try:
+        for mode in range(3):
+            update_factor_mode(
+                tensor, factors, core, mode, 0.1,
+                block_size=97, backend=backend,
+            )
+    finally:
+        supervisor.shutdown()
+    assert counters.get("fabric.workers_died") >= 1
+    assert counters.get("fabric.redispatches") >= 1
+    for ours, theirs in zip(factors, expected):
+        assert ours.tobytes() == theirs.tobytes()

@@ -7,13 +7,17 @@ import pytest
 
 from repro.core import PTucker, PTuckerConfig
 from repro.core.core_tensor import initialize_core, initialize_factors
-from repro.core.row_update import build_mode_context
+from repro.core.row_update import build_mode_context, update_factor_mode
 from repro.kernels.backends import (
     ProcpoolBackend,
     available_backends,
     resolve_backend,
 )
-from repro.kernels import concatenated_segment_starts, segment_positions
+from repro.kernels import (
+    concatenated_segment_starts,
+    segment_positions,
+    solve_rows,
+)
 
 
 def _mode_inputs(tensor, mode):
@@ -107,6 +111,125 @@ class TestBitwise:
             np.testing.assert_array_equal(ours, theirs)
 
 
+class InProcessSupervisor:
+    """Runs fabric frames in this process, recording every setup payload.
+
+    Stands in for :class:`~repro.fabric.TaskSupervisor` so the dispatch
+    logic and the worker-side callables can be inspected directly.
+    """
+
+    def __init__(self):
+        from repro.fabric.worker import WorkerContext
+
+        self.context = WorkerContext()
+        self.setups = []
+        self.tasks = []
+
+    def broadcast_setup(self, key, fn, payload, replace_prefix=None):
+        from repro.fabric.worker import resolve_callable
+
+        self.setups.append(payload)
+        self.context.setups[key] = resolve_callable(fn)(self.context, payload)
+
+    def run_tasks(self, tasks):
+        from repro.fabric.worker import resolve_callable
+
+        self.tasks.extend(tasks)
+        return [
+            resolve_callable(task.fn)(self.context, task.payload) for task in tasks
+        ]
+
+
+def _sweep_inputs(tensor, mode, rank=3):
+    factors = initialize_factors(
+        tensor.shape, (rank,) * tensor.order, np.random.default_rng(0)
+    )
+    core = initialize_core((rank,) * tensor.order, np.random.default_rng(1))
+    return factors, core, _mode_inputs(tensor, mode)
+
+
+class TestRowSolver:
+    @pytest.mark.parametrize("lo, hi", [(0, 0), (0, 5), (1, 17), (1, 20), (20, 20)])
+    def test_chunk_returns_rows_in_range_and_equations_outside(
+        self, planted_small, lo, hi
+    ):
+        """The worker's chunk function solves ``[lo, hi)`` and returns
+        ``(B, c)`` only for the segments outside it, bitwise as numpy."""
+        from repro.fabric.worker import WorkerContext
+        from repro.kernels.backends.procpool import _setup_sweep, _solve_chunk
+
+        tensor = planted_small.tensor
+        factors, core, (indices, values, starts) = _sweep_inputs(tensor, 0)
+        assert starts.shape[0] == 20
+        b_ref, c_ref = resolve_backend("numpy").make_normal_equations_kernel(
+            factors, core, 0, indices.shape[0]
+        )(indices, values, starts)
+
+        context = WorkerContext()
+        context.setups["ne:test"] = _setup_sweep(
+            context, (factors, core, 0, indices.shape[0], 0.1)
+        )
+        rows, b_out, c_out = _solve_chunk(
+            context, ("ne:test", indices, values, starts, lo, hi)
+        )
+        assert rows.shape == (hi - lo, 3)
+        outside = np.r_[0:lo, hi:20]
+        assert b_out.shape == (outside.shape[0], 3, 3)
+        assert rows.tobytes() == solve_rows(b_ref[lo:hi], c_ref[lo:hi], 0.1).tobytes()
+        assert b_out.tobytes() == b_ref[outside].tobytes()
+        assert c_out.tobytes() == c_ref[outside].tobytes()
+
+    @pytest.mark.parametrize("mode", [0, 1, 2])
+    def test_setup_ships_an_empty_placeholder_for_the_updated_mode(
+        self, planted_small, mode
+    ):
+        tensor = planted_small.tensor
+        factors, core, (indices, values, starts) = _sweep_inputs(tensor, mode)
+        supervisor = InProcessSupervisor()
+        backend = ProcpoolBackend(
+            n_workers=2, min_chunk_entries=8, supervisor=supervisor
+        )
+        solver = backend.make_row_solver(factors, core, mode, 0.1, indices.shape[0])
+        (shipped, _, shipped_mode, _, regularization), = supervisor.setups
+        assert shipped_mode == mode and regularization == 0.1
+        assert shipped[mode].shape == (0, 3)
+        for k, factor in enumerate(factors):
+            if k != mode:
+                assert shipped[k].tobytes() == factor.tobytes()
+
+        # Split the mode's segments like a block boundary would: the first
+        # and last rows partial, everything between solved by the workers.
+        n_segments = starts.shape[0]
+        rows, b_out, c_out = solver(indices, values, starts, 1, n_segments - 1)
+        assert len(supervisor.tasks) > 1
+        b_ref, c_ref = resolve_backend("numpy").make_normal_equations_kernel(
+            factors, core, mode, indices.shape[0]
+        )(indices, values, starts)
+        expected = solve_rows(b_ref[1:-1], c_ref[1:-1], 0.1)
+        assert rows.tobytes() == expected.tobytes()
+        assert b_out.tobytes() == b_ref[[0, -1]].tobytes()
+        assert c_out.tobytes() == c_ref[[0, -1]].tobytes()
+
+    def test_update_factor_mode_matches_numpy(self, planted_small):
+        """Through the driver, worker-solved rows equal the serial ones
+        at block sizes that split rows across blocks."""
+        tensor = planted_small.tensor
+        procpool = ProcpoolBackend(n_workers=2, min_chunk_entries=8)
+        for block_size in (97, 10**6):
+            factors, core, _ = _sweep_inputs(tensor, 0)
+            expected = [f.copy() for f in factors]
+            for mode in range(3):
+                update_factor_mode(
+                    tensor, expected, core, mode, 0.1, block_size=block_size
+                )
+                update_factor_mode(
+                    tensor, factors, core, mode, 0.1,
+                    block_size=block_size, backend=procpool,
+                )
+            for ours, theirs in zip(factors, expected):
+                assert ours.tobytes() == theirs.tobytes()
+
+
 class TestWorkerCountResolution:
     def test_env_override(self, monkeypatch):
         from repro.kernels.backends.procpool import PROC_WORKERS_ENV
@@ -146,7 +269,7 @@ def test_procpool_beats_threaded_on_multicore():
         shape=(300, 300, 300),
         ranks=(8, 8, 8),
         nnz=400_000,
-        noise=0.01,
+        noise_level=0.01,
         seed=0,
     )
     tensor = problem.tensor
