@@ -1,11 +1,12 @@
 """Microbenchmark: seed Kronecker kernel vs. contraction kernel backends.
 
 Unlike the figure/table benchmarks, this one measures the repository's own
-perf trajectory: one ``update_factor_mode`` sweep with the seed kernel
-(``kernel="kron"``) against the contraction kernel (``kernel="contracted"``)
-under every available execution backend (``numpy``, ``threaded``, ``numba``
-where installed) across an (nnz, rank, order) grid, with a brute-force
-accuracy check on the contracted result.
+perf trajectory: one sweep with the seed Kronecker kernel (frozen as
+``repro.kernels.microbench.kron_update_factor_mode``) against
+``update_factor_mode``'s contraction kernel under every available
+execution backend (``numpy``, ``threaded``, ``numba`` where installed)
+across an (nnz, rank, order) grid, with a brute-force accuracy check on
+the contracted result.
 
 Run as a pytest benchmark (small grid) or as a script::
 

@@ -9,7 +9,6 @@ Usage::
     python -m repro fit ratings.tns --ranks 10 --checkpoint-dir ckpt --resume
     python -m repro ingest ratings.tns --out /data/shards
     python -m repro ingest ratings.tns --format rcoo --out ratings.rcoo
-    python -m repro shards-migrate /data/shards-v1 --out /data/shards
     python -m repro shards-verify /data/shards
     python -m repro update /data/shards new-entries.rcoo
     python -m repro update /data/shards new-entries.rcoo --model model --output model
@@ -25,9 +24,7 @@ from an on-disk shard store instead of RAM, ``--from-text`` additionally
 streams the *input file* through the external-memory shard build so the
 tensor never exists in RAM, and ``ingest`` runs that build on its own —
 ``--format rcoo`` writes the chunked binary COO container of
-:mod:`repro.tensor.io` instead of a store.  ``shards-migrate`` rewrites a
-retired version-1 shard directory into the current narrow columnar
-format v2 in bounded memory — see :mod:`repro.shards`.  ``shards-verify``
+:mod:`repro.tensor.io` instead of a store.  ``shards-verify``
 checks an existing store's files against its manifest and exits 0/2.
 ``--checkpoint-dir`` writes crash-safe per-iteration checkpoints and
 ``--resume`` continues an interrupted fit bitwise-identically — see
@@ -258,27 +255,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "--zero-based",
         action="store_true",
         help="indices in a text input start at 0 instead of 1",
-    )
-
-    migrate = subparsers.add_parser(
-        "shards-migrate",
-        help="rewrite a version-1 shard store as format v2 (bounded RAM)",
-    )
-    migrate.add_argument(
-        "store", help="path of the version-1 shard-store directory"
-    )
-    migrate.add_argument(
-        "--out",
-        metavar="DIR",
-        required=True,
-        help="target directory for the rewritten v2 store (must differ "
-        "from the source)",
-    )
-    migrate.add_argument(
-        "--index-dtype",
-        choices=INDEX_DTYPE_POLICIES,
-        default="auto",
-        help="index column dtypes of the rewritten store (default: auto)",
     )
 
     verify = subparsers.add_parser(
@@ -604,20 +580,6 @@ def _command_ingest(args: argparse.Namespace) -> int:
     return 0
 
 
-def _command_shards_migrate(args: argparse.Namespace) -> int:
-    from .shards import migrate_v1_store
-
-    store = migrate_v1_store(args.store, args.out, index_dtype=args.index_dtype)
-    print(f"migrated v1 store {args.store} to v2 at {store.directory}")
-    print(f"shape: {store.shape}")
-    print(f"observed entries: {store.nnz}")
-    print(
-        f"index bytes per entry: {store.index_bytes_per_entry} "
-        f"({[str(d) for d in store.index_dtypes]})"
-    )
-    return 0
-
-
 def _command_shards_verify(args: argparse.Namespace) -> int:
     from .shards import ShardStore
     from .updates import DeltaLog
@@ -844,14 +806,14 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     """CLI entry point; returns a process exit code.
 
     Data-format problems (a malformed input file, a retired v1 shard
-    store under ``ingest`` or ``shards-migrate``, a store that fails
-    ``shards-verify``, a pending delta whose digest mismatches its log
-    record, a malformed or shape-mismatched delta under ``update``, a
-    corrupt or mismatched checkpoint under ``--resume``) surface as an
-    error message plus exit code 2 instead
-    of a traceback — the v1 message includes the ``shards-migrate``
-    recipe verbatim, and a corrupt-checkpoint message names the bad file
-    and the last valid checkpoint to fall back to.  ``fit --shards``
+    store under ``ingest``, a store that fails ``shards-verify``, a
+    pending delta whose digest mismatches its log record, a malformed or
+    shape-mismatched delta under ``update``, a corrupt or mismatched
+    checkpoint under ``--resume``) surface as an error message plus exit
+    code 2 instead of a traceback — the v1 message names both format
+    versions and the ``ingest <input> --out <dir>`` rebuild recipe, and a
+    corrupt-checkpoint message names the bad file and the last valid
+    checkpoint to fall back to.  ``fit --shards``
     treats its directory as a cache, so a v1 store there is rebuilt as
     v2 from the input tensor rather than reported.
     """
@@ -864,8 +826,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             return _command_factorize(args)
         if args.command == "ingest":
             return _command_ingest(args)
-        if args.command == "shards-migrate":
-            return _command_shards_migrate(args)
         if args.command == "shards-verify":
             return _command_shards_verify(args)
         if args.command == "update":

@@ -17,8 +17,6 @@ from .row_update import (
     InMemorySource,
     brute_force_row_update,
     build_mode_context,
-    compute_delta_block,
-    core_unfolding,
     update_factor_mode,
 )
 from .trace import ConvergenceTrace, IterationRecord
@@ -45,7 +43,5 @@ __all__ = [
     "update_factor_mode",
     "InMemorySource",
     "build_mode_context",
-    "compute_delta_block",
-    "core_unfolding",
     "brute_force_row_update",
 ]

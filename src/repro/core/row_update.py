@@ -39,9 +39,9 @@ and one read path: because every source yields the same data at the same
 block boundaries, a streamed update is bitwise-equal to the in-core one.
 
 The seed kernel — a running Kronecker product against the unfolded core plus
-``np.add.at`` scatter accumulation — is kept available as
-``update_factor_mode(..., kernel="kron")`` so the microbenchmarks can record
-the speedup of the contraction path against it.
+``np.add.at`` scatter accumulation — is frozen in
+:mod:`repro.kernels.microbench` as the baseline the microbenchmarks time
+the contraction path against; the library itself has this one kernel.
 """
 
 from __future__ import annotations
@@ -206,77 +206,6 @@ class InMemorySource:
         return self.contexts[mode].perm
 
 
-def core_unfolding(core: np.ndarray, mode: int) -> np.ndarray:
-    """Mode-``mode`` unfolding of the core in C order over the other modes.
-
-    Row ``j`` holds the core entries with ``j_mode = j``; columns run over the
-    remaining modes with the *last* mode varying fastest, matching the
-    ordering produced by :func:`compute_delta_block`'s running Kronecker
-    product.
-    """
-    core = np.asarray(core)
-    order = core.ndim
-    other = [k for k in range(order) if k != mode]
-    return np.transpose(core, [mode] + other).reshape(core.shape[mode], -1)
-
-
-def compute_delta_block(
-    indices_block: np.ndarray,
-    factors: Sequence[np.ndarray],
-    core_unfolded: np.ndarray,
-    mode: int,
-) -> np.ndarray:
-    """δ vectors (Eq. 12) for a block of observed entries (seed kernel).
-
-    ``indices_block`` has shape ``(m, N)``; the result has shape
-    ``(m, J_mode)``.  The running element-wise product over modes ``k ≠ mode``
-    builds, per entry, the Kronecker product of the other factor rows; a
-    single matrix product against the unfolded core then yields δ.
-
-    This is the legacy Kronecker path: it materialises an
-    ``(m, Π_{k≠mode} J_k)`` intermediate.  The solvers now default to
-    :func:`repro.kernels.contraction.contract_delta_block`, which computes
-    the same values by contracting the core mode by mode; this function is
-    retained as the ``kernel="kron"`` baseline for the microbenchmarks and
-    regression tests.
-    """
-    n_entries = indices_block.shape[0]
-    order = indices_block.shape[1]
-    weights = np.ones((n_entries, 1), dtype=np.float64)
-    for k in range(order):
-        if k == mode:
-            continue
-        rows = np.asarray(factors[k])[indices_block[:, k]]
-        weights = (weights[:, :, None] * rows[:, None, :]).reshape(n_entries, -1)
-    return weights @ core_unfolded.T
-
-
-def accumulate_normal_equations(
-    deltas: np.ndarray,
-    values: np.ndarray,
-    segment_of_entry: np.ndarray,
-    n_segments: int,
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Per-row B (Eq. 10) and c (Eq. 11) from per-entry δ vectors (seed kernel).
-
-    ``segment_of_entry[e]`` maps entry ``e`` to its row's position in the
-    mode context's ``row_ids``; the returned arrays are stacked per row:
-    ``B`` has shape ``(n_segments, J, J)`` and ``c`` shape ``(n_segments, J)``.
-
-    Legacy path: materialises the ``(m, J, J)`` outer-product array and
-    reduces it with ``np.add.at`` scatter-adds.  The solvers now use the
-    segment-sorted reductions of :mod:`repro.kernels.segments`; this function
-    backs the ``kernel="kron"`` baseline.
-    """
-    rank = deltas.shape[1]
-    outer = deltas[:, :, None] * deltas[:, None, :]
-    b_matrices = np.zeros((n_segments, rank, rank), dtype=np.float64)
-    np.add.at(b_matrices, segment_of_entry, outer)
-    c_vectors = np.zeros((n_segments, rank), dtype=np.float64)
-    np.add.at(c_vectors, segment_of_entry, values[:, None] * deltas)
-    return b_matrices, c_vectors
-
-
 def _row_solving_sweep(
     source,
     factors: List[np.ndarray],
@@ -356,46 +285,6 @@ def _row_solving_sweep(
     return new_rows
 
 
-def _legacy_sweep(
-    source,
-    factors: List[np.ndarray],
-    core: np.ndarray,
-    mode: int,
-    regularization: float,
-    block_size: int,
-    row_counts: np.ndarray,
-    kernel_backend,
-    deltas_for,
-) -> np.ndarray:
-    """The seed Kronecker + scatter-add sweep (``kernel="kron"``).
-
-    Keeps whole-mode ``(n_rows, J, J)`` accumulators and one solve at the
-    end, as the seed kernel did; the microbenchmarks measure against it.
-    """
-    n_entries = int(source.nnz)
-    n_rows = row_counts.shape[0]
-    rank = factors[mode].shape[1]
-    core_unfolded = core_unfolding(core, mode)
-    # Map every sorted entry to the position of its row in row_ids
-    # (only the scatter-add kernel consumes this nnz-sized array).
-    segment_of_entry = np.repeat(np.arange(n_rows), row_counts)
-    b_matrices = np.zeros((n_rows, rank, rank), dtype=np.float64)
-    c_vectors = np.zeros((n_rows, rank), dtype=np.float64)
-    for start in range(0, n_entries, block_size):
-        stop = min(start + block_size, n_entries)
-        indices_block, values_block = source.read_mode_block(mode, start, stop)
-        if deltas_for is not None:
-            deltas = deltas_for(start, stop)
-        else:
-            deltas = compute_delta_block(indices_block, factors, core_unfolded, mode)
-        partial_b, partial_c = accumulate_normal_equations(
-            deltas, values_block, segment_of_entry[start:stop], n_rows
-        )
-        b_matrices += partial_b
-        c_vectors += partial_c
-    return kernel_backend.solve_rows(b_matrices, c_vectors, regularization)
-
-
 def update_factor_mode(
     source,
     factors: List[np.ndarray],
@@ -405,7 +294,6 @@ def update_factor_mode(
     block_size: int = 200_000,
     memory: Optional[MemoryTracker] = None,
     delta_provider=None,
-    kernel: str = "contracted",
     backend: BackendSpec = "numpy",
 ) -> np.ndarray:
     """Update every row of factor matrix ``A^(mode)`` in place and return it.
@@ -426,37 +314,24 @@ def update_factor_mode(
     where ``entry_positions`` are positions into the tensor's original entry
     ordering, and must return the ``(m, J_mode)`` δ block.  When omitted the
     deltas are computed from the core and factor matrices directly
-    (the default P-Tucker path).
+    (the default P-Tucker path).  A ``delta_provider`` needs an in-RAM
+    source, since it indexes the tensor's original entry ordering.
 
-    ``kernel`` selects the inner-loop implementation: ``"contracted"``
-    (default) uses the progressive core contraction and segment-sorted
-    reductions of :mod:`repro.kernels`; ``"kron"`` uses the seed Kronecker +
-    scatter-add kernel, kept for benchmarking and regression comparison.
-    Both ``delta_provider`` and ``kernel="kron"`` need an in-RAM source
-    (they index the tensor's original entry ordering).
-
-    ``backend`` selects the execution strategy of the contracted kernel: a
+    ``backend`` selects the execution strategy of the kernel: a
     registered backend name (``"numpy"``, ``"threaded"``, ``"numba"`` where
     installed), ``"auto"`` for per-block autotuned dispatch, or a
     :class:`~repro.kernels.backends.KernelBackend` instance.  All backends
-    compute the same values up to floating-point associativity; the legacy
-    ``kernel="kron"`` path ignores the knob.  With a ``delta_provider`` the
-    backend still runs the reduction and solve, but δ comes from the
-    provider.
+    compute the same values up to floating-point associativity.  With a
+    ``delta_provider`` the backend still runs the reduction and solve, but
+    δ comes from the provider.
     """
-    if kernel not in ("contracted", "kron"):
-        raise ValueError(f"unknown kernel {kernel!r}; use 'contracted' or 'kron'")
     if source is None:
         raise ValueError("provide an entry source or a SparseTensor")
     if isinstance(source, SparseTensor):
         source = InMemorySource.build(source, modes=(mode,))
-    use_legacy = kernel == "kron"
-    if (delta_provider is not None or use_legacy) and not isinstance(
-        source, InMemorySource
-    ):
+    if delta_provider is not None and not isinstance(source, InMemorySource):
         raise ValueError(
-            "a streamed entry source cannot be combined with delta_provider "
-            "or the legacy kernel='kron' path"
+            "a streamed entry source cannot be combined with delta_provider"
         )
     row_ids, row_starts, row_counts = source.mode_segmentation(mode)
     kernel_backend = resolve_backend(backend)
@@ -476,16 +351,10 @@ def update_factor_mode(
         # Per-thread workspace of the paper: B, its inverse, c and δ (Theorem 4).
         memory.allocate((2 * rank * rank + 2 * rank) * BYTES_PER_FLOAT, "row-update")
 
-    if use_legacy:
-        new_rows = _legacy_sweep(
-            source, factors, core, mode, regularization, block_size,
-            row_counts, kernel_backend, deltas_for,
-        )
-    else:
-        new_rows = _row_solving_sweep(
-            source, factors, core, mode, regularization, block_size,
-            row_starts, row_counts, kernel_backend, deltas_for,
-        )
+    new_rows = _row_solving_sweep(
+        source, factors, core, mode, regularization, block_size,
+        row_starts, row_counts, kernel_backend, deltas_for,
+    )
     factor[row_ids] = new_rows
 
     if memory is not None:

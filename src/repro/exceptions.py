@@ -28,11 +28,14 @@ class ConvergenceError(ReproError, RuntimeError):
 class WorkerFailureError(ReproError, RuntimeError):
     """Raised when parallel worker processes keep dying past the retry budget.
 
-    The process-pool executor survives individual worker deaths by
-    rebuilding the pool and re-dispatching only the unfinished row
-    subsets; this error surfaces only after those bounded retries are
-    exhausted, and its message names the mode being updated and the rows
-    still outstanding so the failure is actionable.
+    The ``procpool`` backend survives individual worker deaths, hangs and
+    wedged tasks: its fabric supervisor respawns the worker and
+    re-dispatches only the unfinished chunks.  This error surfaces only
+    after that bounded re-dispatch budget is exhausted (or a chunk is
+    quarantined as poisoned); its message names the mode being updated
+    and the rows still outstanding so the failure is actionable.  An
+    exception *raised* inside a worker is a real bug, not a death, and
+    propagates unwrapped.
     """
 
 

@@ -27,9 +27,8 @@ identical to an undisturbed one, which the chaos suite asserts with real
 SIGKILL/SIGSTOP/wedge faults.
 
 Consumers: the ``procpool`` kernel backend
-(:mod:`repro.kernels.backends.procpool`), the parallel row-update
-executor (:mod:`repro.parallel.executor`) and multi-worker serving
-(:mod:`repro.serve.workers`).
+(:mod:`repro.kernels.backends.procpool`), which runs every process-parallel
+row update, and multi-worker serving (:mod:`repro.serve.workers`).
 """
 
 from .protocol import Frame, FrameKind, FrameReader, decode_payload, encode_frame

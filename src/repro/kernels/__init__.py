@@ -4,7 +4,7 @@ This package is the single home of the performance-critical inner loops of
 the repository: δ computation (Eq. 12), per-row normal-equation reduction
 (Eqs. 10-11), the batched row solves (Eq. 9) and sparse reconstruction
 (Eq. 4).  The P-Tucker solvers, the cache/approx/sampled variants, the
-process-pool executor and the HOOI-style baselines all route through these
+``procpool`` workers and the HOOI-style baselines all route through these
 functions instead of carrying private copies of the math.
 
 Contraction ordering
@@ -55,7 +55,7 @@ that chains them and returns solved factor rows for the rows a block
 holds completely (``(B, c)`` only for the at most two rows a block
 boundary splits).  Every consumer of the row update accepts a
 ``backend=`` knob (``update_factor_mode``, ``PTuckerConfig``, the
-parallel executor, the CLI's ``--backend`` and the microbench grid):
+CLI's ``--backend`` and the microbench grid):
 
 * ``"numpy"`` (default) — the serial reference path described above.
 * ``"threaded"`` — splits each mode-sorted entry block at *segment
@@ -90,8 +90,9 @@ Submodules
 * :mod:`~repro.kernels.solve` — the batched ridge row solve.
 * :mod:`~repro.kernels.backends` — the named execution strategies and the
   autotuner behind the ``backend=`` knob.
-* :mod:`~repro.kernels.microbench` — kernel/backend timing grids
-  (imported lazily; it depends on the tensor and solver layers).
+* :mod:`~repro.kernels.microbench` — kernel/backend timing grids and the
+  frozen seed Kronecker sweep they time against (imported lazily; it
+  depends on the tensor and solver layers).
 """
 
 from .contraction import (

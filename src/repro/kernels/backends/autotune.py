@@ -12,8 +12,7 @@ Two cache layers:
   process;
 * an optional JSON file (``cache_path`` or the ``REPRO_AUTOTUNE_CACHE``
   environment variable) that persists winners across processes, so e.g.
-  the process-pool workers of :mod:`repro.parallel.executor` or repeated
-  CLI runs skip recalibration.
+  repeated CLI runs skip recalibration.
 
 Calibration is not thrown away: every candidate computes the block's
 actual ``(B, c)`` result while being timed, and the winner's result is

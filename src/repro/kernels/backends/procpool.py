@@ -19,15 +19,21 @@ factorisation, so the rows are bitwise identical to the serial reference
 whatever the chunking, worker count, or mid-sweep worker deaths.
 
 Compared to ``threaded`` this pays pickling (factors per sweep, entry
-slices out and factor rows back per chunk) to buy freedom from the GIL:
-on multicore hosts where the per-segment ``reduceat`` bookkeeping between
-the GEMMs keeps threads serialised, separate interpreters overlap fully.
-It also inherits the fabric's whole failure model — a worker SIGKILLed or
-hung mid-sweep is respawned, the replay log restores its factors, and its
-chunk is re-dispatched with no effect on the output.  With one effective
-worker the backend degrades to the serial reference path and spawns
-nothing, so single-CPU hosts (and CI) see neither process overhead nor a
-regression.
+slices out and factor rows back per chunk) for separate interpreters.
+That buys no speed where threads already overlap: the tiled
+contraction's GEMMs release the GIL, and on a 2-vCPU Xeon host a
+whole-mode update ran slower on ``procpool`` (2 workers) than on
+``threaded`` for every shape measured — e.g. order 3, 400k entries,
+J = 8: 0.35 s vs 0.04 s; uniform order 3, 300k entries, J = 16: 2.2 s vs
+1.1 s.  What it buys is isolation: the fabric's whole failure model.  A
+worker SIGKILLed or hung mid-sweep is respawned, the replay log restores
+its factors, and its chunk is re-dispatched with no effect on the
+output.  A chunk that keeps failing past the supervisor's re-dispatch
+budget surfaces as :class:`~repro.exceptions.WorkerFailureError` naming
+the mode and the unfinished rows; an exception raised inside a worker
+propagates as it is.  With one effective worker the backend degrades to
+the serial reference path and spawns nothing, so single-CPU hosts (and
+CI) see neither process overhead nor a regression.
 
 Worker count resolution: constructor override, else the
 ``REPRO_PROC_WORKERS`` environment variable, else the CPU count.
@@ -42,6 +48,7 @@ from typing import TYPE_CHECKING, Optional, Sequence, Tuple
 
 import numpy as np
 
+from ...exceptions import WorkerFailureError
 from ..contraction import make_delta_contractor
 from ..segments import normal_equations_sorted
 from ..solve import solve_rows
@@ -251,7 +258,7 @@ class ProcpoolBackend(KernelBackend):
             return super().make_row_solver(
                 factors, core, mode, regularization, expected_entries
             )
-        from ...fabric import Task
+        from ...fabric import FabricError, Task
 
         with ProcpoolBackend._sweep_lock:
             ProcpoolBackend._sweep_counter += 1
@@ -315,7 +322,16 @@ class ProcpoolBackend(KernelBackend):
                         ),
                     )
                 )
-            parts = supervisor.run_tasks(tasks)
+            try:
+                parts = supervisor.run_tasks(tasks)
+            except FabricError as exc:
+                rows = _unfinished_rows(exc, edges, indices_block, starts, mode)
+                raise WorkerFailureError(
+                    f"mode-{mode} row update failed: worker processes died, "
+                    f"hung or timed out until the re-dispatch budget ran "
+                    f"out; {rows.shape[0]} rows never finished (first few: "
+                    f"{rows[:8].tolist()}); supervisor said: {exc}"
+                ) from exc
             # Chunks are consecutive, so concatenating in chunk order yields
             # the rows of [lo, hi) and the (B, c) of the segments outside.
             return tuple(
@@ -324,3 +340,24 @@ class ProcpoolBackend(KernelBackend):
             )
 
         return solver
+
+
+def _unfinished_rows(exc, edges, indices_block, starts, mode) -> np.ndarray:
+    """Row indices of the chunks a fabric failure left unfinished.
+
+    Chunk ``k`` holds segments ``edges[k]:edges[k + 1]``.  The supervisor
+    keys every task as ``(run, chunk)``; a failure that names no task (a
+    setup that never applied, the pool's circuit breaker) reports every
+    chunk.
+    """
+    keys = getattr(exc, "keys", None)
+    if keys is None:
+        key = getattr(exc, "key", None)
+        keys = [] if key is None else [key]
+    chunks = sorted(
+        {key[1] for key in keys if isinstance(key, tuple) and len(key) == 2}
+    ) or range(edges.shape[0] - 1)
+    first_entries = np.concatenate(
+        [starts[edges[chunk] : edges[chunk + 1]] for chunk in chunks]
+    )
+    return np.asarray(indices_block[first_entries, mode], dtype=np.int64)

@@ -5,11 +5,12 @@ normal equations of different rows never share state, so a mode-sorted
 entry block can be split *at segment boundaries* and each chunk's
 contraction + ``reduceat`` pass can run concurrently — every chunk owns a
 disjoint slice of the output ``(B, c)`` stacks, so workers write without
-locks.  Unlike :mod:`repro.parallel.executor` (a process pool that must
-pickle factors and entries per call), the threads share the caller's
-arrays directly; the heavy operations inside a chunk — the leading GEMM of
-the progressive contraction, the batched ``matmul`` Gram reductions and
-LAPACK's batched solves — all release the GIL, so chunks genuinely overlap
+locks.  Unlike the ``procpool`` backend (worker processes that must be
+sent the factors per sweep and the entries per chunk), the threads share
+the caller's arrays directly; the heavy operations inside a chunk — the
+leading GEMM of the progressive contraction, the batched ``matmul`` Gram
+reductions and LAPACK's batched solves — all release the GIL, so chunks
+genuinely overlap
 on multicore hosts.  With a single worker there is nothing to overlap and
 per-chunk dispatch is pure overhead (measured ~10% at nnz=100k), so the
 backend degrades to the exact serial path — the autotuner then sees two

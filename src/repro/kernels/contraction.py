@@ -297,8 +297,8 @@ def contract_delta_block(
 
     ``indices_block`` has shape ``(m, N)``; the result has shape
     ``(m, J_mode)`` and is numerically identical (up to floating-point
-    associativity) to the seed Kronecker kernel
-    :func:`repro.core.row_update.compute_delta_block`, without ever building
+    associativity) to the seed Kronecker kernel frozen as
+    :func:`repro.kernels.microbench.compute_delta_block`, without ever building
     the ``(m, Π_{k≠mode} J_k)`` intermediate.
     """
     indices_block = as_index_block(indices_block)

@@ -1,11 +1,12 @@
 """Kernel and backend microbenchmarks across (nnz, rank, order) grids.
 
 Times one full :func:`~repro.core.row_update.update_factor_mode` sweep of
-mode 0 with the seed Kronecker kernel (``kernel="kron"``) against the
-contraction-ordered kernel (``kernel="contracted"``) under every available
-execution backend (``numpy``, ``threaded``, ``numba`` where installed — see
-:mod:`repro.kernels.backends`), and verifies the contracted result against
-:func:`~repro.core.row_update.brute_force_row_update` on a handful of rows.
+mode 0 under every available execution backend (``numpy``, ``threaded``,
+``numba`` where installed — see :mod:`repro.kernels.backends`) against the
+seed Kronecker kernel, which is frozen here (:func:`kron_update_factor_mode`)
+as the fixed baseline of the ``speedup`` column, and verifies the library
+result against :func:`~repro.core.row_update.brute_force_row_update` on a
+handful of rows.
 
 Each row records per-backend wall times (``seconds_<backend>``), the
 measured-fastest backend (``backend_selected`` — by construction never a
@@ -22,8 +23,8 @@ RSS growth over the sweep of a *cold* subprocess, polled from its
 difference behind allocator arena reuse, and ``ru_maxrss`` cannot be
 used because numpy's import transient sets that watermark), and once as
 the deterministic Python-side allocation peak from ``tracemalloc``
-(``peak_traced_mb_*``, which numpy reports its buffers to).  The in-core number includes the nnz-sized
-sorted index/value copies
+(``peak_traced_mb_*``, which numpy reports its buffers to).  The in-core
+number includes the nnz-sized sorted index/value copies
 a :class:`~repro.core.row_update.ModeContext` keeps; the sharded number
 only ever holds one streamed block, which is the memory win the shard
 store exists for (see ``docs/BENCHMARKS.md``).
@@ -58,6 +59,7 @@ import json
 import os
 import tempfile
 import tracemalloc
+from functools import partial
 from time import perf_counter
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -75,6 +77,7 @@ from ..exceptions import DataFormatError
 from ..tensor.coo import SparseTensor
 from ..tensor.io import TextEntryReader, load_text, save_npz, save_text
 from .backends import HAVE_NUMBA, available_backends
+from .solve import solve_rows
 
 #: Full default grid: small enough for minutes-scale runs, but it includes
 #: the (nnz=100k, rank=10, order=3) cell the perf acceptance gate reads.
@@ -121,51 +124,144 @@ def _random_problem(
     return tensor, factors, core
 
 
+# ----------------------------------------------------------------------
+# The seed kernel, frozen as the timing baseline
+# ----------------------------------------------------------------------
+
+def core_unfolding(core: np.ndarray, mode: int) -> np.ndarray:
+    """Mode-``mode`` unfolding of the core in C order over the other modes.
+
+    Row ``j`` holds the core entries with ``j_mode = j``; columns run over the
+    remaining modes with the *last* mode varying fastest, matching the
+    ordering produced by :func:`compute_delta_block`'s running Kronecker
+    product.
+    """
+    core = np.asarray(core)
+    other = [k for k in range(core.ndim) if k != mode]
+    return np.transpose(core, [mode] + other).reshape(core.shape[mode], -1)
+
+
+def compute_delta_block(
+    indices_block: np.ndarray,
+    factors: Sequence[np.ndarray],
+    core_unfolded: np.ndarray,
+    mode: int,
+) -> np.ndarray:
+    """δ vectors (Eq. 12) for a block of observed entries (seed kernel).
+
+    ``indices_block`` has shape ``(m, N)``; the result has shape
+    ``(m, J_mode)``.  The running element-wise product over modes ``k ≠ mode``
+    builds, per entry, the Kronecker product of the other factor rows and
+    materialises it as an ``(m, Π_{k≠mode} J_k)`` intermediate; a single
+    matrix product against the unfolded core then yields δ.
+    """
+    n_entries = indices_block.shape[0]
+    order = indices_block.shape[1]
+    weights = np.ones((n_entries, 1), dtype=np.float64)
+    for k in range(order):
+        if k == mode:
+            continue
+        rows = np.asarray(factors[k])[indices_block[:, k]]
+        weights = (weights[:, :, None] * rows[:, None, :]).reshape(n_entries, -1)
+    return weights @ core_unfolded.T
+
+
+def accumulate_normal_equations(
+    deltas: np.ndarray,
+    values: np.ndarray,
+    segment_of_entry: np.ndarray,
+    n_segments: int,
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Per-row B (Eq. 10) and c (Eq. 11) from per-entry δ vectors (seed kernel).
+
+    ``segment_of_entry[e]`` maps entry ``e`` to its row's position in the
+    mode's ``row_ids``; ``B`` comes back as ``(n_segments, J, J)`` and ``c``
+    as ``(n_segments, J)``, reduced from the ``(m, J, J)`` outer-product
+    array by ``np.add.at`` scatter-adds.
+    """
+    rank = deltas.shape[1]
+    outer = deltas[:, :, None] * deltas[:, None, :]
+    b_matrices = np.zeros((n_segments, rank, rank), dtype=np.float64)
+    np.add.at(b_matrices, segment_of_entry, outer)
+    c_vectors = np.zeros((n_segments, rank), dtype=np.float64)
+    np.add.at(c_vectors, segment_of_entry, values[:, None] * deltas)
+    return b_matrices, c_vectors
+
+
+def kron_update_factor_mode(
+    source,
+    factors: List[np.ndarray],
+    core: np.ndarray,
+    mode: int,
+    regularization: float,
+    block_size: int = 200_000,
+) -> np.ndarray:
+    """The seed sweep: Kronecker δ, scatter-add reduction, one final solve.
+
+    Reads the same entry sources as
+    :func:`~repro.core.row_update.update_factor_mode` (a plain
+    :class:`~repro.tensor.coo.SparseTensor` is sorted for this one mode)
+    and keeps whole-mode ``(n_rows, J, J)`` accumulators, as the seed
+    kernel did.  Updates ``factors[mode]`` in place and returns it.
+    """
+    if isinstance(source, SparseTensor):
+        source = InMemorySource.build(source, modes=(mode,))
+    row_ids, _, row_counts = source.mode_segmentation(mode)
+    n_rows = row_ids.shape[0]
+    rank = factors[mode].shape[1]
+    core_unfolded = core_unfolding(core, mode)
+    segment_of_entry = np.repeat(np.arange(n_rows), row_counts)
+    b_matrices = np.zeros((n_rows, rank, rank), dtype=np.float64)
+    c_vectors = np.zeros((n_rows, rank), dtype=np.float64)
+    n_entries = int(source.nnz)
+    for start in range(0, n_entries, block_size):
+        stop = min(start + block_size, n_entries)
+        indices_block, values_block = source.read_mode_block(mode, start, stop)
+        deltas = compute_delta_block(indices_block, factors, core_unfolded, mode)
+        partial_b, partial_c = accumulate_normal_equations(
+            deltas, values_block, segment_of_entry[start:stop], n_rows
+        )
+        b_matrices += partial_b
+        c_vectors += partial_c
+    if n_rows:
+        factors[mode][row_ids] = solve_rows(b_matrices, c_vectors, regularization)
+    return factors[mode]
+
+
 def _time_update(
+    update: Callable[..., np.ndarray],
     tensor: SparseTensor,
     factors: Sequence[np.ndarray],
     core: np.ndarray,
-    kernel: str,
     repeats: int,
     regularization: float = 0.01,
-    backend: str = "numpy",
 ) -> float:
-    """Best-of-``repeats`` wall time of one mode-0 factor update."""
+    """Best-of-``repeats`` wall time of one mode-0 factor update.
+
+    ``update`` has :func:`~repro.core.row_update.update_factor_mode`'s
+    leading signature (the library sweep or the frozen seed one).
+    """
     source = InMemorySource.build(tensor, modes=(0,))
     best = float("inf")
     for _ in range(repeats):
         fresh = [np.array(f, copy=True) for f in factors]
         start = perf_counter()
-        update_factor_mode(
-            source,
-            fresh,
-            core,
-            0,
-            regularization,
-            kernel=kernel,
-            backend=backend,
-        )
+        update(source, fresh, core, 0, regularization)
         best = min(best, perf_counter() - start)
     return best
 
 
-#: Source of the child process that measures one sweep's peak-RSS growth.
-#: A *cold* process is essential: inside a warm benchmark process the
-#: allocator satisfies the sweep's arrays from previously freed arenas, so
-#: resident memory never moves and every path measures as "free".  The
-#: child reads the already-built shard store, prepares its inputs (the
-#: in-core variant materialises the tensor — that is its resident state by
-#: definition), snapshots its resident set, runs exactly one mode-0 sweep
-#: while a thread polls ``/proc/self/statm``, and reports the peak growth.
-#: (``ru_maxrss`` cannot be used: numpy's import transient sets the
-#: watermark above anything these sweeps allocate.)
-_PEAK_RSS_CHILD = """
+#: Prelude of every cold-subprocess RSS probe.  A *cold* process is
+#: essential: inside a warm benchmark process the allocator satisfies the
+#: measured arrays from previously freed arenas, so resident memory never
+#: moves and every path measures as "free".  A probe script appends its
+#: own imports and input preparation (its resident state by definition),
+#: then calls ``report_peak_growth(run)``, which snapshots the resident
+#: set, runs ``run()`` while a thread polls ``/proc/self/statm``, and
+#: prints the peak growth as JSON.  (``ru_maxrss`` cannot be used:
+#: numpy's import transient sets the watermark above anything measured.)
+_RSS_PROBE_PRELUDE = """
 import json, os, sys, threading
-
-import numpy as np
-
-from repro.core.row_update import InMemorySource, update_factor_mode
-from repro.shards import ShardStore, ShardedSweepExecutor
 
 PAGE = os.sysconf("SC_PAGE_SIZE")
 
@@ -174,6 +270,33 @@ def rss_bytes():
     with open("/proc/self/statm", "rb") as handle:
         return int(handle.read().split()[1]) * PAGE
 
+
+def report_peak_growth(run):
+    baseline = rss_bytes()
+    peak = [baseline]
+    stop = threading.Event()
+
+    def sample():
+        while not stop.is_set():
+            peak[0] = max(peak[0], rss_bytes())
+            stop.wait(0.0005)
+
+    sampler = threading.Thread(target=sample, daemon=True)
+    sampler.start()
+    run()
+    peak[0] = max(peak[0], rss_bytes())
+    stop.set()
+    sampler.join()
+    print(json.dumps({"delta_kb": max(0, peak[0] - baseline) / 1024.0}))
+"""
+
+#: RSS probe of one mode-0 sweep: reads the already-built shard store; the
+#: in-core variant materialises the tensor before the snapshot.
+_SWEEP_RSS_PROBE = _RSS_PROBE_PRELUDE + """
+import numpy as np
+
+from repro.core.row_update import InMemorySource, update_factor_mode
+from repro.shards import ShardStore, ShardedSweepExecutor
 
 kind, shard_dir, block_size, rank = (
     sys.argv[1], sys.argv[2], int(sys.argv[3]), int(sys.argv[4])
@@ -184,38 +307,54 @@ factors = [rng.uniform(-0.5, 0.5, size=(dim, rank)) for dim in store.shape]
 core = rng.uniform(-0.5, 0.5, size=(rank,) * store.order)
 tensor = store.to_tensor() if kind == "incore" else None
 
-baseline = rss_bytes()
-peak = baseline
-stop = threading.Event()
+
+def run():
+    if kind == "incore":
+        source = InMemorySource.build(tensor, modes=(0,))
+        update_factor_mode(source, factors, core, 0, 0.01, block_size=block_size)
+    else:
+        ShardedSweepExecutor(store, block_size=block_size).update_factor_mode(
+            factors, core, 0, 0.01
+        )
 
 
-def sample():
-    global peak
-    while not stop.is_set():
-        peak = max(peak, rss_bytes())
-        stop.wait(0.0005)
+report_peak_growth(run)
+"""
 
+#: RSS probe of one shard-store *build*.  The in-RAM variant loads the
+#: tensor from ``.npz`` — its resident input state, acquired without the
+#: parser's transient allocations, which would otherwise leave warm
+#: allocator arenas that mask the build's growth — before the snapshot;
+#: the streaming variant's growth covers the whole text parse + spill +
+#: merge pipeline, which is exactly the bounded-memory claim.
+_BUILD_RSS_PROBE = _RSS_PROBE_PRELUDE + """
+from repro.shards import ShardStore
+from repro.tensor.io import TextEntryReader, load_npz
 
-sampler = threading.Thread(target=sample, daemon=True)
-sampler.start()
-if kind == "incore":
-    source = InMemorySource.build(tensor, modes=(0,))
-    update_factor_mode(source, factors, core, 0, 0.01, block_size=block_size)
+kind, input_path, out_dir, shard_nnz, chunk_nnz = (
+    sys.argv[1], sys.argv[2], sys.argv[3], int(sys.argv[4]), int(sys.argv[5])
+)
+if kind == "build_incore":
+    tensor = load_npz(input_path)
 else:
-    ShardedSweepExecutor(store, block_size=block_size).update_factor_mode(
-        factors, core, 0, 0.01
-    )
-peak = max(peak, rss_bytes())
-stop.set()
-sampler.join()
-print(json.dumps({"delta_kb": max(0, peak - baseline) / 1024.0}))
+    reader = TextEntryReader(input_path)
+
+
+def run():
+    if kind == "build_incore":
+        ShardStore.build(tensor, out_dir, shard_nnz=shard_nnz)
+    else:
+        ShardStore.build_streaming(
+            reader, out_dir, shard_nnz=shard_nnz, chunk_nnz=chunk_nnz
+        )
+
+
+report_peak_growth(run)
 """
 
 
-def _child_peak_rss_mb(
-    kind: str, shard_dir: str, block_size: int, rank: int
-) -> Optional[float]:
-    """Peak-RSS growth of one sweep, measured in a cold subprocess (MiB).
+def _cold_peak_rss_mb(probe: str, *args: object) -> Optional[float]:
+    """Peak-RSS growth an RSS probe reports from a cold subprocess (MiB).
 
     Returns ``None`` when the child cannot run (no interpreter, import
     failure) so the benchmark degrades to the tracemalloc columns instead
@@ -228,15 +367,7 @@ def _child_peak_rss_mb(
     env["PYTHONPATH"] = os.pathsep.join(p for p in sys.path if p)
     try:
         completed = subprocess.run(
-            [
-                sys.executable,
-                "-c",
-                _PEAK_RSS_CHILD,
-                kind,
-                shard_dir,
-                str(block_size),
-                str(rank),
-            ],
+            [sys.executable, "-c", probe, *(str(arg) for arg in args)],
             capture_output=True,
             text=True,
             env=env,
@@ -254,7 +385,7 @@ def _run_with_traced_peak(fn: Callable[[], object]) -> Tuple[object, float]:
     """Run ``fn`` under ``tracemalloc`` and return its allocation peak.
 
     Deterministic counterpart of the subprocess RSS measurement
-    (:func:`_child_peak_rss_mb`): numpy reports its buffer allocations to
+    (:func:`_cold_peak_rss_mb`): numpy reports its buffer allocations to
     tracemalloc, so the peak covers every array the call materialises
     (but not memory-mapped file pages — those are page cache, not
     intermediate data).  Do not time inside ``fn``; tracing slows
@@ -329,8 +460,12 @@ def _bench_sharded_vs_incore(
         (_, _), traced_incore = _run_with_traced_peak(incore_run)
         (_, _), traced_sharded = _run_with_traced_peak(sharded_run)
         rank = int(np.asarray(core).shape[0])
-        rss_incore = _child_peak_rss_mb("incore", shard_dir, block_size, rank)
-        rss_sharded = _child_peak_rss_mb("sharded", shard_dir, block_size, rank)
+        rss_incore = _cold_peak_rss_mb(
+            _SWEEP_RSS_PROBE, "incore", shard_dir, block_size, rank
+        )
+        rss_sharded = _cold_peak_rss_mb(
+            _SWEEP_RSS_PROBE, "sharded", shard_dir, block_size, rank
+        )
 
     mib = 1024.0 * 1024.0
     row["seconds_incore_blocked"] = best_incore
@@ -486,97 +621,6 @@ def _counts_like(tensor: SparseTensor) -> SparseTensor:
     return tensor.with_values(np.minimum(counts, 99.0))
 
 
-#: Child process measuring one shard-store *build*'s peak-RSS growth (same
-#: cold-process rationale as ``_PEAK_RSS_CHILD``).  The in-RAM variant
-#: loads the tensor from ``.npz`` — its resident input state, acquired
-#: without the parser's transient allocations, which would otherwise leave
-#: warm allocator arenas that mask the build's growth — and snapshots
-#: before ``ShardStore.build``; the streaming variant snapshots before
-#: ``build_streaming`` so its delta covers the whole text parse + spill +
-#: merge pipeline, which is exactly the bounded-memory claim.
-_PEAK_RSS_BUILD_CHILD = """
-import json, os, sys, threading
-
-from repro.shards import ShardStore
-from repro.tensor.io import TextEntryReader, load_npz
-
-PAGE = os.sysconf("SC_PAGE_SIZE")
-
-
-def rss_bytes():
-    with open("/proc/self/statm", "rb") as handle:
-        return int(handle.read().split()[1]) * PAGE
-
-
-kind, input_path, out_dir, shard_nnz, chunk_nnz = (
-    sys.argv[1], sys.argv[2], sys.argv[3], int(sys.argv[4]), int(sys.argv[5])
-)
-if kind == "build_incore":
-    tensor = load_npz(input_path)
-else:
-    reader = TextEntryReader(input_path)
-
-baseline = rss_bytes()
-peak = baseline
-stop = threading.Event()
-
-
-def sample():
-    global peak
-    while not stop.is_set():
-        peak = max(peak, rss_bytes())
-        stop.wait(0.0005)
-
-
-sampler = threading.Thread(target=sample, daemon=True)
-sampler.start()
-if kind == "build_incore":
-    ShardStore.build(tensor, out_dir, shard_nnz=shard_nnz)
-else:
-    ShardStore.build_streaming(
-        reader, out_dir, shard_nnz=shard_nnz, chunk_nnz=chunk_nnz
-    )
-peak = max(peak, rss_bytes())
-stop.set()
-sampler.join()
-print(json.dumps({"delta_kb": max(0, peak - baseline) / 1024.0}))
-"""
-
-
-def _child_peak_rss_build_mb(
-    kind: str, input_path: str, out_dir: str, shard_nnz: int, chunk_nnz: int
-) -> Optional[float]:
-    """Peak-RSS growth of one shard-store build, in a cold subprocess (MiB)."""
-    import subprocess
-    import sys
-
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(p for p in sys.path if p)
-    try:
-        completed = subprocess.run(
-            [
-                sys.executable,
-                "-c",
-                _PEAK_RSS_BUILD_CHILD,
-                kind,
-                input_path,
-                out_dir,
-                str(shard_nnz),
-                str(chunk_nnz),
-            ],
-            capture_output=True,
-            text=True,
-            env=env,
-            timeout=300,
-        )
-        if completed.returncode != 0:
-            return None
-        delta_kb = json.loads(completed.stdout.strip())["delta_kb"]
-    except (OSError, ValueError, KeyError, subprocess.TimeoutExpired):
-        return None
-    return float(delta_kb) / 1024.0
-
-
 def _directories_identical(left: str, right: str) -> bool:
     """True when both trees hold the same files with identical bytes."""
     left_files = sorted(
@@ -689,11 +733,13 @@ def _bench_ingest(
 
         npz_path = os.path.join(work, "cell.npz")
         save_npz(counts, npz_path)
-        rss_incore = _child_peak_rss_build_mb(
-            "build_incore", npz_path, incore_dir, chunk_nnz, chunk_nnz
+        rss_incore = _cold_peak_rss_mb(
+            _BUILD_RSS_PROBE, "build_incore", npz_path, incore_dir,
+            chunk_nnz, chunk_nnz,
         )
-        rss_stream = _child_peak_rss_build_mb(
-            "build_streaming", text_path, stream_dir, chunk_nnz, chunk_nnz
+        rss_stream = _cold_peak_rss_mb(
+            _BUILD_RSS_PROBE, "build_streaming", text_path, stream_dir,
+            chunk_nnz, chunk_nnz,
         )
         if rss_incore is not None:
             row["peak_rss_mb_build_incore"] = rss_incore
@@ -717,7 +763,7 @@ def _brute_force_error(
     """
     source = InMemorySource.build(tensor, modes=(0,))
     updated = [np.array(f, copy=True) for f in factors]
-    update_factor_mode(source, updated, core, 0, regularization, kernel="contracted")
+    update_factor_mode(source, updated, core, 0, regularization)
     worst = 0.0
     for row in source.mode_segmentation(0)[0][:n_rows]:
         row_tensor = tensor.mode_slice(0, int(row))
@@ -753,10 +799,13 @@ def run_microbench(
     for cell_seed, cell in enumerate(grid):
         nnz, rank, order = cell["nnz"], cell["rank"], cell["order"]
         tensor, factors, core = _random_problem(nnz, rank, order, seed + cell_seed)
-        seconds_kron = _time_update(tensor, factors, core, "kron", repeats)
+        seconds_kron = _time_update(
+            kron_update_factor_mode, tensor, factors, core, repeats
+        )
         backend_seconds = {
             name: _time_update(
-                tensor, factors, core, "contracted", repeats, backend=name
+                partial(update_factor_mode, backend=name),
+                tensor, factors, core, repeats,
             )
             for name in backend_names
         }

@@ -1,6 +1,5 @@
 """Work partitioning, scheduling policies and the parallel cost simulator."""
 
-from .executor import parallel_update_factor_mode
 from .partition import (
     Partition,
     dynamic_partition,
@@ -23,5 +22,4 @@ __all__ = [
     "ParallelSimulator",
     "ThreadRunEstimate",
     "efficiency",
-    "parallel_update_factor_mode",
 ]

@@ -27,8 +27,8 @@ budgets, :class:`~repro.resilience.retry.BackoffPolicy` exponential
 backoff with decorrelated jitter, and the
 :func:`~repro.resilience.retry.retry` driver.  The execution fabric
 (:mod:`repro.fabric`) schedules worker respawns and task re-dispatches
-with it, and :func:`repro.parallel.executor.parallel_update_factor_mode`
-inherits the same policy through the fabric.
+with it, so the ``procpool`` row updates and multi-worker serving inherit
+the same policy.
 """
 
 from .retry import (

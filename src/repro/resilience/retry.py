@@ -4,7 +4,7 @@ Every layer that survives transient failure needs the same three pieces —
 a monotonic **deadline** clock ("how long may this whole operation take"),
 a **backoff** schedule ("how long to wait before the next attempt"), and a
 bounded **retry** driver that ties them together.  Before this module each
-consumer grew its own: :mod:`repro.parallel.executor` counted bare
+consumer grew its own: a process-pool executor counted bare
 ``max_retries``, ad-hoc polling loops slept fixed intervals.  They now
 share one implementation, so the semantics (attempt counting, jitter,
 deadline clamping) cannot drift between layers.

@@ -14,8 +14,8 @@ disjoint row ranges.  This package provides the two pieces:
   layout is documented in the :mod:`~repro.shards.store` docstring and in
   ``docs/ARCHITECTURE.md``).  Blocks read back as zero-copy narrow
   :class:`~repro.columns.IndexColumns` that every kernel backend consumes
-  without widening.  Retired v1 directories are migrated by
-  :func:`~repro.shards.legacy.migrate_v1_store` (CLI ``shards-migrate``).
+  without widening.  Retired v1 directories are refused with the
+  ``ingest <input> --out <dir>`` rebuild recipe.
 * :class:`~repro.shards.executor.ShardedSweepExecutor` — streams the
   shards one block at a time, runs each block through any registered
   kernel backend (``numpy`` / ``threaded`` / ``numba`` / ``auto``), and
@@ -38,9 +38,8 @@ ingest_chunk_nnz=...)`` routes a whole
 :meth:`~repro.core.ptucker.PTucker.fit_streaming` fits straight from a
 chunked reader, ``repro.tensor.io.save_shards`` / ``load_shards`` import
 and export stores (``save_shards(source=...)`` builds out of core),
-``parallel_update_factor_mode(source=store)`` feeds the process-pool
-workers from shards, and the CLI exposes ``--shards DIR`` plus the
-streaming ``ingest`` command and ``fit --from-text``.
+and the CLI exposes ``--shards DIR`` plus the streaming ``ingest``
+command and ``fit --from-text``.
 """
 
 from .store import (
@@ -53,7 +52,6 @@ from .store import (
     ShardStore,
 )
 from .executor import ShardedSweepExecutor
-from .legacy import V1StoreReader, is_v1_store, migrate_v1_store
 from .merge import streaming_build
 
 __all__ = [
@@ -65,8 +63,5 @@ __all__ = [
     "ShardInfo",
     "ShardStore",
     "ShardedSweepExecutor",
-    "V1StoreReader",
-    "is_v1_store",
-    "migrate_v1_store",
     "streaming_build",
 ]

@@ -51,10 +51,9 @@ in-core sweep.  Narrowing the index dtype never touches a float64, so
 sweeps too.
 
 Version-1 directories (a single int64 ``shardNNNN.indices.npy`` matrix per
-shard) are no longer opened for compute; :meth:`ShardStore.open` raises a
-:class:`~repro.exceptions.DataFormatError` naming the migration recipe,
-and :mod:`repro.shards.legacy` reads them for ``shards-migrate`` /
-``ingest``.
+shard) are no longer read; :meth:`ShardStore.open` raises a
+:class:`~repro.exceptions.DataFormatError` naming both versions and the
+rebuild recipe (``python -m repro ingest <input> --out <dir>``).
 """
 
 from __future__ import annotations
@@ -96,8 +95,8 @@ FORMAT_NAME = "repro-shard-store"
 #: Current manifest schema version (2 = narrow columnar index files).
 FORMAT_VERSION = 2
 
-#: The retired schema version (int64 index matrices); readable only through
-#: :mod:`repro.shards.legacy` and the ``shards-migrate`` CLI.
+#: The retired schema version (int64 index matrices); refused with the
+#: rebuild recipe of :func:`migration_hint`.
 LEGACY_FORMAT_VERSION = 1
 
 #: Default shard capacity in entries (~32 MB of index+value data at order 3).
@@ -127,9 +126,8 @@ def _tensor_digest(tensor: SparseTensor) -> str:
 def migration_hint(directory: str) -> str:
     """The one-line v1 -> v2 recipe quoted in version-mismatch errors."""
     return (
-        f"rewrite it with `python -m repro shards-migrate {directory} "
-        f"--out <new-dir>` (bounded memory), or re-shard the data with "
-        f"`python -m repro ingest {directory} --out <new-dir>`"
+        f"rebuild it from the source data with "
+        f"`python -m repro ingest <input> --out {directory}`"
     )
 
 
@@ -335,10 +333,9 @@ class ShardStore:
     directory when its manifest matches the tensor.  The store implements
     the *entry source* protocol the row update streams from
     (:attr:`nnz` / :attr:`shape` / :attr:`order`,
-    :meth:`mode_segmentation`, :meth:`read_mode_block`,
-    :meth:`gather_mode_entries`), so it can be passed directly as
-    the ``source`` of ``update_factor_mode`` or wrapped in a
-    :class:`~repro.shards.executor.ShardedSweepExecutor`.  Blocks come back
+    :meth:`mode_segmentation`, :meth:`read_mode_block`), so it can be
+    passed directly as the ``source`` of ``update_factor_mode`` or wrapped
+    in a :class:`~repro.shards.executor.ShardedSweepExecutor`.  Blocks come back
     as narrow :class:`~repro.columns.IndexColumns`, which every kernel
     backend consumes without widening.
     """
@@ -606,8 +603,8 @@ class ShardStore:
         """Open an existing shard store (raises when no manifest is found).
 
         A version-1 directory raises a :class:`DataFormatError` whose
-        message names both versions and the one-line re-shard recipe
-        (``shards-migrate`` / ``ingest ... --out``).
+        message names both versions and the one-line rebuild recipe
+        (``ingest <input> --out <dir>``).
 
         A directory carrying a committed-but-unfinished compaction marker
         (``compact.commit.json`` — see :mod:`repro.updates.compact`) is
@@ -800,37 +797,6 @@ class ShardStore:
                 columns_out[k][out] = column_mm[lo:hi]
             values_out[out] = values_mm[lo:hi]
             filled += hi - lo
-        return IndexColumns(columns_out), values_out
-
-    def gather_mode_entries(
-        self, mode: int, positions: np.ndarray
-    ) -> Tuple[IndexColumns, np.ndarray]:
-        """Arbitrary entries of the mode-sorted order, by global position.
-
-        ``positions`` need not be sorted or contiguous (the process-pool
-        executor gathers each worker's scattered row segments this way).
-        Positions are grouped per shard so each touched shard is mapped
-        once.
-        """
-        positions = np.asarray(positions, dtype=np.int64)
-        columns_out = [
-            np.empty(positions.shape[0], dtype=d) for d in self.index_dtypes
-        ]
-        values_out = np.empty(positions.shape[0], dtype=np.float64)
-        if positions.shape[0] == 0:
-            return IndexColumns(columns_out), values_out
-        if positions.min() < 0 or positions.max() >= self.nnz:
-            raise ShapeError("entry positions out of range for this store")
-        starts = self._starts_of(mode)
-        owner = np.searchsorted(starts, positions, side="right") - 1
-        for shard_number in np.unique(owner):
-            shard = self._shards[mode][int(shard_number)]
-            mask = owner == shard_number
-            local = positions[mask] - shard.start
-            columns_mm, values_mm = self._mmap_shard(shard)
-            for k, column_mm in enumerate(columns_mm):
-                columns_out[k][mask] = column_mm[local]
-            values_out[mask] = values_mm[local]
         return IndexColumns(columns_out), values_out
 
     def iter_mode_blocks(

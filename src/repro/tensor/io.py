@@ -742,24 +742,14 @@ class ShardEntryReader:
     Streams the store's mode-0 sorted sequence through the entry-chunk
     protocol, so a store can be re-sharded (different ``shard_nnz`` or
     ``index_dtype``) or re-exported without materialising the tensor.
-    A retired version-1 directory is read through
-    :class:`repro.shards.legacy.V1StoreReader`, so
-    ``ingest <v1-dir> --out <new>`` — the recipe
-    :meth:`~repro.shards.store.ShardStore.open` quotes — works as
-    advertised.
+    A retired version-1 directory is refused by
+    :meth:`~repro.shards.store.ShardStore.open` with the rebuild recipe.
     """
 
     def __init__(self, directory: PathLike) -> None:
-        from ..exceptions import DataFormatError as _DataFormatError
-        from ..shards import ShardStore, V1StoreReader, is_v1_store
+        from ..shards import ShardStore
 
-        directory = os.fspath(directory)
-        try:
-            self._store = ShardStore.open(directory)
-        except _DataFormatError:
-            if not is_v1_store(directory):
-                raise
-            self._store = V1StoreReader(directory)
+        self._store = ShardStore.open(os.fspath(directory))
         self.shape: Tuple[int, ...] = self._store.shape
 
     @property
@@ -773,9 +763,6 @@ class ShardEntryReader:
         """Yield ``(indices, values)`` pairs of at most ``chunk_nnz`` entries."""
         if chunk_nnz < 1:
             raise ShapeError("chunk_nnz must be positive")
-        if not hasattr(self._store, "read_mode_block"):  # v1 fallback reader
-            yield from self._store.iter_entry_chunks(chunk_nnz)
-            return
         for start in range(0, self._store.nnz, chunk_nnz):
             stop = min(start + chunk_nnz, self._store.nnz)
             block, values = self._store.read_mode_block(0, start, stop)

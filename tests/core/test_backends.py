@@ -274,36 +274,3 @@ def test_config_rejects_unknown_backend():
     with pytest.raises(ShapeError, match="backend"):
         PTuckerConfig(backend="cuda")
 
-
-def test_legacy_kron_kernel_respects_delta_provider():
-    """An explicit δ provider takes precedence over the seed kernel too."""
-    from repro.kernels.contraction import contract_delta_block
-
-    tensor, factors, core = _problem(3, seed=13)
-    calls = []
-
-    def provider(entry_positions, mode):
-        calls.append(entry_positions.shape[0])
-        return contract_delta_block(
-            tensor.indices[entry_positions], factors, core, mode
-        )
-
-    reference = [f.copy() for f in factors]
-    update_factor_mode(tensor, reference, core, 0, 0.01, kernel="kron")
-    provided = [f.copy() for f in factors]
-    update_factor_mode(
-        tensor, provided, core, 0, 0.01, kernel="kron", delta_provider=provider
-    )
-    assert sum(calls) == tensor.nnz  # the provider really fed the kron path
-    np.testing.assert_allclose(provided[0], reference[0], atol=1e-12)
-
-
-def test_legacy_kron_kernel_ignores_backend():
-    tensor, factors, core = _problem(3, seed=2)
-    reference = [f.copy() for f in factors]
-    update_factor_mode(tensor, reference, core, 0, 0.01, kernel="kron")
-    via_threaded = [f.copy() for f in factors]
-    update_factor_mode(
-        tensor, via_threaded, core, 0, 0.01, kernel="kron", backend="threaded"
-    )
-    np.testing.assert_allclose(via_threaded[0], reference[0], atol=1e-12)

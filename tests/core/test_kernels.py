@@ -4,11 +4,8 @@ import numpy as np
 import pytest
 
 from repro.core.row_update import (
-    accumulate_normal_equations,
     brute_force_row_update,
     build_mode_context,
-    compute_delta_block,
-    core_unfolding,
     update_factor_mode,
 )
 from repro.kernels import (
@@ -22,6 +19,12 @@ from repro.kernels import (
     solve_rows,
 )
 from repro.kernels import contraction as contraction_module
+from repro.kernels.microbench import (
+    accumulate_normal_equations,
+    compute_delta_block,
+    core_unfolding,
+    kron_update_factor_mode,
+)
 from repro.tensor import SparseTensor, factor_rows_product
 
 
@@ -290,24 +293,45 @@ class TestSegments:
 
 class TestUpdateFactorModeKernels:
     def test_regression_contracted_matches_seed_kernel(self):
-        """Fixed-seed tensor: both kernels produce the same factor update."""
+        """Fixed-seed tensor: the library update equals the frozen seed sweep."""
         rng = np.random.default_rng(20180416)
         tensor, factors, core = random_problem(rng, (12, 10, 9), (4, 3, 5), 180)
         for mode in range(tensor.order):
             via_kron = [f.copy() for f in factors]
             via_contraction = [f.copy() for f in factors]
-            update_factor_mode(tensor, via_kron, core, mode, 0.01, kernel="kron")
-            update_factor_mode(
-                tensor, via_contraction, core, mode, 0.01, kernel="contracted"
-            )
+            kron_update_factor_mode(tensor, via_kron, core, mode, 0.01)
+            update_factor_mode(tensor, via_contraction, core, mode, 0.01)
             np.testing.assert_allclose(
                 via_contraction[mode], via_kron[mode], atol=1e-10
             )
 
-    def test_unknown_kernel_rejected(self, rng):
+    @pytest.mark.parametrize("shape,ranks,nnz", PROBLEMS)
+    def test_frozen_kron_sweep_matches_update_every_mode(
+        self, rng, shape, ranks, nnz
+    ):
+        """The microbench's baseline computes the library's update at orders
+        3-5, across block boundaries, and touches only the updated mode."""
+        tensor, factors, core = random_problem(rng, shape, ranks, nnz)
+        for mode in range(tensor.order):
+            via_kron = [f.copy() for f in factors]
+            via_library = [f.copy() for f in factors]
+            returned = kron_update_factor_mode(
+                tensor, via_kron, core, mode, 0.01, block_size=13
+            )
+            update_factor_mode(tensor, via_library, core, mode, 0.01)
+            assert returned is via_kron[mode]
+            np.testing.assert_allclose(
+                via_kron[mode], via_library[mode], atol=1e-10
+            )
+            for k in range(tensor.order):
+                if k != mode:
+                    assert via_kron[k].tobytes() == factors[k].tobytes()
+
+    def test_kernel_keyword_is_gone(self, rng):
+        """One row-update kernel: there is no ``kernel=`` switch to pass."""
         tensor, factors, core = random_problem(rng, (5, 4, 3), (2, 2, 2), 20)
-        with pytest.raises(ValueError, match="unknown kernel"):
-            update_factor_mode(tensor, factors, core, 0, 0.01, kernel="turbo")
+        with pytest.raises(TypeError, match="kernel"):
+            update_factor_mode(tensor, factors, core, 0, 0.01, kernel="kron")
 
     @pytest.mark.parametrize("shape,ranks,nnz", PROBLEMS)
     def test_matches_brute_force_including_ridge_corner(self, rng, shape, ranks, nnz):

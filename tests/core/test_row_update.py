@@ -5,14 +5,16 @@ import pytest
 
 from repro.core import PTuckerConfig
 from repro.core.row_update import (
-    accumulate_normal_equations,
     brute_force_row_update,
     build_all_mode_contexts,
     build_mode_context,
-    compute_delta_block,
-    core_unfolding,
     solve_rows,
     update_factor_mode,
+)
+from repro.kernels.microbench import (
+    accumulate_normal_equations,
+    compute_delta_block,
+    core_unfolding,
 )
 from repro.metrics.errors import regularized_loss
 from repro.metrics.memory import MemoryTracker

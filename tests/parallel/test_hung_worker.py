@@ -1,12 +1,12 @@
-"""Hung-not-dead workers: SIGSTOP coverage for the parallel executor.
+"""Hung-not-dead workers: SIGSTOP coverage for the process-parallel row update.
 
 A SIGSTOPped worker is the nastiest failure for a pool: the process
 exists, its pipes are open, it just never answers.  Death-only detection
-(the old ``BrokenProcessPool`` handling) hangs forever on it.  These
-tests stop a real worker mid-task and assert both detection paths — the
-missed-heartbeat watchdog and the per-task deadline — each SIGKILL the
-stopped process, re-dispatch its row partition, and produce a factor
-matrix bitwise equal to the serial update.
+hangs forever on it.  These tests stop a real ``procpool`` worker while
+it solves factor rows of ``update_factor_mode`` and assert both
+detection paths — the missed-heartbeat watchdog and the per-task
+deadline — each SIGKILL the stopped process, re-dispatch its chunk, and
+produce a factor matrix bitwise equal to the serial update.
 """
 
 import numpy as np
@@ -16,8 +16,8 @@ from repro.core.core_tensor import initialize_core, initialize_factors
 from repro.core.row_update import update_factor_mode
 from repro.fabric import TaskSupervisor
 from repro.fabric.worker import INJECT_STOP_ENV
+from repro.kernels.backends import ProcpoolBackend
 from repro.metrics import Counters
-from repro.parallel import parallel_update_factor_mode
 from repro.resilience import BackoffPolicy
 
 
@@ -44,14 +44,16 @@ def _run_with_stopped_worker(problem, counters, **supervisor_kwargs):
         name="hung-test",
         **supervisor_kwargs,
     )
+    backend = ProcpoolBackend(
+        n_workers=2, min_chunk_entries=8, supervisor=supervisor
+    )
     try:
-        parallel_update_factor_mode(
-            tensor, factors, core, 0, regularization=0.01,
-            n_workers=2, supervisor=supervisor,
+        update_factor_mode(
+            tensor, factors, core, 0, regularization=0.01, backend=backend
         )
     finally:
         supervisor.shutdown()
-    # Bitwise: the re-dispatched partition replays the identical IEEE
+    # Bitwise: the re-dispatched chunk replays the identical IEEE
     # operation sequence on a healthy worker.
     assert factors[0].tobytes() == reference.tobytes()
 
@@ -60,10 +62,11 @@ def test_sigstopped_worker_detected_by_heartbeat_silence(
     problem, tmp_path, monkeypatch
 ):
     """Missed heartbeats — not death — flag the worker; it is SIGKILLed
-    and its partition re-dispatched with bitwise-equal results."""
+    and its chunk re-dispatched with bitwise-equal results."""
     monkeypatch.setenv(INJECT_STOP_ENV, str(tmp_path / "stop"))
     counters = Counters()
     _run_with_stopped_worker(problem, counters, heartbeat_interval=0.1)
+    assert (tmp_path / "stop").exists(), "the injected SIGSTOP never fired"
     assert counters.get("fabric.workers_hung") >= 1
     assert counters.get("fabric.workers_killed") >= 1
     assert counters.get("fabric.redispatches") >= 1
@@ -81,5 +84,6 @@ def test_sigstopped_worker_detected_by_task_deadline(
     _run_with_stopped_worker(
         problem, counters, heartbeat_interval=0.5, task_deadline=1.0
     )
+    assert (tmp_path / "stop").exists(), "the injected SIGSTOP never fired"
     assert counters.get("fabric.deadline_kills") >= 1
     assert counters.get("fabric.redispatches") >= 1

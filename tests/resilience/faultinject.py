@@ -1,7 +1,8 @@
 """Fault-injection utilities driving the resilience and chaos tests.
 
-:class:`FaultInjector` produces the three fault families the test suite
-exercises deliberately:
+:class:`FaultInjector` produces the two fault families the test suite
+exercises deliberately (worker-process faults are injected through the
+fabric's own sentinels, :mod:`repro.fabric.worker`):
 
 * **process death** — spawn a real child CLI fit and SIGKILL it the
   moment an observable on-disk condition holds (a checkpoint manifest
@@ -9,10 +10,7 @@ exercises deliberately:
   stop an OOM-kill or power loss produces: no exception handlers, no
   ``atexit``, no flushes;
 * **file corruption** — truncate or bit-flip a chosen artifact after the
-  fact, simulating torn writes and silent media decay;
-* **worker death** — an environment recipe for the
-  ``REPRO_INJECT_WORKER_DEATH`` die-once hook of
-  :mod:`repro.parallel.executor`.
+  fact, simulating torn writes and silent media decay.
 
 Randomised choices (which iteration to kill at, which byte to flip) come
 from a seeded generator so every chaos run is reproducible.
@@ -203,10 +201,3 @@ class FaultInjector:
             handle.seek(offset)
             handle.write(bytes([byte ^ (1 << bit)]))
         return offset
-
-    # -- worker-level faults -----------------------------------------
-    def worker_death_env(self, sentinel_path: str) -> dict:
-        """Environment that makes the first pool worker task die abruptly."""
-        from repro.parallel.executor import INJECT_WORKER_DEATH_ENV
-
-        return {INJECT_WORKER_DEATH_ENV: str(sentinel_path)}

@@ -10,7 +10,6 @@ import os
 import subprocess
 import sys
 
-import numpy as np
 import pytest
 
 from faultinject import FaultInjector, repro_env
@@ -158,42 +157,3 @@ class TestKillDuringStreamingBuild:
         assert sorted(rebuilt) == sorted(fresh)
         for relative in fresh:
             assert rebuilt[relative] == fresh[relative], relative
-
-
-class TestWorkerDeathChaos:
-    def test_worker_sigkill_mid_update_recovers(self, tmp_path):
-        """A worker dying abruptly inside a parallel mode update is
-        re-dispatched; the recovered factors equal the serial update's."""
-        from repro.core.core_tensor import initialize_core, initialize_factors
-        from repro.core.row_update import update_factor_mode
-        from repro.parallel import parallel_update_factor_mode
-
-        planted = planted_tucker_tensor(
-            shape=(25, 20, 15), ranks=(3, 3, 3), nnz=2_000,
-            noise_level=0.01, seed=5,
-        )
-        tensor = planted.tensor
-        factors = initialize_factors(
-            tensor.shape, (3, 3, 3), np.random.default_rng(0)
-        )
-        core = initialize_core((3, 3, 3), np.random.default_rng(1))
-        serial = [f.copy() for f in factors]
-        update_factor_mode(tensor, serial, core, 0, regularization=0.01)
-
-        sentinel = str(tmp_path / "died-once")
-        injector = FaultInjector()
-        env = injector.worker_death_env(sentinel)
-        old = {k: os.environ.get(k) for k in env}
-        os.environ.update(env)
-        try:
-            parallel_update_factor_mode(
-                tensor, factors, core, 0, regularization=0.01, n_workers=2
-            )
-        finally:
-            for key, value in old.items():
-                if value is None:
-                    os.environ.pop(key, None)
-                else:
-                    os.environ[key] = value
-        assert os.path.exists(sentinel), "the injected death never fired"
-        np.testing.assert_allclose(factors[0], serial[0], atol=1e-8)

@@ -1,10 +1,10 @@
-"""Format-v2 tests: narrow column dtypes, v1 refusal + migration, spill workers.
+"""Format-v2 tests: narrow column dtypes, v1 refusal, spill workers.
 
 Covers the dtype-boundary property (uint8/16/32/int64 chosen exactly at the
 documented dimension boundaries, including synthetic shapes beyond 2**32),
 the bitwise narrow-vs-wide contract of stores and sweeps, the clear error a
-retired v1 directory produces, the ``shards-migrate`` rewrite (bitwise
-identical to a fresh narrow build), and the forced single-worker spill path.
+retired v1 directory produces (and the in-place rebuild ``fit --shards``
+does instead), and the forced single-worker spill path.
 """
 
 import json
@@ -22,13 +22,7 @@ from repro.core.row_update import (
 )
 from repro.data import random_sparse_tensor
 from repro.exceptions import DataFormatError, ShapeError
-from repro.shards import (
-    ShardStore,
-    ShardedSweepExecutor,
-    V1StoreReader,
-    is_v1_store,
-    migrate_v1_store,
-)
+from repro.shards import ShardStore, ShardedSweepExecutor
 from repro.shards.store import MANIFEST_NAME
 from repro.tensor import SparseTensor, TensorEntryReader
 from repro.cli import main as cli_main
@@ -277,53 +271,47 @@ class TestV1Handling:
         message = str(excinfo.value)
         assert "version-1" in message
         assert "version 2" in message
-        assert "shards-migrate" in message
-        assert "ingest" in message and "--out" in message
+        assert "python -m repro ingest <input> --out" in message
+        assert "shards-migrate" not in message
 
-    def test_is_v1_store(self, v1_dir, tmp_path, tensor):
-        assert is_v1_store(v1_dir)
-        v2 = ShardStore.build(tensor, tmp_path / "v2", shard_nnz=150)
-        assert not is_v1_store(v2.directory)
-        assert not is_v1_store(tmp_path / "nowhere")
-
-    def test_v1_reader_streams_canonical_order(self, v1_dir, tensor):
-        reader = V1StoreReader(v1_dir)
-        assert reader.shape == tensor.shape
-        chunks = list(reader.iter_entry_chunks(97))
-        indices = np.concatenate([i for i, _ in chunks])
-        values = np.concatenate([v for _, v in chunks])
-        context = build_mode_context(tensor, 0)
-        np.testing.assert_array_equal(indices, context.sorted_indices)
-        np.testing.assert_array_equal(values, context.sorted_values)
-
-    def test_migrate_matches_fresh_narrow_build(self, v1_dir, tensor, tmp_path):
-        """The migrated directory is bitwise-identical to building v2 from
-        the same tensor — columns, values, segmentation and manifest."""
-        migrated = tmp_path / "migrated"
-        store = migrate_v1_store(v1_dir, migrated)
-        reference = tmp_path / "reference"
-        ShardStore.build(tensor, reference, shard_nnz=150)
-        assert_directories_identical(migrated, reference)
-        store.validate()
-        assert store.matches(tensor)
-        assert store.to_tensor().allclose(tensor)
-
-    def test_migrate_refuses_in_place(self, v1_dir):
-        with pytest.raises(ShapeError):
-            migrate_v1_store(v1_dir, v1_dir)
-
-    def test_migrate_cli(self, v1_dir, tensor, tmp_path, capsys):
-        out = tmp_path / "cli-migrated"
-        assert cli_main(["shards-migrate", str(v1_dir), "--out", str(out)]) == 0
-        captured = capsys.readouterr().out
-        assert "migrated v1 store" in captured
-        assert ShardStore.open(out).to_tensor().allclose(tensor)
-
-    def test_ingest_cli_reads_v1_directory(self, v1_dir, tensor, tmp_path, capsys):
-        """The exact recipe the open() error quotes really works."""
+    def test_ingest_cli_refuses_v1_directory(self, v1_dir, tmp_path, capsys):
+        """``ingest <v1 dir>`` exits 2 with the rebuild recipe, no traceback."""
         out = tmp_path / "resharded"
-        assert cli_main(["ingest", str(v1_dir), "--out", str(out)]) == 0
-        assert ShardStore.open(out).to_tensor().allclose(tensor)
+        assert cli_main(["ingest", str(v1_dir), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "version-1" in err and "version 2" in err
+        assert "ingest <input> --out" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "command",
+        [["shards-verify"], ["compact"], ["update", "delta.rcoo"]],
+        ids=["shards-verify", "compact", "update"],
+    )
+    def test_store_commands_refuse_v1_directory(
+        self, v1_dir, tmp_path, capsys, command
+    ):
+        """Every command that opens a store exits 2 with the recipe and
+        leaves the v1 directory exactly as it was."""
+        untouched = tmp_path / "untouched"
+        shutil.copytree(v1_dir, untouched)
+        argv = [command[0], str(v1_dir)] + [
+            str(tmp_path / arg) for arg in command[1:]
+        ]
+        assert cli_main(argv) == 2
+        err = capsys.readouterr().err
+        assert "version-1" in err and "version 2" in err
+        assert "ingest <input> --out" in err
+        assert "Traceback" not in err
+        assert_directories_identical(v1_dir, untouched)
+
+    def test_library_readers_refuse_v1_directory(self, v1_dir):
+        """The entry-chunk reader and ``load_shards`` refuse it too."""
+        from repro.tensor.io import ShardEntryReader, load_shards
+
+        for read in (ShardEntryReader, load_shards):
+            with pytest.raises(DataFormatError, match="version-1"):
+                read(v1_dir)
 
     def test_fit_shards_on_v1_rebuilds_in_place(self, v1_dir, tmp_path):
         """``fit --shards <v1 dir>`` still serves: the directory is a cache,

@@ -106,17 +106,6 @@ class TestReads:
         assert indices.shape == (0, store.order)
         assert values.shape == (0,)
 
-    def test_gather_matches_fancy_indexing(self, store, tensor, rng, bitwise):
-        context = build_mode_context(tensor, 1)
-        positions = rng.choice(tensor.nnz, size=120, replace=False)
-        indices, values = store.gather_mode_entries(1, positions)
-        np.testing.assert_array_equal(indices, context.sorted_indices[positions])
-        bitwise(values, context.sorted_values[positions], "gathered values")
-
-    def test_gather_rejects_out_of_range(self, store):
-        with pytest.raises(ShapeError):
-            store.gather_mode_entries(0, np.asarray([store.nnz]))
-
     def test_iter_mode_blocks_streams_everything(self, store, tensor, bitwise):
         context = build_mode_context(tensor, 0)
         chunks = list(store.iter_mode_blocks(0, 99))

@@ -15,7 +15,6 @@ from repro.core.core_tensor import initialize_core, initialize_factors
 from repro.core.row_update import update_factor_mode
 from repro.data import random_sparse_tensor
 from repro.exceptions import ShapeError
-from repro.parallel import parallel_update_factor_mode
 from repro.shards import ShardedSweepExecutor, ShardStore
 
 #: (shape, ranks) cells covering orders 3-5 with ragged ranks.
@@ -171,8 +170,6 @@ def test_source_conflicts_are_rejected(tmp_path):
     tensor, factors, core = _problem((8, 7, 6), (2, 2, 2), nnz=100)
     store = ShardStore.build(tensor, tmp_path / "s", shard_nnz=30)
     with pytest.raises(ValueError):
-        update_factor_mode(store, factors, core, 0, 0.01, kernel="kron")
-    with pytest.raises(ValueError):
         update_factor_mode(
             store,
             factors,
@@ -183,20 +180,6 @@ def test_source_conflicts_are_rejected(tmp_path):
         )
     with pytest.raises(ValueError):
         update_factor_mode(None, factors, core, 0, 0.01)
-    with pytest.raises(ValueError):
-        parallel_update_factor_mode(None, factors, core, 0, 0.01)
-
-
-def test_parallel_executor_streams_from_store(tmp_path):
-    """The process-pool path gathers worker slices straight from the store."""
-    tensor, factors, core = _problem((20, 15, 12), (3, 3, 3), nnz=600, seed=6)
-    store = ShardStore.build(tensor, tmp_path / "s", shard_nnz=90)
-    reference = [f.copy() for f in factors]
-    update_factor_mode(tensor, reference, core, 0, 0.01)
-    parallel_update_factor_mode(
-        None, factors, core, 0, 0.01, n_workers=2, source=store
-    )
-    np.testing.assert_allclose(factors[0], reference[0], atol=1e-8)
 
 
 def test_executor_sweep_updates_every_mode(tmp_path):
