@@ -7,7 +7,11 @@ the liveness bookkeeping (last heartbeat, spawn grace, current task) the
 supervisor's state machine reads.  Writes are buffered and flushed
 opportunistically so the supervisor can never deadlock against a worker
 that stopped reading — a SIGSTOPped worker simply accumulates outbound
-bytes until the missed heartbeats get it killed.
+bytes until the missed heartbeats get it killed.  Every handle counts
+its traffic in the pool's :class:`~repro.metrics.timing.Counters`:
+``fabric.setup_bytes`` and ``fabric.task_bytes`` for the encoded
+``SETUP`` and ``TASK`` frames it queues, ``fabric.result_bytes`` for
+every byte it reads back (results, acks and heartbeats alike).
 
 :class:`WorkerPool` owns a fixed number of worker *slots*.  A slot whose
 process died is respawned after a backoff delay with decorrelated jitter
@@ -27,12 +31,18 @@ import os
 import subprocess
 import sys
 import time
-from typing import Any, Dict, List, Optional, Tuple
+from collections import deque
+from typing import Any, Deque, Dict, List, Optional, Tuple
 
 from ..metrics.environment import BLAS_THREAD_VARIABLES
 from ..metrics.timing import Counters
 from ..resilience.retry import BackoffPolicy
-from .protocol import HEARTBEAT_ENV, FrameKind, FrameReader, encode_frame
+from .protocol import (
+    HEARTBEAT_ENV,
+    FrameKind,
+    FrameReader,
+    encode_frame_parts,
+)
 
 #: Default seconds between worker heartbeat frames.
 DEFAULT_HEARTBEAT_INTERVAL = 0.25
@@ -44,6 +54,12 @@ HEARTBEAT_MISSES = 8
 #: interpreter pays python startup plus the numpy import before its first
 #: beat.
 DEFAULT_SPAWN_GRACE = 30.0
+
+#: Outbound frame kinds whose encoded bytes are counted, and their labels.
+_COUNTED_SENDS = {
+    FrameKind.SETUP: "fabric.setup_bytes",
+    FrameKind.TASK: "fabric.task_bytes",
+}
 
 
 def worker_environment(
@@ -80,9 +96,14 @@ class WorkerHandle:
     """One live worker process and its protocol state."""
 
     def __init__(
-        self, worker_id: int, heartbeat_interval: float, n_workers: int
+        self,
+        worker_id: int,
+        heartbeat_interval: float,
+        n_workers: int,
+        counters: Counters,
     ) -> None:
         self.worker_id = worker_id
+        self.counters = counters
         self.proc = subprocess.Popen(
             [sys.executable, "-m", "repro.fabric.worker"],
             stdin=subprocess.PIPE,
@@ -93,7 +114,8 @@ class WorkerHandle:
         os.set_blocking(self.proc.stdout.fileno(), False)
         os.set_blocking(self.proc.stdin.fileno(), False)
         self.reader = FrameReader()
-        self.outbuf = bytearray()
+        #: Queued, not yet written frame parts (no copy into one buffer).
+        self.outbuf: Deque[memoryview] = deque()
         self.spawned_at = time.monotonic()
         self.last_beat = self.spawned_at
         self.pid: Optional[int] = self.proc.pid
@@ -117,21 +139,30 @@ class WorkerHandle:
     def send(self, kind: FrameKind, payload: Any) -> bool:
         """Queue one frame for the worker; False if its pipe is gone."""
         try:
-            self.outbuf.extend(encode_frame(kind, payload))
+            parts = encode_frame_parts(kind, payload)
+            self.outbuf.extend(memoryview(part) for part in parts)
+            if kind in _COUNTED_SENDS:
+                self.counters.add(
+                    _COUNTED_SENDS[kind], sum(len(part) for part in parts)
+                )
             return self.flush()
         except (BrokenPipeError, OSError, ValueError):
             return False
 
     def flush(self) -> bool:
-        """Write as much buffered output as the pipe accepts right now."""
+        """Write as much queued output as the pipe accepts right now."""
         while self.outbuf:
+            head = self.outbuf[0]
             try:
-                written = os.write(self.stdin_fileno(), self.outbuf)
+                written = os.write(self.stdin_fileno(), head)
             except BlockingIOError:
                 return True  # pipe full; the worker will drain it
             except (BrokenPipeError, OSError, ValueError):
                 return False
-            del self.outbuf[:written]
+            if written == len(head):
+                self.outbuf.popleft()
+            else:
+                self.outbuf[0] = head[written:]
         return True
 
     def read_available(self) -> Optional[bytes]:
@@ -142,6 +173,7 @@ class WorkerHandle:
             return None
         except OSError:
             return b""
+        self.counters.add("fabric.result_bytes", len(data))
         return data
 
     def kill(self) -> None:
@@ -220,6 +252,10 @@ class WorkerPool:
     def live_handles(self) -> List[WorkerHandle]:
         return [slot.handle for slot in self.slots if slot.handle is not None]
 
+    def is_live(self, handle: WorkerHandle) -> bool:
+        """True while ``handle`` is its slot's current (unretired) worker."""
+        return self.slots[handle.worker_id].handle is handle
+
     def spawn_missing(self, now: Optional[float] = None) -> List[WorkerHandle]:
         """Spawn every dead slot whose backoff delay has elapsed."""
         if self._closed:
@@ -230,7 +266,10 @@ class WorkerPool:
             if slot.handle is not None or now < slot.respawn_at:
                 continue
             handle = WorkerHandle(
-                slot.worker_id, self.heartbeat_interval, self.n_workers
+                slot.worker_id,
+                self.heartbeat_interval,
+                self.n_workers,
+                self.counters,
             )
             for seq, key, fn_path, payload in self._setups:
                 handle.send(FrameKind.SETUP, (seq, key, fn_path, payload))

@@ -43,7 +43,7 @@ from __future__ import annotations
 import enum
 import pickle
 import struct
-from typing import Any, List, NamedTuple
+from typing import Any, List, NamedTuple, Tuple
 
 from ..exceptions import ReproError
 
@@ -87,15 +87,24 @@ class Frame(NamedTuple):
     payload: Any
 
 
-def encode_frame(kind: FrameKind, obj: Any) -> bytes:
-    """Serialise one frame: header + pickled payload, ready to write."""
+def encode_frame_parts(kind: FrameKind, obj: Any) -> Tuple[bytes, bytes]:
+    """Serialise one frame as ``(header, pickled payload)``.
+
+    Writers that queue the two parts separately never copy a large
+    payload just to prepend six bytes.
+    """
     payload = pickle.dumps(obj, protocol=pickle.HIGHEST_PROTOCOL)
     if len(payload) > MAX_PAYLOAD_BYTES:
         raise ProtocolError(
             f"frame payload of {len(payload)} bytes exceeds the "
             f"{MAX_PAYLOAD_BYTES}-byte protocol limit"
         )
-    return HEADER.pack(MAGIC, int(kind), len(payload)) + payload
+    return HEADER.pack(MAGIC, int(kind), len(payload)), payload
+
+
+def encode_frame(kind: FrameKind, obj: Any) -> bytes:
+    """Serialise one frame: header + pickled payload, ready to write."""
+    return b"".join(encode_frame_parts(kind, obj))
 
 
 def decode_payload(raw: bytes) -> Any:
@@ -133,14 +142,19 @@ class FrameReader:
                 )
             if len(self._buffer) < HEADER.size + length:
                 return frames
-            raw = bytes(self._buffer[HEADER.size : HEADER.size + length])
+            # Unpickle straight from the buffer: a copied slice would cost
+            # two extra passes over a multi-megabyte task frame.
+            with memoryview(self._buffer) as view:
+                try:
+                    payload = decode_payload(
+                        view[HEADER.size : HEADER.size + length]
+                    )
+                except Exception as exc:
+                    raise ProtocolError(
+                        f"frame payload of kind {kind} failed to unpickle: "
+                        f"{exc}"
+                    ) from exc
             del self._buffer[: HEADER.size + length]
-            try:
-                payload = decode_payload(raw)
-            except Exception as exc:
-                raise ProtocolError(
-                    f"frame payload of kind {kind} failed to unpickle: {exc}"
-                ) from exc
             try:
                 frame_kind = FrameKind(kind)
             except ValueError as exc:

@@ -20,20 +20,31 @@ ways a worker can fail:
 
 Near the end of a wave, idle workers **hedge**: the slowest outstanding
 task (oldest dispatch) is duplicated onto an idle worker and the first
-result wins.  Results are recorded by task identity and returned in
-submission order, and task functions are pure, so hedging — like every
-recovery above — cannot change a single bit of the output; the chaos
-suite asserts exactly that against undisturbed runs.
+result wins.  A task is only slow once it has run for ``hedge_after``
+seconds *and* twice the median run time of the wave's finished tasks,
+so a peer that is about to finish is never duplicated.  Results are
+recorded by task identity and returned in submission order, and task
+functions are pure, so hedging — like every recovery above — cannot
+change a single bit of the output; the chaos suite asserts exactly that
+against undisturbed runs.
 
 Exceptions *raised by* a task (an ``ERROR`` frame, as opposed to a death)
 are deterministic bugs: they propagate immediately with the remote
 traceback attached, never retried.
+
+The event loop (:meth:`TaskSupervisor._step`) sleeps in one ``select``
+over every worker's output pipe *and* the input pipe of every worker
+with queued outbound bytes, so a large frame drains at pipe speed and an
+idle wave costs no CPU: the wait is cut short only by a respawn or a
+re-dispatch backoff coming due, never by a task that is merely waiting
+for a free worker.
 """
 
 from __future__ import annotations
 
 import logging
 import select
+import statistics
 import time
 from typing import Any, Dict, List, NamedTuple, Optional, Set
 
@@ -153,6 +164,8 @@ class TaskSupervisor:
         self._run_id = 0
         self._states: Dict[Any, _TaskState] = {}
         self._queue: List[Any] = []
+        #: Run times of the current wave's completed tasks (winning copies).
+        self._run_times: List[float] = []
         self._deaths_since_progress = 0
         self._started = False
         self._closed = False
@@ -268,6 +281,7 @@ class TaskSupervisor:
             order.append(key)
         self._states = states
         self._queue = list(order)
+        self._run_times = []
         pending = len(order)
 
         try:
@@ -289,12 +303,21 @@ class TaskSupervisor:
     def _wait_for(
         self, queue: List[Any], states: Dict[Any, _TaskState], now: float
     ) -> float:
+        """How long the next ``select`` may sleep.
+
+        Only timers shorten it: a pending respawn and a re-dispatch
+        backoff that comes due.  A ready task still queued after
+        :meth:`_dispatch` has no idle worker, and the ``RESULT`` frame
+        that frees one wakes the ``select`` on its own.
+        """
         wait = _MAX_WAIT
         respawn = self.pool.next_respawn_in(now)
         if respawn is not None:
             wait = min(wait, respawn)
         for key in queue:
-            wait = min(wait, max(0.0, states[key].ready_at - now))
+            ready_at = states[key].ready_at
+            if ready_at > now:
+                wait = min(wait, ready_at - now)
         return max(0.0, wait)
 
     def _dispatch(
@@ -354,11 +377,14 @@ class TaskSupervisor:
     ) -> Optional[Any]:
         best: Optional[Any] = None
         best_started = now
+        slow_after = self.hedge_after
+        if self._run_times:
+            slow_after = max(slow_after, 2.0 * statistics.median(self._run_times))
         for key, state in states.items():
             if state.done or state.hedged or len(state.running) != 1:
                 continue
             started = next(iter(state.running.values()))
-            if now - started < self.hedge_after:
+            if now - started < slow_after:
                 continue
             if started < best_started:
                 best, best_started = key, started
@@ -373,22 +399,33 @@ class TaskSupervisor:
                 self._on_worker_gone(handle, killed=False, reason="pipe gone")
         live = self.pool.live_handles()
         by_fd = {}
+        by_stdin = {}
         for handle in live:
             try:
                 by_fd[handle.fileno()] = handle
+                if handle.outbuf:
+                    by_stdin[handle.stdin_fileno()] = handle
             except (OSError, ValueError):  # pragma: no cover - defensive
                 self._on_worker_gone(handle, killed=False, reason="pipe gone")
         if by_fd:
             try:
-                readable, _, _ = select.select(list(by_fd), [], [], wait)
+                readable, writable, _ = select.select(
+                    list(by_fd), list(by_stdin), [], wait
+                )
             except OSError:  # a pipe vanished mid-select; next pass reaps it
-                readable = []
+                readable, writable = [], []
         else:
             if wait > 0:
                 time.sleep(wait)
-            readable = []
+            readable, writable = [], []
+        for fd in writable:
+            handle = by_stdin[fd]
+            if self.pool.is_live(handle) and not handle.flush():
+                self._on_worker_gone(handle, killed=False, reason="pipe gone")
         for fd in readable:
-            self._drain(by_fd[fd])
+            handle = by_fd[fd]
+            if self.pool.is_live(handle):
+                self._drain(handle)
         self._time_checks(task_deadline)
 
     def _drain(self, handle: WorkerHandle) -> None:
@@ -432,10 +469,12 @@ class TaskSupervisor:
             if state is None:
                 self.counters.add("fabric.stale_results")
                 return
-            state.running.pop(handle.worker_id, None)
+            started = state.running.pop(handle.worker_id, None)
             if state.done:
                 self.counters.add("fabric.duplicates_ignored")
                 return
+            if started is not None:
+                self._run_times.append(time.monotonic() - started)
             state.done = True
             state.result = result
             self.pool.note_success(handle)

@@ -43,7 +43,12 @@ import traceback
 from importlib import import_module
 from typing import Any, BinaryIO, Callable, Dict, Optional
 
-from .protocol import HEARTBEAT_ENV, FrameKind, FrameReader, encode_frame
+from .protocol import (
+    HEARTBEAT_ENV,
+    FrameKind,
+    FrameReader,
+    encode_frame_parts,
+)
 
 __all__ = ["HEARTBEAT_ENV", "WorkerContext", "main", "resolve_callable"]
 
@@ -139,8 +144,9 @@ class _Heartbeat(threading.Thread):
 
 def _send(out: BinaryIO, lock: threading.Lock, kind: FrameKind,
           payload: Any) -> None:
-    data = encode_frame(kind, payload)
+    header, data = encode_frame_parts(kind, payload)
     with lock:
+        out.write(header)
         out.write(data)
         out.flush()
 

@@ -1,39 +1,61 @@
 """Supervised process-pool backend: chunked sweeps on the execution fabric.
 
 ``procpool`` runs the row-wise update on worker *processes* supervised by
-:class:`repro.fabric.TaskSupervisor` instead of threads.  Each sweep
-broadcasts the other modes' factors, the core and λ to the pool once (a
-``SETUP`` frame, compacted in the replay log so long fits stay bounded;
-the updated mode's factor travels as an empty placeholder because the
-contraction never reads it); each entry block is then split at segment
-boundaries — the same
+:class:`repro.fabric.TaskSupervisor` instead of threads.  Each entry
+block is split at segment boundaries — the same
 :func:`~repro.kernels.backends.threaded.chunk_boundaries` geometry as the
-``threaded`` backend — and the chunks are dispatched as fabric tasks.  A
-worker contracts δ, reduces the normal equations *and solves its rows*
-(Algorithm 3's fully parallel row update), returning J floats per
-complete row instead of the J² + J of ``(B, c)``; only a row that a block
-boundary leaves partial comes back as ``(B, c)`` for the driver to finish.
-Every worker builds its contractor from the same broadcast
-``expected_entries`` and each row's solve is an independent
-factorisation, so the rows are bitwise identical to the serial reference
+``threaded`` backend, in a whole number of waves once there are more
+chunks than workers — and the chunks are dispatched as fabric tasks.
+
+What travels, per sweep and per chunk:
+
+* **Setup** (one ``SETUP`` frame per worker per sweep, compacted in the
+  replay log so long fits stay bounded): the core, λ, the updated mode,
+  and the parent plan's precontraction order with the whole factors of
+  exactly those modes (small by construction: a mode is precontracted
+  only when it has no more rows than the sweep has entries).  Every other
+  factor — the updated mode's and every batched mode's — travels as an
+  empty ``(0, J_k)`` placeholder.
+* **Task** (one ``TASK`` frame per chunk): the chunk's index rows,
+  values, segment starts and local solve range, plus, for every batched
+  mode ``k``, the factor rows its entries index
+  (``factors[k][chunk_indices[:, k]]``), gathered in the parent.  A
+  frame therefore scales with the chunk's entries, not with ``I_k``.
+
+A worker contracts δ from those rows, reduces the normal equations *and
+solves its rows* (Algorithm 3's fully parallel row update), returning J
+floats per complete row; only a row that a block boundary leaves partial
+comes back as ``(B, c)`` for the driver to finish.  The worker's plan
+takes the parent's precontraction order as given (the order fixes the
+table's summation order) and reads the given rows in place of its own
+gather, so each row is bitwise identical to the serial reference
 whatever the chunking, worker count, or mid-sweep worker deaths.
 
-Compared to ``threaded`` this pays pickling (factors per sweep, entry
-slices out and factor rows back per chunk) for separate interpreters.
-That buys no speed where threads already overlap: the tiled
-contraction's GEMMs release the GIL, and on a 2-vCPU Xeon host a
-whole-mode update ran slower on ``procpool`` (2 workers) than on
-``threaded`` for every shape measured — e.g. order 3, 400k entries,
-J = 8: 0.35 s vs 0.04 s; uniform order 3, 300k entries, J = 16: 2.2 s vs
-1.1 s.  What it buys is isolation: the fabric's whole failure model.  A
-worker SIGKILLed or hung mid-sweep is respawned, the replay log restores
-its factors, and its chunk is re-dispatched with no effect on the
-output.  A chunk that keeps failing past the supervisor's re-dispatch
-budget surfaces as :class:`~repro.exceptions.WorkerFailureError` naming
-the mode and the unfinished rows; an exception raised inside a worker
-propagates as it is.  With one effective worker the backend degrades to
-the serial reference path and spawns nothing, so single-CPU hosts (and
-CI) see neither process overhead nor a regression.
+The bitwise contract holds at equal BLAS thread counts.  Workers start
+with ``cpu_count // n_workers`` BLAS threads unless the caller set the
+thread variables, and a long row's Gram GEMM can sum in an order that
+depends on the thread count, so the parent and its workers agree to the
+last bit when both run the same count; CI pins one thread.
+
+Measured on a 2-vCPU Xeon host (2 workers, one BLAS thread each), a
+whole-mode update of a uniform order-3 tensor of 200 000³ with 100 000
+entries at J = 16 (no mode precontracted) takes a median 0.47 s on
+``procpool`` against 0.61 s on ``threaded`` and 0.59–0.72 s on
+``numpy``; broadcasting whole factors, it took 1.4 s.  Where modes are
+small enough to precontract, the tiled contraction's GEMMs release the
+GIL and ``threaded`` pays no pickling, so ``threaded`` stays the faster
+parallel backend there: on the ``BENCH_kernels.json`` cells that
+dispatch (100k and 200k entries, order 3, J = 10) ``procpool`` runs at
+0.53–0.69× of ``numpy`` and ``threaded`` at 0.68–1.24×.  What ``procpool`` adds is isolation: the
+fabric's whole failure model.  A worker SIGKILLed or hung mid-sweep is
+respawned, the replay log restores its setup, and its chunk is
+re-dispatched with no effect on the output.  A chunk that keeps failing
+past the supervisor's re-dispatch budget surfaces as
+:class:`~repro.exceptions.WorkerFailureError` naming the mode and the
+unfinished rows; an exception raised inside a worker propagates as it
+is.  With one effective worker the backend degrades to the serial
+reference path and spawns nothing, so single-CPU hosts (and CI) see
+neither process overhead nor a regression.
 
 Worker count resolution: constructor override, else the
 ``REPRO_PROC_WORKERS`` environment variable, else the CPU count.
@@ -138,22 +160,23 @@ def _shutdown_shared_supervisor() -> None:  # pragma: no cover - atexit
 # ----------------------------------------------------------------------
 
 def _setup_sweep(context, payload):
-    """Build this sweep's row solver from the broadcast factors, in-worker.
+    """Build this sweep's row solver from the broadcast setup, in-worker.
 
     Supersedes any previous sweep: older ``ne:`` setups and cache entries
     are dropped so worker memory stays bounded over long fits.  The
-    contractor is built with the parent's ``expected_entries``, which
-    pins the contraction plan — the precondition for chunk results being
-    bitwise equal to the parent's serial reference.
+    contraction plan takes the parent's precontraction order as given,
+    which pins its tables to the parent's bits — the precondition for
+    chunk results being bitwise equal to the parent's serial reference.
     """
     for stale in [k for k in context.setups if str(k).startswith("ne:")]:
         del context.setups[stale]
     context.cache.clear()
-    factors, core, mode, expected_entries, regularization = payload
-    contractor = make_delta_contractor(factors, core, mode, expected_entries)
+    factors, core, mode, pre, regularization = payload
+    # A given precontraction order leaves no choice to ``expected_entries``.
+    contractor = make_delta_contractor(factors, core, mode, 0, pre=pre)
 
-    def solver(indices_block, values_block, starts, lo, hi):
-        deltas = contractor(indices_block)
+    def solver(indices_block, values_block, starts, lo, hi, rows):
+        deltas = contractor(indices_block, rows)
         b_matrices, c_vectors = normal_equations_sorted(
             deltas, values_block, starts
         )
@@ -167,12 +190,14 @@ def _setup_sweep(context, payload):
 def _solve_chunk(context, payload):
     """Run one segment-aligned chunk through the sweep's row solver.
 
-    Returns ``(rows, B, c)``: factor rows for the chunk's local solve
-    range ``[lo, hi)`` and normal equations for its other segments.
+    The payload carries the chunk's entries and, per batched mode, the
+    factor rows those entries index.  Returns ``(rows, B, c)``: factor
+    rows for the chunk's local solve range ``[lo, hi)`` and normal
+    equations for its other segments.
     """
-    setup_key, indices_block, values_block, starts, lo, hi = payload
+    setup_key, indices_block, values_block, starts, lo, hi, rows = payload
     solver = context.setups[setup_key]
-    return solver(indices_block, values_block, starts, lo, hi)
+    return solver(indices_block, values_block, starts, lo, hi, rows)
 
 
 # ----------------------------------------------------------------------
@@ -210,11 +235,20 @@ class ProcpoolBackend(KernelBackend):
         return shared_supervisor(self.n_workers)
 
     def _n_chunks(self, n_entries: int, n_segments: int) -> int:
-        if self.n_workers <= 1:
+        """Chunks for one block: a whole number of waves past one wave.
+
+        A remainder chunk would leave all but one worker idle while it
+        runs, so beyond ``n_workers`` the count rounds down to a multiple.
+        """
+        n_workers = self.n_workers
+        if n_workers <= 1:
             return 1
         by_size = n_entries // self.min_chunk_entries
-        cap = max(self.n_workers * CHUNKS_PER_WORKER, 1)
-        return max(1, min(by_size, cap, n_segments))
+        cap = max(n_workers * CHUNKS_PER_WORKER, 1)
+        n_chunks = max(1, min(by_size, cap, n_segments))
+        if n_chunks > n_workers:
+            n_chunks -= n_chunks % n_workers
+        return n_chunks
 
     # ------------------------------------------------------------------
     def make_normal_equations_kernel(
@@ -265,20 +299,24 @@ class ProcpoolBackend(KernelBackend):
             setup_key = f"ne:{ProcpoolBackend._sweep_counter}"
         supervisor = self._get_supervisor()
         factors = [np.ascontiguousarray(f) for f in factors]
-        # The contraction for ``mode`` never reads factors[mode]; ship an
-        # empty placeholder of the right rank instead of the matrix.
-        shipped = list(factors)
-        shipped[mode] = np.empty((0, factors[mode].shape[1]), dtype=np.float64)
+        # The parent's plan serves blocks below the dispatch floor and
+        # fixes the precontraction order every worker's plan must follow.
+        contractor = make_delta_contractor(factors, core, mode, expected_entries)
+        pre = contractor.precontraction_order
+        batched = [k for k in range(len(factors)) if k != mode and k not in pre]
+        # Precontracted modes ship whole (their tables are built from
+        # every row); every other mode is an empty placeholder of the
+        # right rank, because tasks carry the rows their entries index.
+        shipped = [
+            factor if k in pre
+            else np.empty((0, factor.shape[1]), dtype=np.float64)
+            for k, factor in enumerate(factors)
+        ]
         supervisor.broadcast_setup(
             setup_key,
             "repro.kernels.backends.procpool:_setup_sweep",
-            (shipped, np.asarray(core), mode, expected_entries, regularization),
+            (shipped, np.asarray(core), mode, pre, regularization),
             replace_prefix="ne:",
-        )
-        # Fallback for blocks below the dispatch floor (and a guarantee
-        # that degradation can never change values).
-        serial = KernelBackend.make_normal_equations_kernel(
-            self, factors, core, mode, expected_entries
         )
 
         def solver(
@@ -292,7 +330,9 @@ class ProcpoolBackend(KernelBackend):
             n_segments = starts.shape[0]
             n_chunks = self._n_chunks(n_entries, n_segments)
             if n_chunks <= 1:
-                b_matrices, c_vectors = serial(indices_block, values_block, starts)
+                b_matrices, c_vectors = self.normal_equations_sorted(
+                    contractor(indices_block), values_block, starts
+                )
                 return solve_segment_range(
                     self.solve_rows, b_matrices, c_vectors, regularization, lo, hi
                 )
@@ -308,17 +348,23 @@ class ProcpoolBackend(KernelBackend):
                 # This chunk's share of the solve range, chunk-local.
                 local_lo = min(max(lo, seg_lo), seg_hi) - seg_lo
                 local_hi = min(max(hi, seg_lo), seg_hi) - seg_lo
+                chunk_indices = indices_block[entry_lo:entry_hi]
+                rows = [
+                    factors[k][chunk_indices[:, k]] if k in batched else None
+                    for k in range(len(factors))
+                ]
                 tasks.append(
                     Task(
                         key=chunk,
                         fn="repro.kernels.backends.procpool:_solve_chunk",
                         payload=(
                             setup_key,
-                            indices_block[entry_lo:entry_hi],
+                            chunk_indices,
                             values_block[entry_lo:entry_hi],
                             starts[seg_lo:seg_hi] - entry_lo,
                             local_lo,
                             local_hi,
+                            rows,
                         ),
                     )
                 )

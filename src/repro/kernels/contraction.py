@@ -64,6 +64,13 @@ class _ContractionPlan:
     per output element regardless of the batch shape.  The serving layer
     (:mod:`repro.serve`) relies on this so that micro-batching never
     changes an answer; the fit path keeps the (faster) BLAS default.
+
+    ``pre`` replaces the greedy precontraction choice with a given mode
+    order.  Precontraction order fixes the table's summation order, so a
+    plan rebuilt elsewhere from the whole factors of exactly those modes
+    (the ``procpool`` workers) produces the same bits as the original;
+    the other modes' factors are then never read when :meth:`apply` is
+    given their gathered rows.
     """
 
     __slots__ = (
@@ -86,6 +93,7 @@ class _ContractionPlan:
         keep_mode: Optional[int],
         expected_entries: int,
         batch_invariant: bool = False,
+        pre: Optional[Sequence[int]] = None,
     ) -> None:
         order = core_arr.ndim
         other = [k for k in range(order) if k != keep_mode]
@@ -93,16 +101,19 @@ class _ContractionPlan:
         self.batch_invariant = bool(batch_invariant)
         self.out_width = core_arr.shape[keep_mode] if keep_mode is not None else 1
 
-        # Greedy precontraction set: smallest dimensions first, while the
-        # table stays under budget and beats the batched cost over the sweep.
-        pre: List[int] = []
-        size = core_arr.size
-        for k in sorted(other, key=lambda q: np.asarray(factors[q]).shape[0]):
-            dim_k = np.asarray(factors[k]).shape[0]
-            new_size = (size // core_arr.shape[k]) * dim_k
-            if dim_k <= expected_entries and new_size <= PRECONTRACT_CELL_BUDGET:
-                pre.append(k)
-                size = new_size
+        if pre is None:
+            # Greedy precontraction set: smallest dimensions first, while
+            # the table stays under budget and beats the batched cost over
+            # the sweep.
+            pre = []
+            size = core_arr.size
+            for k in sorted(other, key=lambda q: np.asarray(factors[q]).shape[0]):
+                dim_k = np.asarray(factors[k]).shape[0]
+                new_size = (size // core_arr.shape[k]) * dim_k
+                if dim_k <= expected_entries and new_size <= PRECONTRACT_CELL_BUDGET:
+                    pre.append(k)
+                    size = new_size
+        pre = [int(k) for k in pre]
         batch = [k for k in other if k not in pre]
         kept = [keep_mode] if keep_mode is not None else []
         self.pre = pre
@@ -144,9 +155,15 @@ class _ContractionPlan:
             self.loop_modes = batch
             self.width = self.g.size // self.g.shape[-1]
 
-    def apply(self, indices_block: np.ndarray) -> np.ndarray:
+    def apply(
+        self,
+        indices_block: np.ndarray,
+        rows: Optional[Sequence[Optional[np.ndarray]]] = None,
+    ) -> np.ndarray:
         """Contract the planned modes for one ``(m, N)`` entry block.
 
+        ``rows[k]``, when given, holds ``factors[k][indices_block[:, k]]``
+        for every batched mode ``k`` and is used in place of that gather.
         Tiles are at least ``TILE_BYTES // (8 · width)`` entries long,
         ``width`` being the widest per-entry intermediate of the plan.
         """
@@ -154,19 +171,27 @@ class _ContractionPlan:
         tile = max(1, TILE_BYTES // (8 * self.width))
         pieces = max(1, n_entries // tile)
         if pieces == 1:
-            return self._apply_tile(indices_block)
+            return self._apply_tile(indices_block, None, rows)
         # Near-equal consecutive pieces, none shorter than a tile: BLAS
         # never sees a tiny tail.
         bounds = np.arange(pieces + 1, dtype=np.int64) * n_entries // pieces
         out = np.empty((n_entries, self.out_width), dtype=np.float64)
         for lo, hi in zip(bounds[:-1].tolist(), bounds[1:].tolist()):
-            self._apply_tile(indices_block[lo:hi], out[lo:hi])
+            tile_rows = None if rows is None else [
+                None if r is None else r[lo:hi] for r in rows
+            ]
+            self._apply_tile(indices_block[lo:hi], out[lo:hi], tile_rows)
         return out
 
-    def _apply_tile(self, indices_block, out=None) -> np.ndarray:
+    def _rows(self, k, indices_block, rows) -> np.ndarray:
+        """Mode ``k``'s factor row of every entry: given, else gathered."""
+        if rows is not None:
+            return rows[k]
+        return np.asarray(self.factors[k])[indices_block[:, k]]
+
+    def _apply_tile(self, indices_block, out=None, rows=None) -> np.ndarray:
         """Contract the planned modes for one tile of entries (into ``out``)."""
         n_entries = indices_block.shape[0]
-        factors = self.factors
         if self.pre:
             # Row-major composite index of each entry into the gathered axes.
             linear = np.zeros(n_entries, dtype=np.int64)
@@ -191,22 +216,23 @@ class _ContractionPlan:
             # batch dimension (BLAS retiles with m and can differ in the
             # last ulp between a lone entry and the same entry in a block).
             last = self.loop_modes[-1]
-            rows = np.asarray(factors[last])[indices_block[:, last]]
+            rows_last = self._rows(last, indices_block, rows)
             g2 = self.g.reshape(-1, self.g.shape[-1])
             if self.batch_invariant:
-                temp = np.einsum("zj,xj->zx", rows, g2)
+                temp = np.einsum("zj,xj->zx", rows_last, g2)
             else:
-                temp = rows @ g2.T
+                temp = rows_last @ g2.T
             loop_modes = self.loop_modes[:-1]
 
         # Batched steps: the next mode to contract is always the
         # (contiguous) last axis of the shrinking intermediate.
         remaining = list(self.rest)
         for k in reversed(loop_modes):
-            rows = np.asarray(factors[k])[indices_block[:, k]]
             rank_k = remaining.pop()
             temp = np.einsum(
-                "zxj,zj->zx", temp.reshape(n_entries, -1, rank_k), rows
+                "zxj,zj->zx",
+                temp.reshape(n_entries, -1, rank_k),
+                self._rows(k, indices_block, rows),
             )
         if out is None:
             return temp.reshape(n_entries, -1)
@@ -220,6 +246,7 @@ def make_delta_contractor(
     mode: int,
     expected_entries: int,
     batch_invariant: bool = False,
+    pre: Optional[Sequence[int]] = None,
 ):
     """A reusable ``indices_block -> (m, J_mode)`` δ kernel for one sweep.
 
@@ -229,6 +256,13 @@ def make_delta_contractor(
     result of every row independent of the block it arrived in (see
     :class:`_ContractionPlan`); the serving layer's rank-space queries use
     it, fits keep the default.
+
+    ``pre`` fixes the precontraction order (see :class:`_ContractionPlan`)
+    and the closure takes an optional ``rows`` argument, the per-mode
+    gathered factor rows of the block's entries for every mode outside
+    ``pre`` (``None`` elsewhere); with both, only the precontracted modes'
+    factors are ever read.  ``precontraction_order`` exposes the plan's
+    order so a second plan can be built to match it.
 
     The returned closure exposes ``precontracted`` — the frozenset of
     modes whose factor *contents* were baked into its tables at build
@@ -240,23 +274,25 @@ def make_delta_contractor(
     if core_arr.ndim == 1 and mode == 0:
         row = core_arr.reshape(1, -1)
 
-        def contract_rank1(indices_block) -> np.ndarray:
+        def contract_rank1(indices_block, rows=None) -> np.ndarray:
             return np.tile(row, (indices_block.shape[0], 1))
 
         contract_rank1.precontracted = frozenset()
+        contract_rank1.precontraction_order = ()
         return contract_rank1
     plan = _ContractionPlan(
-        factors, core_arr, mode, expected_entries, batch_invariant
+        factors, core_arr, mode, expected_entries, batch_invariant, pre
     )
     rank = core_arr.shape[mode]
 
-    def contract(indices_block) -> np.ndarray:
+    def contract(indices_block, rows=None) -> np.ndarray:
         indices_block = as_index_block(indices_block)
         if indices_block.shape[0] == 0:
             return np.zeros((0, rank), dtype=np.float64)
-        return plan.apply(indices_block)
+        return plan.apply(indices_block, rows)
 
     contract.precontracted = frozenset(plan.pre)
+    contract.precontraction_order = tuple(plan.pre)
     return contract
 
 

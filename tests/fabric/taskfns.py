@@ -32,6 +32,11 @@ def sleep_ms(context, payload):
     return payload
 
 
+def length(context, payload):
+    """Return ``len(payload)`` (ships a large payload, a small result)."""
+    return len(payload)
+
+
 def boom(context, payload):
     """Raise a deterministic error carrying the payload."""
     raise ValueError(f"boom: {payload}")

@@ -152,13 +152,31 @@ def _sweep_inputs(tensor, mode, rank=3):
     return factors, core, _mode_inputs(tensor, mode)
 
 
+def _sweep_setup(factors, core, mode, expected_entries, regularization):
+    """The setup payload the parent broadcasts for one sweep."""
+    from repro.kernels.contraction import make_delta_contractor
+
+    pre = make_delta_contractor(
+        factors, core, mode, expected_entries
+    ).precontraction_order
+    shipped = [
+        f if k in pre else np.empty((0, f.shape[1])) for k, f in enumerate(factors)
+    ]
+    return (shipped, core, mode, pre, regularization)
+
+
 class TestRowSolver:
+    #: planted_small has shape (20, 18, 16): at 17 expected entries only
+    #: mode 2 is precontracted, so a mode-0 sweep batches mode 1.
+    FEW_ENTRIES = 17
+
     @pytest.mark.parametrize("lo, hi", [(0, 0), (0, 5), (1, 17), (1, 20), (20, 20)])
     def test_chunk_returns_rows_in_range_and_equations_outside(
         self, planted_small, lo, hi
     ):
-        """The worker's chunk function solves ``[lo, hi)`` and returns
-        ``(B, c)`` only for the segments outside it, bitwise as numpy."""
+        """The worker's chunk function solves ``[lo, hi)`` from the rows
+        its task carries and returns ``(B, c)`` only for the segments
+        outside it, bitwise as numpy."""
         from repro.fabric.worker import WorkerContext
         from repro.kernels.backends.procpool import _setup_sweep, _solve_chunk
 
@@ -166,15 +184,16 @@ class TestRowSolver:
         factors, core, (indices, values, starts) = _sweep_inputs(tensor, 0)
         assert starts.shape[0] == 20
         b_ref, c_ref = resolve_backend("numpy").make_normal_equations_kernel(
-            factors, core, 0, indices.shape[0]
+            factors, core, 0, self.FEW_ENTRIES
         )(indices, values, starts)
 
         context = WorkerContext()
-        context.setups["ne:test"] = _setup_sweep(
-            context, (factors, core, 0, indices.shape[0], 0.1)
-        )
+        setup = _sweep_setup(factors, core, 0, self.FEW_ENTRIES, 0.1)
+        assert setup[3] == (2,)
+        context.setups["ne:test"] = _setup_sweep(context, setup)
+        rows_in_task = [None, factors[1][indices[:, 1]], None]
         rows, b_out, c_out = _solve_chunk(
-            context, ("ne:test", indices, values, starts, lo, hi)
+            context, ("ne:test", indices, values, starts, lo, hi, rows_in_task)
         )
         assert rows.shape == (hi - lo, 3)
         outside = np.r_[0:lo, hi:20]
@@ -184,30 +203,49 @@ class TestRowSolver:
         assert c_out.tobytes() == c_ref[outside].tobytes()
 
     @pytest.mark.parametrize("mode", [0, 1, 2])
-    def test_setup_ships_an_empty_placeholder_for_the_updated_mode(
-        self, planted_small, mode
+    @pytest.mark.parametrize("expected_entries", [None, FEW_ENTRIES])
+    def test_setup_ships_placeholders_and_tasks_carry_rows(
+        self, planted_small, mode, expected_entries
     ):
+        """The updated mode and every batched mode ship as empty
+        placeholders; precontracted modes ship whole, in the parent's
+        precontraction order; each task carries its entries' rows of
+        every batched mode and nothing for the others."""
         tensor = planted_small.tensor
         factors, core, (indices, values, starts) = _sweep_inputs(tensor, mode)
+        expected_entries = expected_entries or indices.shape[0]
         supervisor = InProcessSupervisor()
         backend = ProcpoolBackend(
             n_workers=2, min_chunk_entries=8, supervisor=supervisor
         )
-        solver = backend.make_row_solver(factors, core, mode, 0.1, indices.shape[0])
-        (shipped, _, shipped_mode, _, regularization), = supervisor.setups
+        solver = backend.make_row_solver(factors, core, mode, 0.1, expected_entries)
+        (shipped, _, shipped_mode, pre, regularization), = supervisor.setups
         assert shipped_mode == mode and regularization == 0.1
-        assert shipped[mode].shape == (0, 3)
+        assert pre == _sweep_setup(factors, core, mode, expected_entries, 0.1)[3]
+        batched = [k for k in range(3) if k != mode and k not in pre]
+        if expected_entries == self.FEW_ENTRIES:
+            assert batched  # the mixed case really batches a mode
         for k, factor in enumerate(factors):
-            if k != mode:
+            if k in pre:
                 assert shipped[k].tobytes() == factor.tobytes()
+            else:
+                assert shipped[k].shape == (0, 3)
 
         # Split the mode's segments like a block boundary would: the first
         # and last rows partial, everything between solved by the workers.
         n_segments = starts.shape[0]
         rows, b_out, c_out = solver(indices, values, starts, 1, n_segments - 1)
         assert len(supervisor.tasks) > 1
+        for task in supervisor.tasks:
+            chunk_indices, carried = task.payload[1], task.payload[6]
+            for k in range(3):
+                if k in batched:
+                    expected_rows = factors[k][chunk_indices[:, k]]
+                    assert carried[k].tobytes() == expected_rows.tobytes()
+                else:
+                    assert carried[k] is None
         b_ref, c_ref = resolve_backend("numpy").make_normal_equations_kernel(
-            factors, core, mode, indices.shape[0]
+            factors, core, mode, expected_entries
         )(indices, values, starts)
         expected = solve_rows(b_ref[1:-1], c_ref[1:-1], 0.1)
         assert rows.tobytes() == expected.tobytes()
@@ -298,6 +336,139 @@ class TestWorkerFailure:
         finally:
             supervisor.shutdown()
         assert not isinstance(excinfo.value, WorkerFailureError)
+
+
+def _wide_tensor(dim, nnz, seed=0):
+    """A uniform order-3 tensor with far more rows per mode than entries."""
+    from repro.tensor import SparseTensor
+
+    rng = np.random.default_rng(seed)
+    indices = np.unique(
+        np.column_stack([rng.integers(0, dim, nnz) for _ in range(3)]), axis=0
+    )
+    return SparseTensor(indices, rng.random(indices.shape[0]), (dim,) * 3)
+
+
+class TestTraffic:
+    """What crosses the process pipes: counted by the fabric, not computed."""
+
+    RANK = 8
+
+    def _update(self, tensor, supervisor):
+        """One mode-0 update on procpool, checked byte-equal to numpy."""
+        factors = initialize_factors(
+            tensor.shape, (self.RANK,) * 3, np.random.default_rng(0)
+        )
+        core = initialize_core((self.RANK,) * 3, np.random.default_rng(1))
+        expected = [f.copy() for f in factors]
+        update_factor_mode(tensor, expected, core, 0, 0.1)
+        backend = ProcpoolBackend(
+            n_workers=2, min_chunk_entries=500, supervisor=supervisor
+        )
+        update_factor_mode(tensor, factors, core, 0, 0.1, backend=backend)
+        assert factors[0].tobytes() == expected[0].tobytes()
+        return factors
+
+    def test_setup_is_smaller_than_a_factor_and_tasks_scale_with_entries(self):
+        from repro.fabric import TaskSupervisor
+        from repro.metrics import Counters
+
+        tensor = _wide_tensor(20_000, 4_000)
+        counters = Counters()
+        supervisor = TaskSupervisor(
+            2, hedge=False, counters=counters, name="traffic"
+        )
+        try:
+            factors = self._update(tensor, supervisor)
+        finally:
+            supervisor.shutdown()
+        nnz = tensor.nnz
+        assert counters.get("fabric.tasks_dispatched") > 1
+        # No mode is precontracted (I_k >> nnz): the setups carry the
+        # core and empty placeholders only, to every worker.
+        assert 0 < counters.get("fabric.setup_bytes") < factors[1].nbytes
+        # Tasks carry each entry's factor rows of the two other modes,
+        # plus its index, value and segment start.
+        row_bytes = nnz * 2 * self.RANK * 8
+        entry_bytes = tensor.indices.nbytes + tensor.values.nbytes
+        assert row_bytes < counters.get("fabric.task_bytes")
+        assert counters.get("fabric.task_bytes") <= 1.2 * row_bytes + entry_bytes
+        assert counters.get("fabric.result_bytes") > 0
+
+    def test_frames_follow_the_chunk_not_the_factor(self, monkeypatch):
+        """A frame limit below one whole factor but above a chunk's frame
+        still runs the update, byte-equal to numpy."""
+        from repro.fabric import TaskSupervisor
+
+        tensor = _wide_tensor(20_000, 4_000)
+        factor_bytes = 20_000 * self.RANK * 8
+        monkeypatch.setattr(
+            "repro.fabric.protocol.MAX_PAYLOAD_BYTES", factor_bytes // 2
+        )
+        supervisor = TaskSupervisor(2, hedge=False, name="frames")
+        try:
+            self._update(tensor, supervisor)
+        finally:
+            supervisor.shutdown()
+
+
+@pytest.mark.skipif(
+    not os.path.isdir("/proc"), reason="scanning for survivors needs /proc"
+)
+def test_cli_fit_leaves_no_process_behind(tmp_path):
+    """A procpool fit's worker processes are all gone when the CLI exits."""
+    import signal
+    import subprocess
+    import sys
+
+    import repro
+
+    tensor = _wide_tensor(3_000, 70_000)
+    path = tmp_path / "wide.txt"
+    np.savetxt(
+        path,
+        np.column_stack([tensor.indices + 1, tensor.values]),
+        fmt=["%d", "%d", "%d", "%.6f"],
+    )
+    src = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
+    env = dict(os.environ, PYTHONPATH=src, REPRO_PROC_WORKERS="2")
+    proc = subprocess.Popen(
+        [
+            sys.executable, "-m", "repro", "fit", str(path),
+            "--backend", "procpool", "--ranks", "4", "4", "4",
+            "--max-iterations", "1", "--output", str(tmp_path / "model"),
+        ],
+        env=env,
+        stdout=subprocess.DEVNULL,
+        start_new_session=True,
+    )
+    assert proc.wait(timeout=120) == 0
+    session = proc.pid  # the child leads the session it started
+    survivors = []
+    for stat in os.listdir("/proc"):
+        if not stat.isdigit():
+            continue
+        try:
+            with open(f"/proc/{stat}/stat", encoding="utf-8") as handle:
+                fields = handle.read().rsplit(")", 1)[1].split()
+        except OSError:
+            continue  # exited while we looked
+        if int(fields[3]) == session:
+            survivors.append(int(stat))
+    for pid in survivors:
+        os.kill(pid, signal.SIGKILL)
+    assert not survivors, f"processes outlived the fit: {survivors}"
+
+
+@pytest.mark.parametrize(
+    "n_entries, n_workers, expected",
+    [(100_000, 2, 2), (40_000, 2, 1), (4 * 32_768, 2, 4), (300_000, 3, 6)],
+)
+def test_chunks_fill_whole_waves(n_entries, n_workers, expected):
+    """Past one wave the chunk count is a multiple of the worker count,
+    so no lone remainder chunk runs while its peers idle."""
+    backend = ProcpoolBackend(n_workers=n_workers)
+    assert backend._n_chunks(n_entries, 10**6) == expected
 
 
 class TestWorkerCountResolution:

@@ -6,6 +6,8 @@ scenarios (SIGKILL/SIGSTOP/wedge mid-sweep) live in
 ``test_chaos_fabric.py`` behind the ``chaos`` marker.
 """
 
+import time
+
 import numpy as np
 import pytest
 
@@ -191,6 +193,20 @@ class TestHedging:
         assert results == [400]
         assert counters.get("fabric.hedges") >= 1
 
+    def test_task_near_the_wave_median_is_not_hedged(self):
+        """A task running shorter than twice its finished peers' median is
+        left alone, however far past ``hedge_after`` it is."""
+        counters = Counters()
+        with TaskSupervisor(
+            2, hedge=True, hedge_after=0.05, counters=counters
+        ) as sup:
+            _warm(sup)
+            # Two 300 ms tasks finish together; the 450 ms one then runs
+            # beside an idle worker, well under 2 × 300 ms.
+            results = sup.run_tasks(_tasks("sleep_ms", [300, 300, 450]))
+        assert results == [300, 300, 450]
+        assert counters.get("fabric.hedges") == 0
+
     def test_hedging_disabled_runs_single_copies(self):
         counters = Counters()
         with TaskSupervisor(
@@ -199,3 +215,36 @@ class TestHedging:
             results = sup.run_tasks(_tasks("sleep_ms", [150]))
         assert results == [150]
         assert counters.get("fabric.hedges") == 0
+
+
+def _warm(sup):
+    """Wait until both workers run: a setup ack proves the import is done."""
+    sup.broadcast_setup("warm", f"{TASKFNS}:setup_store", None)
+    assert sup.wait_ready(30.0)
+
+
+class TestEventLoop:
+    """The supervisor loop drains big frames fast and idles without spinning."""
+
+    def test_large_task_frames_drain_at_pipe_speed(self):
+        """Two 8 MB task frames reach their workers at pipe speed, not
+        64 KiB per loop wake-up (about 1.1 s when only reads woke it)."""
+        payload = b"x" * (8 << 20)
+        with TaskSupervisor(2, hedge=False) as sup:
+            _warm(sup)
+            started = time.monotonic()
+            results = sup.run_tasks(_tasks("length", [payload, payload]))
+            elapsed = time.monotonic() - started
+        assert results == [len(payload)] * 2
+        assert elapsed < 0.6, f"two 8 MB frames took {elapsed:.2f}s"
+
+    def test_waiting_for_a_busy_pool_costs_no_parent_cpu(self):
+        """A queued task with no idle worker waits on the pipes: three
+        one-second tasks on two workers used to spin a whole core."""
+        with TaskSupervisor(2, hedge=False) as sup:
+            _warm(sup)
+            cpu_before = time.process_time()
+            results = sup.run_tasks(_tasks("sleep_ms", [1000] * 3))
+            cpu_used = time.process_time() - cpu_before
+        assert results == [1000] * 3
+        assert cpu_used < 0.2, f"parent burned {cpu_used:.2f}s of CPU"
