@@ -9,7 +9,7 @@ distribution of a real run, for several thread counts.
 from repro.core import PTucker, PTuckerConfig
 from repro.data import generate_movielens_like
 from repro.experiments.report import render_table
-from repro.parallel import ParallelSimulator
+from repro.parallel import ParallelSimulator, RowScheduler
 
 
 def test_ablation_scheduling_policies(benchmark):
@@ -22,7 +22,7 @@ def test_ablation_scheduling_policies(benchmark):
         config = PTuckerConfig(ranks=(6, 6, 4, 4), max_iterations=1, seed=0)
         result = PTucker(config).fit(dataset.tensor)
         simulator = ParallelSimulator(
-            result.scheduler,
+            RowScheduler.for_tensor(dataset.tensor, result.trace.n_iterations),
             serial_seconds=result.trace.mean_iteration_seconds,
             rank=6,
         )

@@ -4,7 +4,7 @@ Unlike the figure/table benchmarks, this one measures the repository's own
 perf trajectory: one sweep with the seed Kronecker kernel (frozen as
 ``repro.kernels.microbench.kron_update_factor_mode``) against
 ``update_factor_mode``'s contraction kernel under every available
-execution backend (``numpy``, ``threaded``, ``numba`` where installed)
+execution backend (``numpy``, ``threaded``, ``procpool``)
 across an (nnz, rank, order) grid, with a brute-force accuracy check on
 the contracted result.
 

@@ -14,7 +14,7 @@ from repro.core import PTucker, PTuckerConfig
 from repro.data import nnz_sweep, rank_sweep, random_sparse_tensor
 from repro.experiments.harness import run_algorithms
 from repro.experiments.report import render_table
-from repro.parallel import ParallelSimulator
+from repro.parallel import ParallelSimulator, RowScheduler
 
 METHODS = ("P-Tucker", "Tucker-CSF", "S-HOT")
 
@@ -43,7 +43,7 @@ def thread_study() -> None:
     config = PTuckerConfig(ranks=(5, 5, 5), max_iterations=2, seed=0)
     result = PTucker(config).fit(tensor)
     simulator = ParallelSimulator(
-        result.scheduler,
+        RowScheduler.for_tensor(tensor, result.trace.n_iterations),
         serial_seconds=result.trace.mean_iteration_seconds,
         rank=5,
     )

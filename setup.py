@@ -4,10 +4,6 @@ The environment for this reproduction has no ``wheel`` package and no network
 access, so PEP 517 editable installs (which build a wheel) fail.  This shim
 lets ``pip install -e . --no-build-isolation --no-use-pep517`` fall back to the
 legacy ``setup.py develop`` path.
-
-``pip install .[numba]`` pulls in the optional JIT stack that enables the
-``numba`` kernel backend (see :mod:`repro.kernels.backends`); without it the
-backend name silently resolves to the NumPy reference.
 """
 
 from setuptools import find_packages, setup
@@ -17,7 +13,4 @@ setup(
     package_dir={"": "src"},
     packages=find_packages("src"),
     install_requires=["numpy"],
-    extras_require={
-        "numba": ["numba>=0.57"],
-    },
 )

@@ -107,9 +107,9 @@ def _build_parser() -> argparse.ArgumentParser:
         "--backend",
         choices=backend_names_for_cli(),
         default="numpy",
-        help="kernel execution strategy ('auto' picks the measured-fastest "
-        "per block; 'numba' needs the optional JIT extra and otherwise "
-        "falls back to numpy)",
+        help="kernel execution strategy: 'numpy' (serial), 'threaded' "
+        "(shared-memory threads), 'procpool' (supervised worker processes) "
+        "or 'auto' (the measured-fastest per block)",
     )
     factorize.add_argument(
         "--shards",

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Optional, Sequence, Tuple
 
 from ..exceptions import ShapeError
@@ -24,11 +24,6 @@ class PTuckerConfig:
     tolerance:
         Relative-change threshold on the reconstruction error used to declare
         convergence.
-    threads:
-        Number of worker threads T modelled by the parallel scheduler; the
-        paper's default machine uses 20.
-    scheduling:
-        ``"dynamic"`` (paper default for factor updates) or ``"static"``.
     truncation_rate:
         Fraction p of core entries removed per iteration by
         P-Tucker-Approx (paper default: 0.2).  Ignored by the other variants.
@@ -47,9 +42,11 @@ class PTuckerConfig:
         :class:`~repro.exceptions.OutOfMemoryError` (used to reproduce the
         paper's O.O.M. results).
     backend:
-        Kernel execution strategy for the row update: ``"numpy"`` (default),
-        ``"threaded"``, ``"numba"`` (falls back to numpy where the JIT stack
-        is absent) or ``"auto"`` for per-block autotuned dispatch.  See
+        Kernel execution strategy for the row update: ``"numpy"`` (default,
+        serial), ``"threaded"`` (shared-memory threads), ``"procpool"``
+        (supervised worker processes) or ``"auto"`` for per-block
+        autotuned dispatch.  Any other name raises
+        :class:`~repro.exceptions.ShapeError`.  See
         :mod:`repro.kernels.backends`.
     shard_dir:
         When set, :meth:`~repro.core.ptucker.PTucker.fit` runs its sweeps
@@ -109,8 +106,6 @@ class PTuckerConfig:
     regularization: float = 0.01
     max_iterations: int = 20
     tolerance: float = 1e-4
-    threads: int = 1
-    scheduling: str = "dynamic"
     truncation_rate: float = 0.2
     orthogonalize: bool = True
     seed: Optional[int] = 0
@@ -137,10 +132,6 @@ class PTuckerConfig:
             raise ShapeError("min_iterations must be in [1, max_iterations]")
         if self.tolerance < 0:
             raise ShapeError("tolerance must be non-negative")
-        if self.threads < 1:
-            raise ShapeError("threads must be at least 1")
-        if self.scheduling not in ("static", "dynamic"):
-            raise ShapeError("scheduling must be 'static' or 'dynamic'")
         if not 0.0 < self.truncation_rate < 1.0:
             raise ShapeError("truncation_rate must be in (0, 1)")
         if self.block_size < 1:

@@ -26,7 +26,6 @@ from ..exceptions import ShapeError
 from ..metrics.errors import error_and_loss
 from ..metrics.memory import MemoryTracker
 from ..metrics.timing import IterationTimer
-from ..parallel.scheduler import RowScheduler
 from ..tensor.coo import SparseTensor
 from .config import PTuckerConfig
 from .core_tensor import initialize_core, initialize_factors, orthogonalize
@@ -230,7 +229,6 @@ def run_als(
         if config.track_memory
         else None
     )
-    scheduler = RowScheduler(n_threads=config.threads, scheduling=config.scheduling)
     trace = ConvergenceTrace()
     timer = IterationTimer()
 
@@ -304,7 +302,6 @@ def run_als(
                     executor.update_factor_mode(
                         factors, core, mode, config.regularization, memory
                     )
-                scheduler.record_mode(update_source.mode_segmentation(mode)[2])
                 hooks._after_mode_update(tensor, factors, core, mode)
 
             # One residual pass yields both metrics (Eqs. 5 and 6).
@@ -339,15 +336,13 @@ def run_als(
     if config.orthogonalize:
         factors, core = orthogonalize(factors, core)
 
-    result = TuckerResult(
+    return TuckerResult(
         core=core,
         factors=list(factors),
         trace=trace,
         memory=memory,
         algorithm=hooks.name,
     )
-    result.scheduler = scheduler  # type: ignore[attr-defined]
-    return result
 
 
 def fit_ptucker(

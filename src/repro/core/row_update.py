@@ -318,8 +318,8 @@ def update_factor_mode(
     source, since it indexes the tensor's original entry ordering.
 
     ``backend`` selects the execution strategy of the kernel: a
-    registered backend name (``"numpy"``, ``"threaded"``, ``"numba"`` where
-    installed), ``"auto"`` for per-block autotuned dispatch, or a
+    registered backend name (``"numpy"``, ``"threaded"``, ``"procpool"``),
+    ``"auto"`` for per-block autotuned dispatch, or a
     :class:`~repro.kernels.backends.KernelBackend` instance.  All backends
     compute the same values up to floating-point associativity.  With a
     ``delta_provider`` the backend still runs the reduction and solve, but

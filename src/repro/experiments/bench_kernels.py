@@ -3,7 +3,7 @@
 Not one of the paper's figures — this experiment records the repository's own
 perf trajectory.  It runs the seed Kronecker kernel against the
 contraction-ordered kernel of :mod:`repro.kernels` under every available
-execution backend (``numpy``, ``threaded``, ``numba`` where installed) on
+execution backend (``numpy``, ``threaded``, ``procpool``) on
 the same small default (nnz, rank, order) grid as
 ``benchmarks/run_benchmarks.py`` — including the nnz=100k cell the perf gate
 tracks — and writes ``BENCH_kernels.json`` into the current working

@@ -15,6 +15,7 @@ from typing import Sequence
 
 from ..core import PTucker, PTuckerConfig
 from ..data.synthetic import random_sparse_tensor
+from ..parallel.scheduler import RowScheduler
 from ..parallel.simulator import ParallelSimulator
 from .harness import ExperimentResult
 
@@ -29,14 +30,11 @@ def run(
 ) -> ExperimentResult:
     """Regenerate the speed-up and memory curves of Figure 10."""
     tensor = random_sparse_tensor((dimensionality,) * 3, nnz, seed=seed)
-    config = PTuckerConfig(
-        ranks=(rank,) * 3, max_iterations=max_iterations, seed=seed, scheduling="dynamic"
-    )
+    config = PTuckerConfig(ranks=(rank,) * 3, max_iterations=max_iterations, seed=seed)
     result = PTucker(config).fit(tensor)
-    scheduler = result.scheduler  # recorded per-row workloads
     serial_seconds = result.trace.mean_iteration_seconds
     simulator = ParallelSimulator(
-        scheduler,
+        RowScheduler.for_tensor(tensor, result.trace.n_iterations),
         serial_seconds=serial_seconds,
         sync_overhead_seconds=serial_seconds * 0.002,
         rank=rank,

@@ -3,9 +3,9 @@
 The abstract condenses the evaluation into two ranges: P-Tucker's speed-up
 over the best competitor per speed experiment, and its error reduction over
 the competitors per accuracy experiment.  This module computes the same kind
-of summary from the rows produced by the Figure 6/7 and Figure 11
-experiments, so the headline numbers of this reproduction can be compared
-against the paper's in EXPERIMENTS.md.
+of summary from the rows the Figure 6/7 and Figure 11 experiments produce
+(``python -m repro.experiments figure6`` and friends), so the headline
+numbers of this reproduction can be compared against the paper's.
 """
 
 from __future__ import annotations

@@ -11,8 +11,9 @@ on two axes this build can sweep cheaply:
   method is compared with the closed-form estimate of
   :class:`~repro.metrics.memory.MemoryModel`.
 
-The result rows carry both the measured quantity and the model prediction so
-EXPERIMENTS.md can report measured-vs-expected side by side.
+The result rows carry both the measured quantity and the model prediction,
+so ``python -m repro.experiments table3`` prints measured-vs-expected side by
+side.
 """
 
 from __future__ import annotations
@@ -58,9 +59,7 @@ def memory_model_rows(
     attrs = TensorAttributes(shape=(dimensionality,) * 3, ranks=(rank,) * 3, nnz=nnz)
     model = MemoryModel(threads=threads)
     tensor = random_sparse_tensor(attrs.shape, nnz, seed=seed)
-    config = PTuckerConfig(
-        ranks=(rank,) * 3, max_iterations=2, seed=seed, threads=threads
-    )
+    config = PTuckerConfig(ranks=(rank,) * 3, max_iterations=2, seed=seed)
     rows: List[Dict[str, object]] = []
     for name in ("P-Tucker", "P-Tucker-Cache", "Tucker-ALS", "S-HOT"):
         outcome = run_algorithm(name, tensor, config)

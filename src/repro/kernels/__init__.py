@@ -48,14 +48,15 @@ while per-row Gram matrices are accumulated as segmented δᵀδ products so the
 
 Backend selection
 -----------------
-The three hot primitives — ``contract_delta_block``,
-``normal_equations_sorted`` and ``solve_rows`` — are pluggable through the
+The per-sweep fused pass (δ contraction + ``normal_equations_sorted``)
+and ``solve_rows`` are pluggable through the
 :mod:`~repro.kernels.backends` registry, as is the per-sweep *row solver*
 that chains them and returns solved factor rows for the rows a block
 holds completely (``(B, c)`` only for the at most two rows a block
 boundary splits).  Every consumer of the row update accepts a
 ``backend=`` knob (``update_factor_mode``, ``PTuckerConfig``, the
-CLI's ``--backend`` and the microbench grid):
+CLI's ``--backend`` and the microbench grid) and takes exactly these
+names:
 
 * ``"numpy"`` (default) — the serial reference path described above.
 * ``"threaded"`` — splits each mode-sorted entry block at *segment
@@ -69,9 +70,6 @@ CLI's ``--backend`` and the microbench grid):
   solves* its chunk's rows, so factor rows (J floats per row), not
   normal equations (J² + J), cross the process pipe.  Degrades to the
   serial reference with one worker (``REPRO_PROC_WORKERS``).
-* ``"numba"`` — fused ``@njit(parallel=True)`` row loops, available only
-  when ``numba`` is importable (``pip install .[numba]``); the name
-  resolves to the NumPy reference elsewhere, so configs stay portable.
 * ``"auto"`` — per-block autotuned dispatch: the first block of each
   (order, rank profile, block size) shape class times the candidate
   backends and every later block runs the measured winner (cached in

@@ -1,7 +1,7 @@
 """Kernel backend registry: named execution strategies for the hot primitives.
 
 See :mod:`repro.kernels.backends.base` for the backend contract.  Importing
-this package registers the built-in backends:
+this package registers the three backends:
 
 * ``"numpy"`` — the serial reference implementation (always available);
 * ``"threaded"`` — segment-aligned chunks on a shared-memory thread pool
@@ -10,16 +10,13 @@ this package registers the built-in backends:
   *processes* over the execution fabric
   (:mod:`~repro.kernels.backends.procpool`): GIL-free overlap on
   multicore hosts plus transparent recovery from killed or hung workers;
-  degrades to the serial reference on single-CPU hosts;
-* ``"numba"`` — fused ``@njit(parallel=True)`` row loops, registered only
-  when ``import numba`` succeeds (:mod:`~repro.kernels.backends.numba_backend`);
-  requesting it by name without the dependency silently falls back to
-  ``"numpy"``.
+  degrades to the serial reference on single-CPU hosts.
 
 ``"auto"`` resolves to the autotuned dispatcher of
 :mod:`~repro.kernels.backends.autotune`, which measures the candidates per
 (order, rank profile, block size) shape class and always executes the
-measured-fastest one.
+measured-fastest one.  Any other name is rejected with
+``unknown kernel backend``.
 
 Consumers map the user-facing ``backend=`` knob (a registered name, a
 :class:`~repro.kernels.backends.base.KernelBackend` instance, ``"auto"``
@@ -38,7 +35,6 @@ from .base import (
     BackendSpec,
     KernelBackend,
     NumpyBackend,
-    OPTIONAL_BACKENDS,
     available_backends,
     backend_names_for_cli,
     get_backend,
@@ -54,24 +50,12 @@ register_backend(NumpyBackend())
 register_backend(ThreadedBackend())
 register_backend(ProcpoolBackend())
 
-try:  # optional dependency: register only where the JIT stack exists
-    from .numba_backend import NumbaBackend
-except ImportError:  # pragma: no cover - exercised on numba-less hosts
-    NumbaBackend = None
-else:
-    register_backend(NumbaBackend())
-
-HAVE_NUMBA = NumbaBackend is not None
-
 __all__ = [
     "AutoBackend",
     "Autotuner",
     "BackendSpec",
-    "HAVE_NUMBA",
     "KernelBackend",
-    "NumbaBackend",
     "NumpyBackend",
-    "OPTIONAL_BACKENDS",
     "ProcpoolBackend",
     "ThreadedBackend",
     "available_backends",

@@ -167,7 +167,7 @@ class AutoBackend(KernelBackend):
 
     The candidate set defaults to every registered backend; per block the
     tuner's winner for the block's shape class executes.  Per-sweep kernel
-    setup (precontraction tables, JIT specialisation) happens lazily per
+    setup (precontraction tables, worker setup) happens lazily per
     candidate, so once a shape class has a cached winner only the winner
     pays it.
     """
@@ -195,7 +195,7 @@ class AutoBackend(KernelBackend):
         order = len(factors)
         # Candidate kernels are built on demand: after the tuner has a
         # winner for a shape class, the losers' per-sweep setup (identical
-        # precontraction tables, JIT specialisation) is never repeated.
+        # precontraction tables, worker setup) is never repeated.
         built: Dict[str, NormalEquationsKernel] = {}
 
         def kernel_for(name: str) -> NormalEquationsKernel:

@@ -2,33 +2,30 @@
 
 A *backend* is a named implementation of the performance-critical inner
 loops of the row-wise update: the δ contraction
-(:func:`~repro.kernels.contraction.contract_delta_block`), the per-row
-normal-equation reduction
-(:func:`~repro.kernels.segments.normal_equations_sorted`) and the batched
-row solve (:func:`~repro.kernels.solve.solve_rows`).  The per-sweep *row
-solver* (:meth:`KernelBackend.make_row_solver`) chains all three, so a
+(:func:`~repro.kernels.contraction.make_delta_contractor`) fused with the
+per-row normal-equation reduction
+(:func:`~repro.kernels.segments.normal_equations_sorted`) in one per-sweep
+pass, and the batched row solve (:func:`~repro.kernels.solve.solve_rows`).  The per-sweep *row
+solver* (:meth:`KernelBackend.make_row_solver`) chains them, so a
 backend may solve rows where it reduced them and hand back factor rows
 instead of J×J normal equations.  Every backend must produce the same
 values as the reference NumPy implementation up to floating-point
 associativity; only the execution strategy (serial NumPy, shared-memory
-threads, JIT compilation, ...) may differ.
+threads, worker processes) may differ.
 
 Backends register themselves by name in a process-global registry;
 :func:`resolve_backend` maps the user-facing ``backend=`` knob (a name, a
-:class:`KernelBackend` instance, or ``"auto"``) to a concrete backend.  An
-optional backend whose dependency is missing (``numba``) simply never
-registers — requesting it by name then silently falls back to the NumPy
-reference, matching the "optional acceleration, identical results"
-contract.
+:class:`KernelBackend` instance, or ``"auto"``) to a concrete backend.  A
+name that is not registered is an error: every name runs the backend it
+names.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, List, Sequence, Tuple, Union
 
 import numpy as np
 
-from ...columns import as_index_block
 from ..contraction import make_delta_contractor
 from ..segments import normal_equations_sorted
 from ..solve import solve_rows
@@ -98,8 +95,8 @@ class KernelBackend:
     ) -> NormalEquationsKernel:
         """Build the per-sweep ``(indices, values, starts) -> (B, c)`` kernel.
 
-        Entry-independent state (precontraction tables, compiled
-        specialisations, thread pools) is set up here, once per sweep; the
+        Entry-independent state (precontraction tables, thread pools,
+        worker setup) is set up here, once per sweep; the
         returned callable is then invoked per ``block_size`` chunk of the
         mode-sorted entries.  ``starts`` are the block-local segment start
         offsets (first element 0) and the returned stacks have one row per
@@ -152,20 +149,6 @@ class KernelBackend:
         return solver
 
     # -- individual primitives ------------------------------------------
-    def contract_delta_block(
-        self,
-        indices_block: np.ndarray,
-        factors: Sequence[np.ndarray],
-        core: np.ndarray,
-        mode: int,
-    ) -> np.ndarray:
-        """δ vectors (Eq. 12) for one entry block."""
-        indices_block = as_index_block(indices_block)
-        contractor = make_delta_contractor(
-            factors, core, mode, indices_block.shape[0]
-        )
-        return contractor(indices_block)
-
     def normal_equations_sorted(
         self,
         deltas: np.ndarray,
@@ -204,10 +187,6 @@ class NumpyBackend(KernelBackend):
 
 _REGISTRY: Dict[str, KernelBackend] = {}
 
-#: Names that resolve even when their backend failed to register: optional
-#: accelerators degrade to the NumPy reference instead of erroring.
-OPTIONAL_BACKENDS = ("numba",)
-
 
 def register_backend(backend: KernelBackend) -> KernelBackend:
     """Add ``backend`` to the registry under its ``name`` (last wins)."""
@@ -225,16 +204,10 @@ def available_backends() -> List[str]:
 
 
 def get_backend(name: str) -> KernelBackend:
-    """Look up a registered backend by name.
-
-    Optional backends (``numba``) whose dependency is absent fall back to
-    the NumPy reference silently; any other unknown name raises.
-    """
+    """Look up a registered backend by name; an unknown name raises."""
     try:
         return _REGISTRY[name]
     except KeyError:
-        if name in OPTIONAL_BACKENDS:
-            return _REGISTRY["numpy"]
         raise KeyError(
             f"unknown kernel backend {name!r}; available: "
             f"{available_backends()} (or 'auto')"
@@ -263,11 +236,5 @@ def resolve_backend(spec: BackendSpec) -> KernelBackend:
 
 
 def backend_names_for_cli() -> List[str]:
-    """The valid ``backend=`` strings: registered names plus the specials.
-
-    Optional backends are listed even when unavailable (they resolve to the
-    reference), so configs and CLI invocations stay portable across
-    machines with and without the optional dependency.
-    """
-    names = set(available_backends()) | set(OPTIONAL_BACKENDS)
-    return ["auto"] + sorted(names)
+    """The valid ``backend=`` strings: ``"auto"`` plus the registered names."""
+    return ["auto"] + sorted(available_backends())

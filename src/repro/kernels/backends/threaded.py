@@ -25,11 +25,10 @@ from __future__ import annotations
 import os
 import threading
 from concurrent.futures import ThreadPoolExecutor
-from typing import List, Optional, Sequence, Tuple
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
-from ...columns import as_index_block
 from ..contraction import make_delta_contractor
 from ..segments import normal_equations_sorted
 from ..solve import solve_rows
@@ -177,31 +176,6 @@ class ThreadedBackend(KernelBackend):
         return kernel
 
     # ------------------------------------------------------------------
-    def contract_delta_block(
-        self,
-        indices_block: np.ndarray,
-        factors: Sequence[np.ndarray],
-        core: np.ndarray,
-        mode: int,
-    ) -> np.ndarray:
-        indices_block = as_index_block(indices_block)
-        n_entries = indices_block.shape[0]
-        contractor = make_delta_contractor(factors, core, mode, n_entries)
-        n_chunks = self._n_chunks(n_entries, n_entries)
-        if n_chunks <= 1:
-            return contractor(indices_block)
-        edges = np.linspace(0, n_entries, n_chunks + 1).astype(np.int64)
-        pool = shared_pool(self.n_workers)
-        parts: List[np.ndarray] = list(
-            pool.map(
-                lambda chunk: contractor(
-                    indices_block[edges[chunk] : edges[chunk + 1]]
-                ),
-                range(n_chunks),
-            )
-        )
-        return np.concatenate(parts, axis=0)
-
     def solve_rows(
         self,
         b_matrices: np.ndarray,

@@ -1,8 +1,8 @@
 """Kernel and backend microbenchmarks across (nnz, rank, order) grids.
 
 Times one full :func:`~repro.core.row_update.update_factor_mode` sweep of
-mode 0 under every available execution backend (``numpy``, ``threaded``,
-``numba`` where installed — see :mod:`repro.kernels.backends`) against the
+mode 0 under every registered execution backend (``numpy``, ``threaded``,
+``procpool`` — see :mod:`repro.kernels.backends`) against the
 seed Kronecker kernel, which is frozen here (:func:`kron_update_factor_mode`)
 as the fixed baseline of the ``speedup`` column, and verifies the library
 result against :func:`~repro.core.row_update.brute_force_row_update` on a
@@ -76,7 +76,7 @@ from ..core.row_update import (
 from ..exceptions import DataFormatError
 from ..tensor.coo import SparseTensor
 from ..tensor.io import TextEntryReader, load_text, save_npz, save_text
-from .backends import HAVE_NUMBA, available_backends
+from .backends import available_backends
 from .solve import solve_rows
 
 #: Full default grid: small enough for minutes-scale runs, but it includes
@@ -844,10 +844,7 @@ def run_microbench(
         "max_abs_error_vs_brute_force": max(
             (row["max_abs_error_vs_brute_force"] for row in rows), default=0.0
         ),
-        "environment": {
-            **bench_environment(),
-            "numba": HAVE_NUMBA,
-        },
+        "environment": bench_environment(),
     }
 
 

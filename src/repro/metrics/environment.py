@@ -4,7 +4,7 @@ Every benchmark artifact this repository commits (``BENCH_kernels.json``,
 ``BENCH_serving.json``) embeds the dictionary returned by
 :func:`bench_environment`, so a reader can always tell *what machine* a
 number was recorded on.  The crucial field is ``single_cpu_caveat``: CI
-containers expose one CPU, which makes the ``threaded``/``numba`` parallel
+containers expose one CPU, which makes the ``threaded``/``procpool`` parallel
 columns and any QPS figure degenerate — a 1-CPU artifact must never be
 mistaken for a multicore result, and with this flag it cannot be, because
 the caveat travels inside the file instead of living in a doc footnote.

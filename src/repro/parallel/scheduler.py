@@ -6,9 +6,10 @@ is vectorised globally, so a real thread pool would not change the results;
 what Figure 10 measures — speed-up versus thread count and the benefit of
 dynamic over static scheduling — is a property of how per-row workloads
 distribute over threads.  :class:`RowScheduler` records the per-row workloads
-seen during a run and answers "what would the parallel time be with T threads
-under policy P", which the parallel-scalability experiment then combines with
-the measured serial time (see DESIGN.md, substitutions).
+of a run (:meth:`RowScheduler.for_tensor`) and answers "what would the
+parallel time be with T threads under policy P", which the
+parallel-scalability experiment then combines with the measured serial time
+(see DESIGN.md, substitutions).
 """
 
 from __future__ import annotations
@@ -40,6 +41,24 @@ class RowScheduler:
     scheduling: str = "dynamic"
     per_item_overhead: float = 1.0
     mode_workloads: List[np.ndarray] = field(default_factory=list)
+
+    @classmethod
+    def for_tensor(cls, tensor, iterations: int) -> "RowScheduler":
+        """The workloads of ``iterations`` full ALS iterations over ``tensor``.
+
+        Each iteration updates every mode once, and a mode update's row
+        workloads are the entry counts of the mode's non-empty rows — the
+        same for every iteration, since the observed entries never change.
+        """
+        row_counts = [
+            np.unique(tensor.indices[:, mode], return_counts=True)[1]
+            for mode in range(tensor.order)
+        ]
+        scheduler = cls()
+        for _ in range(iterations):
+            for counts in row_counts:
+                scheduler.record_mode(counts)
+        return scheduler
 
     def record_mode(self, row_counts: Sequence[int]) -> None:
         """Record the |Ω^{(n)}_{i_n}| distribution of one factor update."""

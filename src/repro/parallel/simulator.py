@@ -48,8 +48,9 @@ class ParallelSimulator:
     Parameters
     ----------
     scheduler:
-        The :class:`RowScheduler` populated during a serial solve; it holds
-        the per-row workload distribution of every factor update.
+        The :class:`RowScheduler` of a serial solve
+        (:meth:`RowScheduler.for_tensor`); it holds the per-row workload
+        distribution of every factor update.
     serial_seconds:
         Measured wall-clock seconds of the serial work being parallelised
         (typically the mean per-iteration factor-update time).

@@ -18,7 +18,7 @@ disjoint row ranges.  This package provides the two pieces:
   ``ingest <input> --out <dir>`` rebuild recipe.
 * :class:`~repro.shards.executor.ShardedSweepExecutor` — streams the
   shards one block at a time, runs each block through any registered
-  kernel backend (``numpy`` / ``threaded`` / ``numba`` / ``auto``), and
+  kernel backend (``numpy`` / ``threaded`` / ``procpool`` / ``auto``), and
   merges the per-row results — bitwise-equal to the in-core sweep, with a
   resident working set bounded by ``block_size`` instead of nnz.  Its
   :meth:`~repro.shards.executor.ShardedSweepExecutor.fit` runs the one

@@ -135,7 +135,7 @@ def test_corrupt_cache_file_is_ignored(tmp_path):
 def test_cached_winner_outside_candidates_recalibrates():
     timer = StubTimer({"numpy": 1.0})
     tuner = Autotuner(timer=timer)
-    tuner._choices["k1"] = "numba"  # e.g. cache written on a numba host
+    tuner._choices["k1"] = "numba"  # e.g. a cache written by an older build
     winner, _ = tuner.pick(
         "k1", {"numpy": _named_kernel("numpy", 1.0)}, CALIBRATION
     )

@@ -15,7 +15,6 @@ from repro.core.row_update import build_mode_context, update_factor_mode
 from repro.kernels import available_backends, get_backend, resolve_backend
 from repro.kernels import contraction as contraction_module
 from repro.kernels.backends import (
-    HAVE_NUMBA,
     AutoBackend,
     KernelBackend,
     NumpyBackend,
@@ -32,8 +31,6 @@ CANDIDATES = [
     ThreadedBackend(n_workers=3, min_chunk_entries=8),  # force chunking
     "threaded",  # default construction (may degrade to serial on 1 CPU)
 ]
-if HAVE_NUMBA:
-    CANDIDATES.append("numba")
 
 
 def _problem(order, seed, ragged=True, nnz=400, single_entry_rows=False):
@@ -79,15 +76,6 @@ def test_get_unknown_backend_raises_with_choices():
         get_backend("gpu")
 
 
-def test_optional_numba_name_always_resolves():
-    """Requesting numba without the dependency falls back to numpy silently."""
-    backend = resolve_backend("numba")
-    if HAVE_NUMBA:
-        assert backend.name == "numba"
-    else:
-        assert backend.name == "numpy"
-
-
 def test_resolve_passthrough_and_specials():
     instance = ThreadedBackend(n_workers=2)
     assert resolve_backend(instance) is instance
@@ -95,10 +83,45 @@ def test_resolve_passthrough_and_specials():
     assert isinstance(resolve_backend("auto"), AutoBackend)
 
 
-def test_cli_names_include_optional_backends():
+def test_every_backend_name_runs_the_backend_it_names():
+    """No name stands for a different backend."""
     names = backend_names_for_cli()
-    assert names[0] == "auto"
-    assert {"numpy", "threaded", "numba"} <= set(names)
+    assert names == ["auto"] + sorted(available_backends())
+    assert {"numpy", "threaded", "procpool"} <= set(names)
+    for name in names:
+        assert resolve_backend(name).name == name
+
+
+def _reject_in_config(name):
+    from repro.core import PTuckerConfig
+    from repro.exceptions import ShapeError
+
+    with pytest.raises(ShapeError, match="unknown kernel backend"):
+        PTuckerConfig(backend=name)
+
+
+def _reject_in_resolver(name):
+    with pytest.raises(KeyError, match="unknown kernel backend"):
+        resolve_backend(name)
+
+
+def _reject_in_cli(name):
+    from repro.cli import main
+
+    with pytest.raises(SystemExit) as exit_info:
+        main(["factorize", "tensor.tns", "--ranks", "2", "--backend", name])
+    assert exit_info.value.code == 2
+
+
+@pytest.mark.parametrize(
+    "reject",
+    [_reject_in_config, _reject_in_resolver, _reject_in_cli],
+    ids=["config", "resolver", "cli"],
+)
+def test_unregistered_backend_name_is_rejected(reject):
+    """A name with no registered backend (here the retired ``numba``) fails
+    in the config, the resolver and the CLI alike; nothing falls back."""
+    reject("numba")
 
 
 def test_register_backend_last_wins():
@@ -229,13 +252,6 @@ def test_backends_bitwise_equal_on_multi_tile_block():
 
 
 def test_threaded_primitives_match_reference():
-    tensor, factors, core = _problem(4, seed=33, nnz=700)
-    backend = ThreadedBackend(n_workers=3, min_chunk_entries=16)
-    reference = NumpyBackend()
-    deltas_ref = reference.contract_delta_block(tensor.indices, factors, core, 1)
-    deltas_thr = backend.contract_delta_block(tensor.indices, factors, core, 1)
-    np.testing.assert_array_equal(deltas_thr, deltas_ref)
-
     rng = np.random.default_rng(0)
     gram = rng.uniform(0.5, 1.0, size=(64, 3, 3))
     b_matrices = gram @ gram.transpose(0, 2, 1)
@@ -243,7 +259,7 @@ def test_threaded_primitives_match_reference():
     solved_thr = ThreadedBackend(n_workers=2, min_chunk_entries=8).solve_rows(
         b_matrices, c_vectors, 0.01
     )
-    solved_ref = reference.solve_rows(b_matrices, c_vectors, 0.01)
+    solved_ref = NumpyBackend().solve_rows(b_matrices, c_vectors, 0.01)
     np.testing.assert_allclose(solved_thr, solved_ref, atol=1e-13)
 
 

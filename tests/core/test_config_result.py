@@ -14,7 +14,6 @@ class TestConfigValidation:
         assert config.regularization == pytest.approx(0.01)
         assert config.max_iterations == 20
         assert config.truncation_rate == pytest.approx(0.2)
-        assert config.scheduling == "dynamic"
 
     @pytest.mark.parametrize(
         "kwargs",
@@ -24,8 +23,6 @@ class TestConfigValidation:
             {"min_iterations": 0},
             {"min_iterations": 5, "max_iterations": 3},
             {"tolerance": -0.1},
-            {"threads": 0},
-            {"scheduling": "guided"},
             {"truncation_rate": 0.0},
             {"truncation_rate": 1.0},
             {"block_size": 0},

@@ -95,12 +95,6 @@ class TestOutputContract:
         result = PTucker(config).fit(planted_small.tensor)
         assert result.memory is None
 
-    def test_scheduler_records_all_modes(self, planted_small):
-        config = PTuckerConfig(ranks=(3, 3, 3), max_iterations=2, seed=0, tolerance=0.0)
-        result = PTucker(config).fit(planted_small.tensor)
-        # 2 iterations x 3 modes
-        assert len(result.scheduler.mode_workloads) == 6
-
 
 class TestAccuracy:
     def test_recovers_planted_model_on_test_split(self, planted_small, rng):

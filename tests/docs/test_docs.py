@@ -119,7 +119,6 @@ def test_readme_documents_the_cli_flags():
         # needles target the function's own docstring.
         ("repro.updates.compact", ("byte-identical", "union", "pending")),
         ("repro.updates.lowrank", ("R@C", "rank", "bitwise")),
-        ("repro.kernels.backends.degrade", ("numpy", "RuntimeWarning")),
         ("repro.serve", ("ServingModel", "rank space", "micro-batch")),
         ("repro.serve.topk", ("canonical", "bitwise", "margin")),
         ("repro.serve.cache", ("LRUCache", "hit", "evict")),
@@ -140,3 +139,83 @@ def test_pydoc_renders_public_api(module, expected):
     text = pydoc.render_doc(module)
     for needle in expected:
         assert needle in text, f"pydoc {module} does not mention {needle!r}"
+
+
+def _config_backend_doc():
+    from repro.core.config import PTuckerConfig
+
+    doc = PTuckerConfig.__doc__
+    return doc[doc.index("backend:") : doc.index("shard_dir:")]
+
+
+def _update_factor_mode_doc():
+    from repro.core.row_update import update_factor_mode
+
+    return update_factor_mode.__doc__
+
+
+def _module_doc(module):
+    def read():
+        import importlib
+
+        return importlib.import_module(module).__doc__
+
+    return read
+
+
+def _factorize_backend_help():
+    from repro.cli import _build_parser
+
+    parser = _build_parser()
+    (subparsers,) = [
+        action for action in parser._actions if action.dest == "command"
+    ]
+    factorize = subparsers.choices["factorize"]
+    (backend,) = [
+        action for action in factorize._actions if "--backend" in action.option_strings
+    ]
+    return backend.help
+
+
+def _readme_backend_row():
+    rows = [
+        line
+        for line in README.read_text(encoding="utf-8").splitlines()
+        if line.startswith("| `--backend`") and "execution strategy" in line
+    ]
+    assert len(rows) == 1, "README lost its --backend row"
+    return rows[0]
+
+
+@pytest.mark.parametrize(
+    "read",
+    [
+        _config_backend_doc,
+        _update_factor_mode_doc,
+        _module_doc("repro.shards"),
+        _module_doc("repro.shards.executor"),
+        _module_doc("repro.kernels"),
+        _module_doc("repro.kernels.backends"),
+        _factorize_backend_help,
+        _readme_backend_row,
+    ],
+    ids=[
+        "PTuckerConfig.backend",
+        "update_factor_mode",
+        "repro.shards",
+        "repro.shards.executor",
+        "repro.kernels",
+        "repro.kernels.backends",
+        "factorize --backend",
+        "README --backend",
+    ],
+)
+def test_backend_lists_name_the_registered_backends(read):
+    """Every place that lists the kernel backends names exactly the ones
+    ``--backend`` accepts, and none that is not registered."""
+    from repro.kernels.backends import backend_names_for_cli
+
+    text = read()
+    for name in backend_names_for_cli():
+        assert re.search(rf"[`'\"]{name}[`'\"]", text), f"does not name {name!r}"
+    assert "numba" not in text.lower()

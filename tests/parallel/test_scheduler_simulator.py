@@ -3,6 +3,8 @@
 import numpy as np
 import pytest
 
+from repro.core.row_update import InMemorySource
+from repro.data.synthetic import random_sparse_tensor
 from repro.parallel import ParallelSimulator, RowScheduler, efficiency
 
 
@@ -36,6 +38,18 @@ class TestRowScheduler:
     def test_dynamic_not_worse_than_static(self, populated_scheduler):
         comparison = populated_scheduler.scheduling_comparison(8)
         assert comparison["dynamic"] <= comparison["static"] + 1e-9
+
+    def test_for_tensor_records_every_mode_of_every_iteration(self):
+        """Each record is the row workload the fit's mode update sees."""
+        # Mode 2 has more rows than entries, so it has empty rows.
+        tensor = random_sparse_tensor((40, 30, 500), 300, seed=1)
+        scheduler = RowScheduler.for_tensor(tensor, 2)
+        assert len(scheduler.mode_workloads) == 6  # 2 iterations x 3 modes
+        source = InMemorySource.build(tensor)
+        for position, workload in enumerate(scheduler.mode_workloads):
+            np.testing.assert_array_equal(
+                workload, source.mode_segmentation(position % 3)[2]
+            )
 
     def test_empty_scheduler(self):
         scheduler = RowScheduler()

@@ -100,25 +100,26 @@ def test_full_contraction_matches_reconstruction(seed, order):
 @given(st.integers(0, 10_000), st.integers(3, 5))
 @settings(max_examples=25, deadline=None)
 def test_backends_agree_across_orders(seed, order):
-    """numpy == threaded == numba-if-present on random ragged problems.
+    """numpy == threaded on random ragged problems.
 
     `_random_problem` draws ragged ranks and keeps the last slice of every
     mode empty, and small nnz over small shapes makes single-entry segments
     common — exactly the segment-boundary cases backends must not break.
     """
-    from repro.kernels.backends import HAVE_NUMBA, ThreadedBackend
+    from repro.kernels.backends import ThreadedBackend
 
     tensor, factors, core = _random_problem(seed, order)
     mode = seed % order
     reference = [f.copy() for f in factors]
     update_factor_mode(tensor, reference, core, mode, 0.01, backend="numpy")
 
-    candidates = [ThreadedBackend(n_workers=3, min_chunk_entries=4)]
-    if HAVE_NUMBA:
-        candidates.append("numba")
-    for candidate in candidates:
-        updated = [f.copy() for f in factors]
-        update_factor_mode(tensor, updated, core, mode, 0.01, backend=candidate)
-        np.testing.assert_allclose(
-            updated[mode], reference[mode], atol=1e-12, rtol=1e-12
-        )
+    updated = [f.copy() for f in factors]
+    update_factor_mode(
+        tensor,
+        updated,
+        core,
+        mode,
+        0.01,
+        backend=ThreadedBackend(n_workers=3, min_chunk_entries=4),
+    )
+    np.testing.assert_allclose(updated[mode], reference[mode], atol=1e-12, rtol=1e-12)

@@ -89,9 +89,9 @@ class TestFactorizeCommand:
         assert code == 0
         assert "S-HOT" in capsys.readouterr().out
 
-    @pytest.mark.parametrize("backend", ["threaded", "auto", "numba"])
+    @pytest.mark.parametrize("backend", ["threaded", "auto"])
     def test_factorize_with_backend(self, tensor_file, capsys, backend):
-        """Every backend name (incl. optional ones) runs end to end."""
+        """A non-default backend name runs end to end."""
         path, _ = tensor_file
         code = main(
             [
