@@ -16,18 +16,23 @@ The paper's C implementation walks the entries of Ω row by row inside an
 OpenMP loop; here the same computation is expressed with NumPy batch
 operations routed through :mod:`repro.kernels`: δ for all entries of a mode
 comes from the progressive core contraction of
-:func:`~repro.kernels.contraction.make_delta_contractor`, the per-row
-reductions are the segment-sorted bucketed-GEMM normal equations of
-:func:`~repro.kernels.segments.normal_equations_sorted` (equal-length row
-segments reduced as one batched ``matmul`` each, never an ``(m, J, J)``
-outer-product temporary), and the per-row solves are batched
-``numpy.linalg.solve`` calls, one per entry block: a block solves the rows
-it holds completely (in the worker that reduced them, under ``procpool``),
-and only a row split across blocks carries its ``(B, c)`` to the end of
-the sweep.  The execution strategy of those primitives is
-pluggable through the ``backend=`` knob (:mod:`repro.kernels.backends`).
-The result is numerically identical to the paper's update (tests compare it
-against a brute-force per-row least-squares).
+:func:`~repro.kernels.contraction.make_delta_contractor`, and
+:func:`~repro.kernels.solve.solve_segments` turns one block's δ into the
+rows the block holds completely.  A row with ``k = |Ω^{(n)}_{i_n}| < J_n``
+entries — most rows of a sparse tensor — is solved in its dual form
+``a = Dᵀ(DDᵀ + λI_k)⁻¹x`` (D the row's ``k × J_n`` δ vectors, x its
+values), the same minimiser by the push-through identity at
+``O(k²·J + k³)`` instead of ``O(k·J² + J³)``; a row with ``k ≥ J_n``
+entries goes through the normal equations above, reduced as
+segment-sorted bucketed GEMMs
+(:func:`~repro.kernels.segments.normal_equations_sorted`, never an
+``(m, J, J)`` outer-product temporary), and batched
+``numpy.linalg.solve`` calls.  Only a row split across blocks carries
+its ``(B, c)`` to the end of the sweep.  The execution strategy is
+pluggable through the ``backend=`` knob (:mod:`repro.kernels.backends`);
+under ``procpool`` the rows are solved in the worker that contracted
+them.  The result is the paper's update up to floating-point rounding
+(tests compare it against a brute-force per-row solve of Eq. 9).
 
 Every update reads its entries from an *entry source*: an object exposing
 ``nnz``, ``mode_segmentation(mode)`` and ``read_mode_block(mode, start,
@@ -61,8 +66,9 @@ from ..kernels import (  # noqa: F401 - re-exported for downstream callers
     normal_equations_sorted,
     resolve_backend,
     solve_rows,
+    solve_segments,
 )
-from ..kernels.backends import BackendSpec, solve_segment_range
+from ..kernels.backends import BackendSpec
 from ..metrics.memory import BYTES_PER_FLOAT, MemoryTracker
 from ..tensor.coo import SparseTensor
 
@@ -206,9 +212,9 @@ class InMemorySource:
         return self.contexts[mode].perm
 
 
-def _row_solving_sweep(
+def row_solving_sweep(
     source,
-    factors: List[np.ndarray],
+    factors: Sequence[np.ndarray],
     core: np.ndarray,
     mode: int,
     regularization: float,
@@ -216,16 +222,24 @@ def _row_solving_sweep(
     row_starts: np.ndarray,
     row_counts: np.ndarray,
     kernel_backend,
-    deltas_for,
+    deltas_for=None,
+    blocks: Optional[Sequence[int]] = None,
 ) -> np.ndarray:
     """New values of every listed row, solved block by block (Eq. 9).
 
     Entries are row-sorted, so each row is one contiguous run of entries.
-    A block solves the rows whose run it holds completely; a run split by
-    a block boundary comes back as per-block ``(B, c)`` partial sums,
-    which are added (``0 + B₁ + B₂ + …``, in block order) and solved once
-    after the last block.  Only those straddling rows ever hold a J×J
-    matrix beyond their block; no ``(n_rows, J, J)`` array exists.
+    A block solves the rows whose run it holds completely (a run shorter
+    than the rank in its ``k × k`` dual form, see
+    :func:`~repro.kernels.solve.solve_segments`); a run split by a block
+    boundary comes back as per-block ``(B, c)`` partial sums, which are
+    added (``0 + B₁ + B₂ + …``, in block order) and solved once after the
+    last block.  Only those straddling rows ever hold a J×J matrix beyond
+    their block; no ``(n_rows, J, J)`` array exists.
+
+    ``blocks`` restricts the sweep to those block numbers of the global
+    ``block_size`` grid (ascending; every block when omitted).  A row
+    whose run the visited blocks cover completely gets exactly the bytes
+    the full sweep gives it; the other rows' values are meaningless.
     """
     n_entries = int(source.nnz)
     n_rows = row_starts.shape[0]
@@ -243,7 +257,10 @@ def _row_solving_sweep(
         solver = kernel_backend.make_row_solver(
             factors, core, mode, regularization, n_entries
         )
-    for start in range(0, n_entries, block_size):
+    if blocks is None:
+        blocks = range(-(-n_entries // block_size))
+    for block in blocks:
+        start = block * block_size
         stop = min(start + block_size, n_entries)
         indices_block, values_block = source.read_mode_block(mode, start, stop)
         # The rows overlapping this block, their block-local run starts,
@@ -258,15 +275,10 @@ def _row_solving_sweep(
                 indices_block, values_block, local_starts, lo, hi
             )
         else:
-            # The provider (cache variant) supplies δ; the backend reduces
-            # and solves.
-            deltas = deltas_for(start, stop)
-            b_matrices, c_vectors = kernel_backend.normal_equations_sorted(
-                deltas, values_block, local_starts
-            )
-            rows, partial_b, partial_c = solve_segment_range(
-                kernel_backend.solve_rows,
-                b_matrices, c_vectors, regularization, lo, hi,
+            # The provider (cache variant) supplies δ.
+            rows, partial_b, partial_c = solve_segments(
+                deltas_for(start, stop), values_block, local_starts,
+                regularization, lo, hi,
             )
         new_rows[first + lo : first + hi] = rows
         split = list(range(first, first + lo)) + list(range(first + hi, last))
@@ -351,7 +363,7 @@ def update_factor_mode(
         # Per-thread workspace of the paper: B, its inverse, c and δ (Theorem 4).
         memory.allocate((2 * rank * rank + 2 * rank) * BYTES_PER_FLOAT, "row-update")
 
-    new_rows = _row_solving_sweep(
+    new_rows = row_solving_sweep(
         source, factors, core, mode, regularization, block_size,
         row_starts, row_counts, kernel_backend, deltas_for,
     )

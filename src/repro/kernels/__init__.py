@@ -2,8 +2,7 @@
 
 This package is the single home of the performance-critical inner loops of
 the repository: δ computation (Eq. 12), per-row normal-equation reduction
-(Eqs. 10-11), the batched row solves (Eq. 9) and sparse reconstruction
-(Eq. 4).  The P-Tucker solvers, the cache/approx/sampled variants, the
+(Eqs. 10-11), the row solves (Eq. 9) and sparse reconstruction (Eq. 4).  The P-Tucker solvers, the cache/approx/sampled variants, the
 ``procpool`` workers and the HOOI-style baselines all route through these
 functions instead of carrying private copies of the math.
 
@@ -46,34 +45,48 @@ temporary is about ``2 · TILE_BYTES`` per call whatever ``m`` is (plus the
 while per-row Gram matrices are accumulated as segmented δᵀδ products so the
 ``(m, J, J)`` outer-product array is never materialised.
 
+Row solves
+----------
+:func:`~repro.kernels.solve.solve_segments` is the one primitive that
+turns a block's δ into factor rows.  A row of ``k < J`` entries is
+solved in its ``k × k`` dual form ``a = Dᵀ(DDᵀ + λI_k)⁻¹x`` — by the
+push-through identity the same minimiser as Eq. 9, at ``O(k²J + k³)``
+instead of the normal equations' ``O(kJ² + J³)`` — bucketed by ``k``
+into batched solves (``a = δ·x / (δᵀδ + λ)`` for ``k = 1``).  A row of
+``k ≥ J`` entries keeps the normal equations and
+:func:`~repro.kernels.solve.solve_rows`.  In a sparse tensor most rows
+are short, so the J×J reduction and solve (which took most of a sweep
+outside the contraction) run only for the long rows and the rows split
+across blocks.
+
 Backend selection
 -----------------
-The per-sweep fused pass (δ contraction + ``normal_equations_sorted``)
-and ``solve_rows`` are pluggable through the
-:mod:`~repro.kernels.backends` registry, as is the per-sweep *row solver*
-that chains them and returns solved factor rows for the rows a block
-holds completely (``(B, c)`` only for the at most two rows a block
-boundary splits).  Every consumer of the row update accepts a
-``backend=`` knob (``update_factor_mode``, ``PTuckerConfig``, the
-CLI's ``--backend`` and the microbench grid) and takes exactly these
-names:
+The per-sweep *row solver* — δ contraction followed by
+``solve_segments`` on each block, returning solved factor rows for the
+rows a block holds completely (``(B, c)`` only for the at most two rows
+a block boundary splits) — is pluggable through the
+:mod:`~repro.kernels.backends` registry, as are the whole-block
+normal-equations kernel and ``solve_rows``.  Every consumer of the row
+update accepts a ``backend=`` knob (``update_factor_mode``,
+``PTuckerConfig``, the CLI's ``--backend`` and the microbench grid) and
+takes exactly these names:
 
 * ``"numpy"`` (default) — the serial reference path described above.
 * ``"threaded"`` — splits each mode-sorted entry block at *segment
-  boundaries* and runs the contraction + ``reduceat`` passes on a shared
-  process-global ``ThreadPoolExecutor``; row independence (paper
-  Section III-B) means the chunks write disjoint slices of ``(B, c)``
-  with no locks, and the GEMMs inside release the GIL.  Worker count
-  follows the CPU count (override with ``REPRO_KERNEL_THREADS``).
+  boundaries* and runs the contraction and ``solve_segments`` of each
+  chunk on a shared process-global ``ThreadPoolExecutor``; row
+  independence (paper Section III-B) means the chunks' rows never
+  interact, and the GEMMs inside release the GIL.  Worker count follows
+  the CPU count (override with ``REPRO_KERNEL_THREADS``).
 * ``"procpool"`` — the same segment-aligned chunks on supervised worker
-  processes of :mod:`repro.fabric`; each worker contracts, reduces *and
-  solves* its chunk's rows, so factor rows (J floats per row), not
-  normal equations (J² + J), cross the process pipe.  Degrades to the
-  serial reference with one worker (``REPRO_PROC_WORKERS``).
+  processes of :mod:`repro.fabric`; each worker contracts and solves
+  its chunk's rows, so factor rows (J floats per row), not normal
+  equations (J² + J), cross the process pipe.  Degrades to the serial
+  reference with one worker (``REPRO_PROC_WORKERS``).
 * ``"auto"`` — per-block autotuned dispatch: the first block of each
   (order, rank profile, block size) shape class times the candidate
-  backends and every later block runs the measured winner (cached in
-  process, and across processes via ``REPRO_AUTOTUNE_CACHE``).
+  backends' row solvers and every later block runs the measured winner
+  (cached in process, and across processes via ``REPRO_AUTOTUNE_CACHE``).
 
 All backends compute identical values up to floating-point associativity;
 the equivalence is property-tested across orders, ragged ranks, empty
@@ -85,7 +98,9 @@ Submodules
   and fully-contracted per-entry model values).
 * :mod:`~repro.kernels.segments` — segment-sorted reductions (sums, Gram
   matrices, normal equations) and segment gather helpers.
-* :mod:`~repro.kernels.solve` — the batched ridge row solve.
+* :mod:`~repro.kernels.solve` — the row solves: ``solve_segments`` (dual
+  form for short rows, normal equations for long ones) and the batched
+  ridge solve ``solve_rows``.
 * :mod:`~repro.kernels.backends` — the named execution strategies and the
   autotuner behind the ``backend=`` knob.
 * :mod:`~repro.kernels.microbench` — kernel/backend timing grids and the
@@ -107,7 +122,7 @@ from .segments import (
     segment_positions,
     segment_sum,
 )
-from .solve import solve_rows
+from .solve import solve_rows, solve_segments
 from .backends import (
     KernelBackend,
     available_backends,
@@ -133,4 +148,5 @@ __all__ = [
     "segment_positions",
     "segment_sum",
     "solve_rows",
+    "solve_segments",
 ]

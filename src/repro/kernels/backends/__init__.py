@@ -40,7 +40,6 @@ from .base import (
     get_backend,
     register_backend,
     resolve_backend,
-    solve_segment_range,
 )
 from .threaded import ThreadedBackend
 from .procpool import ProcpoolBackend
@@ -65,5 +64,4 @@ __all__ = [
     "register_backend",
     "resolve_backend",
     "shape_class_key",
-    "solve_segment_range",
 ]

@@ -14,8 +14,12 @@ Two cache layers:
   environment variable) that persists winners across processes, so e.g.
   repeated CLI runs skip recalibration.
 
-Calibration is not thrown away: every candidate computes the block's
-actual ``(B, c)`` result while being timed, and the winner's result is
+The candidates are the backends' per-sweep *row solvers*
+(:meth:`~repro.kernels.backends.base.KernelBackend.make_row_solver`), the
+unit a sweep actually runs: δ contraction, reduction and the row solves
+of :func:`~repro.kernels.solve.solve_segments`.  Calibration is not
+thrown away: every candidate computes the block's actual
+``(rows, B, c)`` result while being timed, and the winner's result is
 returned to the caller, so the first block of a shape class costs one
 extra pass per losing candidate and nothing more.  The winner is chosen
 purely by measurement — a backend that measures slower on the calibration
@@ -33,7 +37,7 @@ import numpy as np
 
 from .base import (
     KernelBackend,
-    NormalEquationsKernel,
+    RowSolverKernel,
     available_backends,
     get_backend,
 )
@@ -56,11 +60,11 @@ def shape_class_key(
 
 
 def _measure(
-    kernel: NormalEquationsKernel,
-    args: Tuple[np.ndarray, np.ndarray, np.ndarray],
+    kernel: RowSolverKernel,
+    args: Tuple,
     repeats: int,
-) -> Tuple[float, Tuple[np.ndarray, np.ndarray]]:
-    """Best-of-``repeats`` wall time of one kernel call, plus its result."""
+) -> Tuple[float, Tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """Best-of-``repeats`` wall time of one row-solver call, plus its result."""
     best = float("inf")
     result = None
     for _ in range(max(1, repeats)):
@@ -132,9 +136,9 @@ class Autotuner:
     def pick(
         self,
         key: str,
-        candidates: Dict[str, NormalEquationsKernel],
-        args: Tuple[np.ndarray, np.ndarray, np.ndarray],
-    ) -> Tuple[str, Optional[Tuple[np.ndarray, np.ndarray]]]:
+        candidates: Dict[str, RowSolverKernel],
+        args: Tuple,
+    ) -> Tuple[str, Optional[Tuple[np.ndarray, np.ndarray, np.ndarray]]]:
         """Winner name for ``key``; calibrate on ``args`` at most once.
 
         On a cache hit returns ``(name, None)`` without invoking the timer
@@ -163,13 +167,13 @@ class Autotuner:
 
 
 class AutoBackend(KernelBackend):
-    """Backend that dispatches each block to the autotuned winner.
+    """Backend that dispatches each block to the autotuned row solver.
 
     The candidate set defaults to every registered backend; per block the
-    tuner's winner for the block's shape class executes.  Per-sweep kernel
-    setup (precontraction tables, worker setup) happens lazily per
-    candidate, so once a shape class has a cached winner only the winner
-    pays it.
+    row solver of the tuner's winner for the block's shape class executes.
+    Per-sweep setup (precontraction tables, worker setup) happens lazily
+    per candidate, so once a shape class has a cached winner only the
+    winner pays it.
     """
 
     name = "auto"
@@ -184,46 +188,48 @@ class AutoBackend(KernelBackend):
             list(candidates) if candidates is not None else available_backends()
         )
 
-    def make_normal_equations_kernel(
+    def make_row_solver(
         self,
         factors: Sequence[np.ndarray],
         core: np.ndarray,
         mode: int,
+        regularization: float,
         expected_entries: int,
-    ) -> NormalEquationsKernel:
+    ) -> RowSolverKernel:
         core_shape = tuple(np.asarray(core).shape)
         order = len(factors)
-        # Candidate kernels are built on demand: after the tuner has a
+        # Candidate row solvers are built on demand: after the tuner has a
         # winner for a shape class, the losers' per-sweep setup (identical
         # precontraction tables, worker setup) is never repeated.
-        built: Dict[str, NormalEquationsKernel] = {}
+        built: Dict[str, RowSolverKernel] = {}
 
-        def kernel_for(name: str) -> NormalEquationsKernel:
+        def solver_for(name: str) -> RowSolverKernel:
             if name not in built:
-                built[name] = get_backend(name).make_normal_equations_kernel(
-                    factors, core, mode, expected_entries
+                built[name] = get_backend(name).make_row_solver(
+                    factors, core, mode, regularization, expected_entries
                 )
             return built[name]
 
-        def kernel(
+        def solver(
             indices_block: np.ndarray,
             values_block: np.ndarray,
             starts: np.ndarray,
+            lo: int,
+            hi: int,
         ):
+            args = (indices_block, values_block, starts, lo, hi)
             key = shape_class_key(order, core_shape, indices_block.shape[0])
             cached = self.tuner.lookup(key)
             if cached in self.candidates:
-                return kernel_for(cached)(indices_block, values_block, starts)
+                return solver_for(cached)(*args)
             winner, result = self.tuner.pick(
-                key,
-                {name: kernel_for(name) for name in self.candidates},
-                (indices_block, values_block, starts),
+                key, {name: solver_for(name) for name in self.candidates}, args
             )
             if result is not None:
                 return result
-            return kernel_for(winner)(indices_block, values_block, starts)
+            return solver_for(winner)(*args)
 
-        return kernel
+        return solver
 
 
 _DEFAULT_AUTO: Optional[AutoBackend] = None

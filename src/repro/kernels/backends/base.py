@@ -1,17 +1,21 @@
-"""Backend interface and registry for the three hot kernel primitives.
+"""Backend interface and registry for the hot kernel primitives.
 
-A *backend* is a named implementation of the performance-critical inner
-loops of the row-wise update: the δ contraction
-(:func:`~repro.kernels.contraction.make_delta_contractor`) fused with the
-per-row normal-equation reduction
-(:func:`~repro.kernels.segments.normal_equations_sorted`) in one per-sweep
-pass, and the batched row solve (:func:`~repro.kernels.solve.solve_rows`).  The per-sweep *row
-solver* (:meth:`KernelBackend.make_row_solver`) chains them, so a
-backend may solve rows where it reduced them and hand back factor rows
-instead of J×J normal equations.  Every backend must produce the same
-values as the reference NumPy implementation up to floating-point
-associativity; only the execution strategy (serial NumPy, shared-memory
-threads, worker processes) may differ.
+A *backend* is a named execution strategy for the row-wise update.  Its
+per-sweep *row solver* (:meth:`KernelBackend.make_row_solver`) is what a
+sweep calls per block: the δ contraction
+(:func:`~repro.kernels.contraction.make_delta_contractor`) followed by
+:func:`~repro.kernels.solve.solve_segments`, which solves a row of
+``k < J`` entries in its ``k × k`` dual form and a longer row through
+its normal equations, and hands back factor rows — ``(B, c)`` only for
+the rows a block boundary splits.  Beside it sit the whole-block
+normal-equations kernel
+(:meth:`KernelBackend.make_normal_equations_kernel`, over
+:func:`~repro.kernels.segments.normal_equations_sorted`) and the batched
+row solve (:func:`~repro.kernels.solve.solve_rows`) that finishes the
+split rows.  Every backend must produce the same values as the reference
+NumPy implementation up to floating-point associativity; only the
+execution strategy (serial NumPy, shared-memory threads, worker
+processes) may differ.
 
 Backends register themselves by name in a process-global registry;
 :func:`resolve_backend` maps the user-facing ``backend=`` knob (a name, a
@@ -28,7 +32,7 @@ import numpy as np
 
 from ..contraction import make_delta_contractor
 from ..segments import normal_equations_sorted
-from ..solve import solve_rows
+from ..solve import solve_rows, solve_segments
 
 #: Signature of a per-sweep normal-equations kernel: maps one mode-sorted
 #: entry block ``(indices, values, segment_starts)`` to its per-row
@@ -47,45 +51,20 @@ RowSolverKernel = Callable[
 ]
 
 
-def solve_segment_range(
-    solve: Callable[[np.ndarray, np.ndarray, float], np.ndarray],
-    b_matrices: np.ndarray,
-    c_vectors: np.ndarray,
-    regularization: float,
-    lo: int,
-    hi: int,
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Solve segments ``[lo, hi)`` with ``solve``; pass the others' ``(B, c)`` on.
-
-    The segments outside the range are the (at most two) rows a block
-    boundary leaves partial; their sums are finished by the caller.
-    """
-    # ``+ 0.0`` turns a -0.0 into +0.0 exactly as the straddling rows'
-    # zero-started sums do, so no row's answer depends on where the block
-    # boundaries fell.
-    rows = solve(b_matrices[lo:hi], c_vectors[lo:hi] + 0.0, regularization)
-    return (
-        rows,
-        np.concatenate((b_matrices[:lo], b_matrices[hi:])),
-        np.concatenate((c_vectors[:lo], c_vectors[hi:])),
-    )
-
-
 class KernelBackend:
     """Base class: the reference (serial NumPy) execution strategy.
 
-    Subclasses override :meth:`make_normal_equations_kernel` (the fused
-    δ-contraction + segmented-reduction pass that dominates a sweep) and,
-    optionally, the individual primitives or :meth:`make_row_solver`.  The
-    base implementations are the plain :mod:`repro.kernels` functions, so
-    a subclass only has to replace the pieces its strategy actually
+    Subclasses override :meth:`make_row_solver` (the per-sweep pass that
+    dominates a sweep) and, optionally, the other primitives.  The base
+    implementations are the plain :mod:`repro.kernels` functions, so a
+    subclass only has to replace the pieces its strategy actually
     accelerates.
     """
 
     #: Registry name; subclasses must override.
     name = "numpy"
 
-    # -- per-sweep fused pass -------------------------------------------
+    # -- per-sweep passes ----------------------------------------------
     def make_normal_equations_kernel(
         self,
         factors: Sequence[np.ndarray],
@@ -126,13 +105,15 @@ class KernelBackend:
 
         The returned callable solves the block's complete segments
         ``[lo, hi)`` into factor rows (Eq. 9) and returns ``(B, c)`` only
-        for the segments outside that range.  This implementation composes
-        :meth:`make_normal_equations_kernel` and :meth:`solve_rows`;
-        backends that reduce elsewhere (``procpool``) solve there too.
+        for the segments outside that range.  This implementation
+        contracts δ and hands it to
+        :func:`~repro.kernels.solve.solve_segments`, which solves a row
+        of ``k < J`` entries in its ``k × k`` dual form and a longer one
+        through its normal equations; backends that contract elsewhere
+        (``threaded`` chunks, ``procpool`` workers) solve there with the
+        same primitive.
         """
-        ne_kernel = self.make_normal_equations_kernel(
-            factors, core, mode, expected_entries
-        )
+        contractor = make_delta_contractor(factors, core, mode, expected_entries)
 
         def solver(
             indices_block: np.ndarray,
@@ -141,9 +122,9 @@ class KernelBackend:
             lo: int,
             hi: int,
         ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-            b_matrices, c_vectors = ne_kernel(indices_block, values_block, starts)
-            return solve_segment_range(
-                self.solve_rows, b_matrices, c_vectors, regularization, lo, hi
+            return solve_segments(
+                contractor(indices_block), values_block, starts,
+                regularization, lo, hi,
             )
 
         return solver

@@ -22,8 +22,10 @@ What travels, per sweep and per chunk:
   (``factors[k][chunk_indices[:, k]]``), gathered in the parent.  A
   frame therefore scales with the chunk's entries, not with ``I_k``.
 
-A worker contracts δ from those rows, reduces the normal equations *and
-solves its rows* (Algorithm 3's fully parallel row update), returning J
+A worker contracts δ from those rows *and solves its rows* with
+:func:`~repro.kernels.solve.solve_segments` (Algorithm 3's fully parallel
+row update): a row of ``k < J`` entries in its ``k × k`` dual form at
+``O(k²J + k³)``, a longer one through its normal equations.  It returns J
 floats per complete row; only a row that a block boundary leaves partial
 comes back as ``(B, c)`` for the driver to finish.  The worker's plan
 takes the parent's precontraction order as given (the order fixes the
@@ -39,18 +41,26 @@ last bit when both run the same count; CI pins one thread.
 
 Measured on a 2-vCPU Xeon host (2 workers, one BLAS thread each), a
 whole-mode update of a uniform order-3 tensor of 200 000³ with 100 000
-entries at J = 16 (no mode precontracted) takes a median 0.47 s on
-``procpool`` against 0.61 s on ``threaded`` and 0.59–0.72 s on
-``numpy``; broadcasting whole factors, it took 1.4 s.  Where modes are
-small enough to precontract, the tiled contraction's GEMMs release the
-GIL and ``threaded`` pays no pickling, so ``threaded`` stays the faster
-parallel backend there: on the ``BENCH_kernels.json`` cells that
+entries at J = 16 (no mode precontracted, every row shorter than J)
+takes 0.10–0.13 s on ``numpy``, 0.14–0.18 s on ``threaded`` and
+0.14–0.18 s on ``procpool``.  Before short rows were solved in the
+dual, the J×J reduction and solve were most of that update and
+``procpool`` won by splitting them (0.44–0.52 s against 0.58–0.77 s on
+``threaded`` and 0.65–0.76 s on ``numpy``); now the contraction dominates and shipping each
+chunk's entries and factor rows costs more than the second core saves.
+Where modes are small enough to precontract, the tiled contraction's
+GEMMs release the GIL and ``threaded`` pays no pickling, so ``threaded``
+is the faster parallel backend there: a whole-mode update of 400 000
+entries over 300³ at J = 8 takes 0.04 s on ``threaded`` against
+0.07 s on ``procpool``, and on the ``BENCH_kernels.json`` cells that
 dispatch (100k and 200k entries, order 3, J = 10) ``procpool`` runs at
-0.53–0.69× of ``numpy`` and ``threaded`` at 0.68–1.24×.  What ``procpool`` adds is isolation: the
-fabric's whole failure model.  A worker SIGKILLed or hung mid-sweep is
-respawned, the replay log restores its setup, and its chunk is
-re-dispatched with no effect on the output.  A chunk that keeps failing
-past the supervisor's re-dispatch budget surfaces as
+0.53–0.69× of ``numpy`` and ``threaded`` at 0.68–1.24×.
+
+What ``procpool`` adds is isolation: the fabric's whole failure model.
+A worker SIGKILLed or hung mid-sweep is respawned, the replay log
+restores its setup, and its chunk is re-dispatched with no effect on the
+output.  A chunk that keeps failing past the supervisor's re-dispatch
+budget surfaces as
 :class:`~repro.exceptions.WorkerFailureError` naming the mode and the
 unfinished rows; an exception raised inside a worker propagates as it
 is.  With one effective worker the backend degrades to the serial
@@ -72,15 +82,9 @@ import numpy as np
 
 from ...exceptions import WorkerFailureError
 from ..contraction import make_delta_contractor
-from ..segments import normal_equations_sorted
-from ..solve import solve_rows
-from .base import (
-    KernelBackend,
-    NormalEquationsKernel,
-    RowSolverKernel,
-    solve_segment_range,
-)
-from .threaded import chunk_boundaries
+from ..solve import solve_segments
+from .base import KernelBackend, NormalEquationsKernel, RowSolverKernel
+from .threaded import chunk_boundaries, chunk_spans, concatenate_chunk_results
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ...fabric import TaskSupervisor
@@ -176,12 +180,9 @@ def _setup_sweep(context, payload):
     contractor = make_delta_contractor(factors, core, mode, 0, pre=pre)
 
     def solver(indices_block, values_block, starts, lo, hi, rows):
-        deltas = contractor(indices_block, rows)
-        b_matrices, c_vectors = normal_equations_sorted(
-            deltas, values_block, starts
-        )
-        return solve_segment_range(
-            solve_rows, b_matrices, c_vectors, regularization, lo, hi
+        return solve_segments(
+            contractor(indices_block, rows), values_block, starts,
+            regularization, lo, hi,
         )
 
     return solver
@@ -330,25 +331,17 @@ class ProcpoolBackend(KernelBackend):
             n_segments = starts.shape[0]
             n_chunks = self._n_chunks(n_entries, n_segments)
             if n_chunks <= 1:
-                b_matrices, c_vectors = self.normal_equations_sorted(
-                    contractor(indices_block), values_block, starts
-                )
-                return solve_segment_range(
-                    self.solve_rows, b_matrices, c_vectors, regularization, lo, hi
+                return solve_segments(
+                    contractor(indices_block), values_block, starts,
+                    regularization, lo, hi,
                 )
 
             edges = chunk_boundaries(starts, n_entries, n_chunks)
             tasks = []
-            for chunk in range(edges.shape[0] - 1):
-                seg_lo, seg_hi = int(edges[chunk]), int(edges[chunk + 1])
-                entry_lo = int(starts[seg_lo])
-                entry_hi = (
-                    int(starts[seg_hi]) if seg_hi < n_segments else n_entries
-                )
-                # This chunk's share of the solve range, chunk-local.
-                local_lo = min(max(lo, seg_lo), seg_hi) - seg_lo
-                local_hi = min(max(hi, seg_lo), seg_hi) - seg_lo
-                chunk_indices = indices_block[entry_lo:entry_hi]
+            for chunk, span in enumerate(
+                chunk_spans(starts, n_entries, edges, lo, hi)
+            ):
+                chunk_indices = indices_block[span.entry_lo : span.entry_hi]
                 rows = [
                     factors[k][chunk_indices[:, k]] if k in batched else None
                     for k in range(len(factors))
@@ -360,10 +353,10 @@ class ProcpoolBackend(KernelBackend):
                         payload=(
                             setup_key,
                             chunk_indices,
-                            values_block[entry_lo:entry_hi],
-                            starts[seg_lo:seg_hi] - entry_lo,
-                            local_lo,
-                            local_hi,
+                            values_block[span.entry_lo : span.entry_hi],
+                            span.starts,
+                            span.lo,
+                            span.hi,
                             rows,
                         ),
                     )
@@ -378,12 +371,7 @@ class ProcpoolBackend(KernelBackend):
                     f"out; {rows.shape[0]} rows never finished (first few: "
                     f"{rows[:8].tolist()}); supervisor said: {exc}"
                 ) from exc
-            # Chunks are consecutive, so concatenating in chunk order yields
-            # the rows of [lo, hi) and the (B, c) of the segments outside.
-            return tuple(
-                np.concatenate([part[k] for part in parts], axis=0)
-                for k in range(3)
-            )
+            return concatenate_chunk_results(parts)
 
         return solver
 

@@ -1,20 +1,21 @@
 """Shared-memory threaded backend: segment-aligned chunks on a thread pool.
 
 P-Tucker's Section III-B row-independence result makes this safe: the
-normal equations of different rows never share state, so a mode-sorted
-entry block can be split *at segment boundaries* and each chunk's
-contraction + ``reduceat`` pass can run concurrently — every chunk owns a
-disjoint slice of the output ``(B, c)`` stacks, so workers write without
-locks.  Unlike the ``procpool`` backend (worker processes that must be
+rows of one mode never share state, so a mode-sorted entry block can be
+split *at segment boundaries* and each chunk's contraction and row solves
+(:func:`~repro.kernels.solve.solve_segments`) can run concurrently — every
+chunk returns its own rows, and the rows it leaves partial, in segment
+order.  Unlike the ``procpool`` backend (worker processes that must be
 sent the factors per sweep and the entries per chunk), the threads share
 the caller's arrays directly; the heavy operations inside a chunk — the
 leading GEMM of the progressive contraction, the batched ``matmul`` Gram
 reductions and LAPACK's batched solves — all release the GIL, so chunks
-genuinely overlap
-on multicore hosts.  With a single worker there is nothing to overlap and
-per-chunk dispatch is pure overhead (measured ~10% at nnz=100k), so the
-backend degrades to the exact serial path — the autotuner then sees two
-equal candidates instead of a regression.
+genuinely overlap on multicore hosts.  Every row is solved on its own, so
+the chunked rows are bitwise equal to the serial ones.  With a single
+worker there is nothing to overlap and per-chunk dispatch is pure
+overhead (measured ~10% at nnz=100k), so the backend degrades to the
+exact serial path — the autotuner then sees two equal candidates instead
+of a regression.
 
 The pool is a process-global singleton reused across sweeps (threads are
 cheap to keep idle, expensive to respawn per mode update).
@@ -25,14 +26,13 @@ from __future__ import annotations
 import os
 import threading
 from concurrent.futures import ThreadPoolExecutor
-from typing import Optional, Sequence, Tuple
+from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
 from ..contraction import make_delta_contractor
-from ..segments import normal_equations_sorted
-from ..solve import solve_rows
-from .base import KernelBackend, NormalEquationsKernel
+from ..solve import solve_segments
+from .base import KernelBackend, RowSolverKernel
 
 #: Chunks smaller than this many entries are not worth a task dispatch.
 MIN_CHUNK_ENTRIES = 8_192
@@ -93,6 +93,54 @@ def chunk_boundaries(
     return edges.astype(np.int64)
 
 
+class ChunkSpan(NamedTuple):
+    """One segment-aligned chunk of a block, with its share of ``[lo, hi)``.
+
+    ``entry_lo:entry_hi`` are the chunk's entries in the block, ``starts``
+    its chunk-local segment starts and ``lo:hi`` the chunk-local range of
+    its segments that the caller asked to have solved.
+    """
+
+    entry_lo: int
+    entry_hi: int
+    starts: np.ndarray
+    lo: int
+    hi: int
+
+
+def chunk_spans(
+    starts: np.ndarray, n_entries: int, edges: np.ndarray, lo: int, hi: int
+) -> List[ChunkSpan]:
+    """The chunks between consecutive ``edges`` (see :func:`chunk_boundaries`)."""
+    n_segments = starts.shape[0]
+    spans = []
+    for chunk in range(edges.shape[0] - 1):
+        seg_lo, seg_hi = int(edges[chunk]), int(edges[chunk + 1])
+        entry_lo = int(starts[seg_lo])
+        entry_hi = int(starts[seg_hi]) if seg_hi < n_segments else n_entries
+        spans.append(
+            ChunkSpan(
+                entry_lo,
+                entry_hi,
+                starts[seg_lo:seg_hi] - entry_lo,
+                min(max(lo, seg_lo), seg_hi) - seg_lo,
+                min(max(hi, seg_lo), seg_hi) - seg_lo,
+            )
+        )
+    return spans
+
+
+def concatenate_chunk_results(parts) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Join per-chunk ``(rows, B, c)`` in chunk order.
+
+    Chunks are consecutive, so the joined rows are those of ``[lo, hi)``
+    and the joined ``(B, c)`` those of the segments outside it.
+    """
+    return tuple(
+        np.concatenate([part[k] for part in parts], axis=0) for k in range(3)
+    )
+
+
 class ThreadedBackend(KernelBackend):
     """Kernel backend running segment-aligned chunks on shared-memory threads."""
 
@@ -128,76 +176,45 @@ class ThreadedBackend(KernelBackend):
         cap = max(self.n_workers * CHUNKS_PER_WORKER, 1)
         return max(1, min(by_size, cap, n_segments))
 
-    def make_normal_equations_kernel(
+    def make_row_solver(
         self,
         factors: Sequence[np.ndarray],
         core: np.ndarray,
         mode: int,
+        regularization: float,
         expected_entries: int,
-    ) -> NormalEquationsKernel:
+    ) -> RowSolverKernel:
         contractor = make_delta_contractor(factors, core, mode, expected_entries)
-        rank = int(np.asarray(core).shape[mode if np.asarray(core).ndim > 1 else 0])
 
-        def kernel(
+        def solver(
             indices_block: np.ndarray,
             values_block: np.ndarray,
             starts: np.ndarray,
-        ) -> Tuple[np.ndarray, np.ndarray]:
+            lo: int,
+            hi: int,
+        ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
             n_entries = indices_block.shape[0]
-            n_segments = starts.shape[0]
-            n_chunks = self._n_chunks(n_entries, n_segments)
+            n_chunks = self._n_chunks(n_entries, starts.shape[0])
             if n_chunks <= 1:
-                deltas = contractor(indices_block)
-                return normal_equations_sorted(deltas, values_block, starts)
+                return solve_segments(
+                    contractor(indices_block), values_block, starts,
+                    regularization, lo, hi,
+                )
+
+            def work(span: ChunkSpan) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+                return solve_segments(
+                    contractor(indices_block[span.entry_lo : span.entry_hi]),
+                    values_block[span.entry_lo : span.entry_hi],
+                    span.starts,
+                    regularization,
+                    span.lo,
+                    span.hi,
+                )
 
             edges = chunk_boundaries(starts, n_entries, n_chunks)
-            b_matrices = np.empty((n_segments, rank, rank), dtype=np.float64)
-            c_vectors = np.empty((n_segments, rank), dtype=np.float64)
-
-            def work(chunk: int) -> None:
-                seg_lo, seg_hi = edges[chunk], edges[chunk + 1]
-                entry_lo = int(starts[seg_lo])
-                entry_hi = (
-                    int(starts[seg_hi]) if seg_hi < n_segments else n_entries
-                )
-                deltas = contractor(indices_block[entry_lo:entry_hi])
-                local_starts = starts[seg_lo:seg_hi] - entry_lo
-                partial_b, partial_c = normal_equations_sorted(
-                    deltas, values_block[entry_lo:entry_hi], local_starts
-                )
-                b_matrices[seg_lo:seg_hi] = partial_b
-                c_vectors[seg_lo:seg_hi] = partial_c
-
             pool = shared_pool(self.n_workers)
             # list() drains the iterator so worker exceptions propagate here.
-            list(pool.map(work, range(edges.shape[0] - 1)))
-            return b_matrices, c_vectors
+            parts = list(pool.map(work, chunk_spans(starts, n_entries, edges, lo, hi)))
+            return concatenate_chunk_results(parts)
 
-        return kernel
-
-    # ------------------------------------------------------------------
-    def solve_rows(
-        self,
-        b_matrices: np.ndarray,
-        c_vectors: np.ndarray,
-        regularization: float,
-    ) -> np.ndarray:
-        n_rows = b_matrices.shape[0]
-        n_chunks = 1
-        if self.n_workers > 1:
-            n_chunks = max(1, min(n_rows // self.min_chunk_entries, self.n_workers))
-        if n_chunks <= 1:
-            return solve_rows(b_matrices, c_vectors, regularization)
-        edges = np.linspace(0, n_rows, n_chunks + 1).astype(np.int64)
-        pool = shared_pool(self.n_workers)
-        parts = list(
-            pool.map(
-                lambda chunk: solve_rows(
-                    b_matrices[edges[chunk] : edges[chunk + 1]],
-                    c_vectors[edges[chunk] : edges[chunk + 1]],
-                    regularization,
-                ),
-                range(n_chunks),
-            )
-        )
-        return np.concatenate(parts, axis=0)
+        return solver

@@ -43,30 +43,17 @@ def segment_sum(array: np.ndarray, starts: np.ndarray) -> np.ndarray:
     return np.add.reduceat(array, starts, axis=0)
 
 
-def _bucketed_gram(
-    deltas: np.ndarray,
-    values: Optional[np.ndarray],
-    starts: np.ndarray,
-) -> Tuple[np.ndarray, Optional[np.ndarray]]:
-    """Segmented ``δᵀδ`` (and optionally ``Σ X δ``) via batched GEMMs.
+def length_groups(counts: np.ndarray):
+    """Yield ``(segments, length)`` for every distinct segment length.
 
-    Segments are bucketed by length so all equally-long segments reduce in
-    one batched ``matmul`` — each bucket is a ``(n_segments, length, J)``
-    stack contracted as ``blockᵀ block``.  The ``(m, J, J)`` outer-product
-    array of the seed kernel is never materialised, and no scatter-add runs;
-    the number of GEMM dispatches is the number of distinct segment lengths.
+    ``segments`` are the positions (into ``counts``) of all segments of
+    that length, in ascending position order; lengths come ascending.
+    Equal-length segments are grouped with one argsort instead of one
+    scan of ``counts`` per distinct length.
     """
-    deltas = np.asarray(deltas, dtype=np.float64)
-    n_total = deltas.shape[0]
-    rank = deltas.shape[1]
-    n_segments = starts.shape[0]
-    gram = np.empty((n_segments, rank, rank), dtype=np.float64)
-    c_vectors = None if values is None else np.empty((n_segments, rank))
-    if n_segments == 0:
-        return gram, c_vectors
-    counts = np.diff(np.append(starts, n_total))
-    # Group equal-length segments with one argsort instead of scanning the
-    # counts array once per distinct length.
+    counts = np.asarray(counts, dtype=np.int64)
+    if counts.size == 0:
+        return
     order = np.argsort(counts, kind="stable")
     sorted_counts = counts[order]
     group_bounds = np.concatenate(
@@ -77,15 +64,64 @@ def _bucketed_gram(
         )
     )
     for group in range(group_bounds.size - 1):
-        segments = order[group_bounds[group] : group_bounds[group + 1]]
-        count = int(sorted_counts[group_bounds[group]])
-        positions = starts[segments][:, None] + np.arange(count)[None, :]
-        block = deltas[positions]
-        gram[segments] = np.matmul(block.transpose(0, 2, 1), block)
+        lo, hi = group_bounds[group], group_bounds[group + 1]
+        yield order[lo:hi], int(sorted_counts[lo])
+
+
+def segment_counts(starts: np.ndarray, n_entries: int) -> np.ndarray:
+    """Lengths of the back-to-back segments starting at ``starts``."""
+    return np.diff(np.append(np.asarray(starts, dtype=np.int64), n_entries))
+
+
+def equal_length_gram(
+    deltas: np.ndarray,
+    values: Optional[np.ndarray],
+    segment_starts: np.ndarray,
+    length: int,
+) -> Tuple[np.ndarray, Optional[np.ndarray]]:
+    """``δᵀδ`` (and ``Σ X δ``) of segments that all hold ``length`` entries.
+
+    The segments are gathered into one ``(n_segments, length, J)`` stack
+    and contracted as ``blockᵀ block`` in one batched ``matmul``.  Each
+    segment's sums are computed on their own, so they do not depend on
+    which other segments share the stack.
+    """
+    positions = segment_starts[:, None] + np.arange(length)[None, :]
+    block = deltas[positions]
+    gram = np.matmul(block.transpose(0, 2, 1), block)
+    if values is None:
+        return gram, None
+    return gram, np.matmul(values[positions][:, None, :], block)[:, 0, :]
+
+
+def _bucketed_gram(
+    deltas: np.ndarray,
+    values: Optional[np.ndarray],
+    starts: np.ndarray,
+    counts: Optional[np.ndarray] = None,
+) -> Tuple[np.ndarray, Optional[np.ndarray]]:
+    """Segmented ``δᵀδ`` (and optionally ``Σ X δ``) via batched GEMMs.
+
+    Segments are bucketed by length so all equally-long segments reduce in
+    one :func:`equal_length_gram` call.  The ``(m, J, J)`` outer-product
+    array of the seed kernel is never materialised, and no scatter-add runs;
+    the number of GEMM dispatches is the number of distinct segment lengths.
+    ``counts`` defaults to back-to-back segments running to the end of
+    ``deltas``.
+    """
+    deltas = np.asarray(deltas, dtype=np.float64)
+    rank = deltas.shape[1]
+    n_segments = starts.shape[0]
+    if counts is None:
+        counts = segment_counts(starts, deltas.shape[0])
+    gram = np.empty((n_segments, rank, rank), dtype=np.float64)
+    c_vectors = None if values is None else np.empty((n_segments, rank))
+    for segments, count in length_groups(counts):
+        gram[segments], c_part = equal_length_gram(
+            deltas, values, starts[segments], count
+        )
         if values is not None:
-            c_vectors[segments] = np.matmul(
-                values[positions][:, None, :], block
-            )[:, 0, :]
+            c_vectors[segments] = c_part
     return gram, c_vectors
 
 
@@ -99,15 +135,18 @@ def normal_equations_sorted(
     deltas: np.ndarray,
     values: np.ndarray,
     starts: np.ndarray,
+    counts: Optional[np.ndarray] = None,
 ) -> Tuple[np.ndarray, np.ndarray]:
     """Per-row ``B`` (Eq. 10) and ``c`` (Eq. 11) over row-sorted entries.
 
     ``deltas``/``values`` must be ordered so each row's entries are
-    contiguous, with segment boundaries at ``starts``.  Returns ``B`` of
-    shape ``(n_segments, J, J)`` and ``c`` of shape ``(n_segments, J)``.
+    contiguous, with segment boundaries at ``starts`` (and lengths
+    ``counts``, by default back-to-back to the end of the arrays).
+    Returns ``B`` of shape ``(n_segments, J, J)`` and ``c`` of shape
+    ``(n_segments, J)``.
     """
     values = np.asarray(values, dtype=np.float64)
-    b_matrices, c_vectors = _bucketed_gram(deltas, values, starts)
+    b_matrices, c_vectors = _bucketed_gram(deltas, values, starts, counts)
     return b_matrices, c_vectors
 
 

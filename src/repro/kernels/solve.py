@@ -1,8 +1,64 @@
-"""Batched per-row ridge solves (Eq. 9)."""
+"""Per-row ridge solves (Eq. 9), in the primal or the dual form.
+
+Row ``i`` of mode ``n`` minimises ``‖x − D a‖² + λ‖a‖²`` over the ``k``
+δ vectors (rows of ``D``, ``k × J``) and values ``x`` of its entries.  The
+paper solves the ``J × J`` normal equations ``(DᵀD + λI) a = Dᵀx``: the
+reduction costs ``O(k·J²)`` and the solve ``O(J³)``.  By the push-through
+identity ``(DᵀD + λI)⁻¹Dᵀ = Dᵀ(DDᵀ + λI)⁻¹`` the same minimiser is
+``a = Dᵀ(DDᵀ + λI_k)⁻¹x``, a ``k × k`` system costing ``O(k²·J + k³)``.
+In a sparse tensor most rows hold fewer entries than the rank, so
+:func:`solve_segments` solves every complete row with ``k < J`` in that
+dual form (``a = δ·x / (δᵀδ + λ)`` when ``k = 1``) and only rows with
+``k ≥ J`` through the normal equations and :func:`solve_rows`.  The rule
+is fixed: it is the cheaper form for every ``k``.
+
+Every row is solved on its own — its Gram, its factorisation and its
+product are batched by length but never mixed with another row's — so a
+row's bytes do not depend on which rows share its block, bucket, thread
+chunk or worker process.
+"""
 
 from __future__ import annotations
 
+from typing import Tuple
+
 import numpy as np
+
+from .segments import (
+    equal_length_gram,
+    length_groups,
+    normal_equations_sorted,
+    segment_counts,
+)
+
+#: The ridge used when λ = 0, keeping rank-deficient rows finite.
+ZERO_REGULARIZATION_RIDGE = 1e-12
+
+
+def _ridge(regularization: float) -> float:
+    return regularization if regularization > 0 else ZERO_REGULARIZATION_RIDGE
+
+
+def _solve_systems(systems: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """Solve ``systems[i] · x = rhs[i]`` for a stack of square systems.
+
+    The batched solve factorises every system on its own; when one is
+    exactly singular the stack is re-solved one system at a time, so only
+    the systems that still fail fall back to least squares.
+    """
+    n_rows, size, _ = systems.shape
+    try:
+        return np.linalg.solve(systems, rhs[:, :, None])[:, :, 0]
+    except np.linalg.LinAlgError:
+        solutions = np.empty((n_rows, size))
+        for row in range(n_rows):
+            try:
+                solutions[row] = np.linalg.solve(systems[row], rhs[row])
+            except np.linalg.LinAlgError:
+                solutions[row] = np.linalg.lstsq(
+                    systems[row], rhs[row], rcond=None
+                )[0]
+        return solutions
 
 
 def solve_rows(
@@ -21,19 +77,76 @@ def solve_rows(
     (threads, worker processes, per-block solves) therefore agree bit for
     bit with one batch over all rows.
     """
-    n_rows, rank, _ = b_matrices.shape
-    ridge = regularization if regularization > 0 else 1e-12
-    systems = b_matrices + ridge * np.eye(rank)[None, :, :]
-    rhs = c_vectors[:, :, None]
-    try:
-        solutions = np.linalg.solve(systems, rhs)
-    except np.linalg.LinAlgError:
-        solutions = np.empty((n_rows, rank, 1))
-        for row in range(n_rows):
-            try:
-                solutions[row] = np.linalg.solve(systems[row], rhs[row])
-            except np.linalg.LinAlgError:
-                solutions[row, :, 0] = np.linalg.lstsq(
-                    systems[row], c_vectors[row], rcond=None
-                )[0]
-    return solutions[:, :, 0]
+    rank = b_matrices.shape[1]
+    systems = b_matrices + _ridge(regularization) * np.eye(rank)[None, :, :]
+    return _solve_systems(systems, c_vectors)
+
+
+def solve_segments(
+    deltas: np.ndarray,
+    values: np.ndarray,
+    starts: np.ndarray,
+    regularization: float,
+    lo: int,
+    hi: int,
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Factor rows of segments ``[lo, hi)``; ``(B, c)`` of the others.
+
+    ``deltas``/``values`` are one block's row-sorted entries with segment
+    boundaries at ``starts`` (first element 0).  Returns ``(rows, B, c)``:
+    the solved rows of the complete segments ``[lo, hi)``, in segment
+    order, and the normal equations of the segments outside that range —
+    the at most two rows a block boundary leaves partial, whose sums the
+    caller finishes — byte-identical to :func:`normal_equations_sorted`'s.
+
+    A segment of ``k < J`` entries is solved in the dual,
+    ``a = Dᵀ(DDᵀ + λI_k)⁻¹x`` (``δ·x / (δᵀδ + λ)`` for ``k = 1``); a
+    segment of ``k ≥ J`` entries through its Gram and :func:`solve_rows`.
+    Both forms keep the λ = 0 ridge and the singular-system fallback.
+    """
+    deltas = np.asarray(deltas, dtype=np.float64)
+    values = np.asarray(values, dtype=np.float64)
+    starts = np.asarray(starts, dtype=np.int64)
+    rank = deltas.shape[1]
+    counts = segment_counts(starts, deltas.shape[0])
+    outside = np.concatenate((np.arange(lo), np.arange(hi, starts.shape[0])))
+    b_matrices, c_vectors = normal_equations_sorted(
+        deltas, values, starts[outside], counts[outside]
+    )
+
+    inside_starts = starts[lo:hi]
+    rows = np.empty((inside_starts.shape[0], rank), dtype=np.float64)
+    ridge = _ridge(regularization)
+    long_rows, long_b, long_c = [], [], []
+    for segments, count in length_groups(counts[lo:hi]):
+        segment_starts = inside_starts[segments]
+        if count >= rank:
+            # Reduced now, solved below in one batch with every long row.
+            b_part, c_part = equal_length_gram(
+                deltas, values, segment_starts, count
+            )
+            long_rows.append(segments)
+            long_b.append(b_part)
+            long_c.append(c_part)
+        elif count == 1:
+            delta = deltas[segment_starts]
+            scale = values[segment_starts] / (
+                np.einsum("ij,ij->i", delta, delta) + ridge
+            )
+            rows[segments] = delta * scale[:, None]
+        else:
+            positions = segment_starts[:, None] + np.arange(count)[None, :]
+            block = deltas[positions]
+            systems = np.matmul(block, block.transpose(0, 2, 1))
+            systems += ridge * np.eye(count)[None, :, :]
+            alpha = _solve_systems(systems, values[positions])
+            rows[segments] = np.matmul(alpha[:, None, :], block)[:, 0, :]
+    if long_rows:
+        # ``+ 0.0`` turns a -0.0 into +0.0 exactly as the straddling rows'
+        # zero-started sums do.
+        rows[np.concatenate(long_rows)] = solve_rows(
+            np.concatenate(long_b),
+            np.concatenate(long_c) + 0.0,
+            regularization,
+        )
+    return rows, b_matrices, c_vectors

@@ -79,6 +79,21 @@ def planted_small():
 
 
 @pytest.fixture
+def planted_short_rows():
+    """A planted tensor whose rows mostly hold fewer entries than the rank.
+
+    About 300 entries over (200, 150, 120) at ranks (4, 5, 3): over 90 %
+    of the rows of modes 0 and 1, and about half of mode 2's, are solved
+    in their ``k × k`` dual form.  The planted core's shape is the rank
+    profile.
+    """
+    return planted_tucker_tensor(
+        shape=(200, 150, 120), ranks=(4, 5, 3), nnz=300,
+        noise_level=0.01, seed=7,
+    )
+
+
+@pytest.fixture
 def planted_4way():
     """A small planted 4-way tensor."""
     return planted_tucker_tensor(

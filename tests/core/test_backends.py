@@ -198,27 +198,23 @@ def test_backend_leaves_empty_rows_untouched(candidate):
 
 
 def test_threaded_chunked_is_bitwise_equal_to_numpy():
-    """Segment-aligned chunks reduce in the same order as the full pass."""
+    """Segment-aligned chunks solve and reduce exactly as the full pass."""
     tensor, factors, core = _problem(3, seed=21, nnz=900)
     ctx = build_mode_context(tensor, 0)
-    numpy_kernel = NumpyBackend().make_normal_equations_kernel(
-        factors, core, 0, tensor.nnz
-    )
-    threaded_kernel = ThreadedBackend(
-        n_workers=4, min_chunk_entries=4
-    ).make_normal_equations_kernel(factors, core, 0, tensor.nnz)
-    b_ref, c_ref = numpy_kernel(
-        ctx.sorted_indices, ctx.sorted_values, ctx.row_starts
-    )
-    b_thr, c_thr = threaded_kernel(
-        ctx.sorted_indices, ctx.sorted_values, ctx.row_starts
-    )
-    np.testing.assert_array_equal(b_thr, b_ref)
-    np.testing.assert_array_equal(c_thr, c_ref)
+    args = (ctx.sorted_indices, ctx.sorted_values, ctx.row_starts)
+    n_segments = ctx.row_starts.shape[0]
+    reference = NumpyBackend().make_row_solver(
+        factors, core, 0, 0.01, tensor.nnz
+    )(*args, 1, n_segments - 1)
+    chunked = ThreadedBackend(n_workers=4, min_chunk_entries=4).make_row_solver(
+        factors, core, 0, 0.01, tensor.nnz
+    )(*args, 1, n_segments - 1)
+    for ours, theirs in zip(chunked, reference):
+        np.testing.assert_array_equal(ours, theirs)
 
 
 def test_backends_bitwise_equal_on_multi_tile_block():
-    """numpy, threaded and procpool agree bitwise when blocks span tiles.
+    """numpy, threaded and procpool rows agree bitwise when blocks span tiles.
 
     The block is several default-size tiles long with an uneven tail, so
     every backend (procpool's workers run the module default too) tiles
@@ -235,9 +231,11 @@ def test_backends_bitwise_equal_on_multi_tile_block():
     tile = contraction_module.TILE_BYTES // (8 * plan.width)
     assert nnz >= 3 * tile and nnz % tile
 
-    stacks = [
-        backend.make_normal_equations_kernel(factors, core, mode, nnz)(
-            ctx.sorted_indices, ctx.sorted_values, ctx.row_starts
+    n_segments = ctx.row_starts.shape[0]
+    results = [
+        backend.make_row_solver(factors, core, mode, 0.01, nnz)(
+            ctx.sorted_indices, ctx.sorted_values, ctx.row_starts,
+            1, n_segments - 1,
         )
         for backend in (
             NumpyBackend(),
@@ -245,22 +243,9 @@ def test_backends_bitwise_equal_on_multi_tile_block():
             ProcpoolBackend(n_workers=2, min_chunk_entries=8),
         )
     ]
-    b_ref, c_ref = stacks[0]
-    for b, c in stacks[1:]:
-        np.testing.assert_array_equal(b, b_ref)
-        np.testing.assert_array_equal(c, c_ref)
-
-
-def test_threaded_primitives_match_reference():
-    rng = np.random.default_rng(0)
-    gram = rng.uniform(0.5, 1.0, size=(64, 3, 3))
-    b_matrices = gram @ gram.transpose(0, 2, 1)
-    c_vectors = rng.uniform(-1.0, 1.0, size=(64, 3))
-    solved_thr = ThreadedBackend(n_workers=2, min_chunk_entries=8).solve_rows(
-        b_matrices, c_vectors, 0.01
-    )
-    solved_ref = NumpyBackend().solve_rows(b_matrices, c_vectors, 0.01)
-    np.testing.assert_allclose(solved_thr, solved_ref, atol=1e-13)
+    for result in results[1:]:
+        for ours, theirs in zip(result, results[0]):
+            np.testing.assert_array_equal(ours, theirs)
 
 
 # ----------------------------------------------------------------------

@@ -5,7 +5,8 @@ that block (inside the worker that reduced it, under ``procpool``) and
 finishes only the rows a block boundary splits.  Fitted models must not
 depend on where that happens: the backends, entry sources and the cache
 variant all yield the same bytes at block sizes that split rows and at
-one that does not.
+one that does not — on rows far longer than the rank (normal equations)
+and on rows mostly shorter than it (the ``k × k`` dual form).
 """
 
 import tracemalloc
@@ -21,7 +22,7 @@ from repro.kernels.backends import ProcpoolBackend, ThreadedBackend
 from repro.kernels.backends import base as backend_base
 from repro.tensor.io import TensorEntryReader
 
-BACKENDS = ("numpy", "threaded", "procpool")
+BACKENDS = ("numpy", "threaded", "procpool", "auto")
 
 
 @pytest.fixture
@@ -30,7 +31,8 @@ def chunking_backends(monkeypatch):
 
     Fits name their backend by string, so the registered instances are
     swapped for ones with two workers and an 8-entry chunk floor: even
-    the small test tensor's blocks cross threads and the process pipe.
+    the small test tensor's blocks cross threads and the process pipe,
+    and ``auto`` dispatches among these instances.
     """
     monkeypatch.setitem(
         backend_base._REGISTRY,
@@ -50,16 +52,18 @@ def _model_bytes(result):
     ]
 
 
+@pytest.mark.parametrize("planted", ["planted_small", "planted_short_rows"])
 @pytest.mark.parametrize("regularization", [0.0, 0.1])
 @pytest.mark.parametrize("block_size", [7, 97, 10**6])
 def test_fits_are_bitwise_equal_across_backends_and_sources(
-    planted_small, chunking_backends, tmp_path, block_size, regularization
+    request, planted, chunking_backends, tmp_path, block_size, regularization
 ):
-    tensor = planted_small.tensor
+    planted = request.getfixturevalue(planted)
+    tensor = planted.tensor
 
     def config(backend, **extra):
         return PTuckerConfig(
-            ranks=(3, 3, 3),
+            ranks=planted.core.shape,
             max_iterations=2,
             tolerance=0.0,
             seed=0,

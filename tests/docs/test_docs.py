@@ -98,6 +98,7 @@ def test_readme_documents_the_cli_flags():
         ("repro.tensor.textparse", ("parse_numeric_block", "float(token)")),
         ("repro.kernels.backends", ("KernelBackend", "resolve_backend", "auto")),
         ("repro.kernels.backends.base", ("make_normal_equations_kernel", "make_row_solver")),
+        ("repro.kernels.solve", ("solve_segments", "dual", "push-through")),
         ("repro.resilience", ("atomic_open", "CheckpointManager", "bitwise")),
         ("repro.resilience.atomic", ("fsync", "rename", "crash")),
         ("repro.resilience.checkpoint", ("manifest", "bitwise", "resume")),

@@ -19,8 +19,9 @@ from repro.kernels.backends import (
 )
 from repro.kernels import (
     concatenated_segment_starts,
+    make_delta_contractor,
     segment_positions,
-    solve_rows,
+    solve_segments,
 )
 
 
@@ -144,12 +145,18 @@ class InProcessSupervisor:
         ]
 
 
-def _sweep_inputs(tensor, mode, rank=3):
-    factors = initialize_factors(
-        tensor.shape, (rank,) * tensor.order, np.random.default_rng(0)
-    )
-    core = initialize_core((rank,) * tensor.order, np.random.default_rng(1))
+def _sweep_inputs(tensor, mode, ranks=(3, 3, 3)):
+    factors = initialize_factors(tensor.shape, ranks, np.random.default_rng(0))
+    core = initialize_core(ranks, np.random.default_rng(1))
     return factors, core, _mode_inputs(tensor, mode)
+
+
+def _reference_rows(factors, core, mode, expected_entries, block, lo, hi):
+    """The serial reference's rows of segments ``[lo, hi)`` of ``block``."""
+    indices, values, starts = block
+    contractor = make_delta_contractor(factors, core, mode, expected_entries)
+    rows, _, _ = solve_segments(contractor(indices), values, starts, 0.1, lo, hi)
+    return rows
 
 
 def _sweep_setup(factors, core, mode, expected_entries, regularization):
@@ -198,7 +205,10 @@ class TestRowSolver:
         assert rows.shape == (hi - lo, 3)
         outside = np.r_[0:lo, hi:20]
         assert b_out.shape == (outside.shape[0], 3, 3)
-        assert rows.tobytes() == solve_rows(b_ref[lo:hi], c_ref[lo:hi], 0.1).tobytes()
+        expected = _reference_rows(
+            factors, core, 0, self.FEW_ENTRIES, (indices, values, starts), lo, hi
+        )
+        assert rows.tobytes() == expected.tobytes()
         assert b_out.tobytes() == b_ref[outside].tobytes()
         assert c_out.tobytes() == c_ref[outside].tobytes()
 
@@ -247,18 +257,24 @@ class TestRowSolver:
         b_ref, c_ref = resolve_backend("numpy").make_normal_equations_kernel(
             factors, core, mode, expected_entries
         )(indices, values, starts)
-        expected = solve_rows(b_ref[1:-1], c_ref[1:-1], 0.1)
+        expected = _reference_rows(
+            factors, core, mode, expected_entries,
+            (indices, values, starts), 1, n_segments - 1,
+        )
         assert rows.tobytes() == expected.tobytes()
         assert b_out.tobytes() == b_ref[[0, -1]].tobytes()
         assert c_out.tobytes() == c_ref[[0, -1]].tobytes()
 
-    def test_update_factor_mode_matches_numpy(self, planted_small):
+    @pytest.mark.parametrize("planted", ["planted_small", "planted_short_rows"])
+    def test_update_factor_mode_matches_numpy(self, request, planted):
         """Through the driver, worker-solved rows equal the serial ones
-        at block sizes that split rows across blocks."""
-        tensor = planted_small.tensor
+        at block sizes that split rows across blocks, for rows longer
+        and (mostly) shorter than the rank."""
+        planted = request.getfixturevalue(planted)
+        tensor = planted.tensor
         procpool = ProcpoolBackend(n_workers=2, min_chunk_entries=8)
-        for block_size in (97, 10**6):
-            factors, core, _ = _sweep_inputs(tensor, 0)
+        for block_size in (7, 97, 10**6):
+            factors, core, _ = _sweep_inputs(tensor, 0, planted.core.shape)
             expected = [f.copy() for f in factors]
             for mode in range(3):
                 update_factor_mode(

@@ -3,8 +3,8 @@
 Every assertion here is **bitwise**: the union view must read back what a
 fresh build of the union tensor stores, and a targeted re-solve must land
 exactly the floats a full from-scratch row solve over the union lands —
-orders 3 through 5, ragged ranks, every registered kernel backend, and
-rows with zero prior entries.
+orders 3 through 5, ragged ranks, rows shorter than the rank, every
+registered kernel backend, and rows with zero prior entries.
 """
 
 import numpy as np
@@ -23,6 +23,8 @@ CASES = [
     pytest.param((25, 18, 14), (3, 2, 4), 500, 60, id="order3-ragged"),
     pytest.param((14, 12, 10, 8), (2, 3, 2, 2), 500, 60, id="order4-ragged"),
     pytest.param((9, 8, 7, 6, 5), (2, 2, 3, 2, 2), 400, 50, id="order5-ragged"),
+    # Most rows hold fewer entries than the rank: the k × k dual form.
+    pytest.param((200, 150, 120), (4, 5, 3), 260, 40, id="order3-short-rows"),
 ]
 
 
