@@ -54,9 +54,17 @@ def block_size_bucket(n_entries: int) -> int:
 def shape_class_key(
     order: int, core_shape: Sequence[int], n_entries: int
 ) -> str:
-    """Cache key of one (order, rank profile, block-size bucket) class."""
+    """Cache key of one (order, rank profile, block-size bucket) class.
+
+    The ``solver=rows`` prefix names the unit that was timed, the row
+    solver: winners persisted by builds that timed the normal-equations
+    kernel carry no prefix, miss, and are recalibrated once.
+    """
     ranks = "x".join(str(int(r)) for r in core_shape)
-    return f"order={order}|ranks={ranks}|block={block_size_bucket(n_entries)}"
+    return (
+        f"solver=rows|order={order}|ranks={ranks}"
+        f"|block={block_size_bucket(n_entries)}"
+    )
 
 
 def _measure(

@@ -73,32 +73,42 @@ def segment_counts(starts: np.ndarray, n_entries: int) -> np.ndarray:
     return np.diff(np.append(np.asarray(starts, dtype=np.int64), n_entries))
 
 
-def equal_length_gram(
+def equal_length_block(
     deltas: np.ndarray,
     values: Optional[np.ndarray],
     segment_starts: np.ndarray,
     length: int,
 ) -> Tuple[np.ndarray, Optional[np.ndarray]]:
-    """``δᵀδ`` (and ``Σ X δ``) of segments that all hold ``length`` entries.
+    """Gather segments that all hold ``length`` entries into one stack.
 
-    The segments are gathered into one ``(n_segments, length, J)`` stack
-    and contracted as ``blockᵀ block`` in one batched ``matmul``.  Each
-    segment's sums are computed on their own, so they do not depend on
-    which other segments share the stack.
+    Returns the ``(n_segments, length, J)`` δ stack and, when ``values``
+    is given, the matching ``(n_segments, length)`` values.
     """
     positions = segment_starts[:, None] + np.arange(length)[None, :]
-    block = deltas[positions]
-    gram = np.matmul(block.transpose(0, 2, 1), block)
     if values is None:
+        return deltas[positions], None
+    return deltas[positions], values[positions]
+
+
+def equal_length_gram(
+    block: np.ndarray, block_values: Optional[np.ndarray]
+) -> Tuple[np.ndarray, Optional[np.ndarray]]:
+    """``δᵀδ`` (and ``Σ X δ``) of an :func:`equal_length_block` stack.
+
+    The stack is contracted as ``blockᵀ block`` in one batched ``matmul``.
+    Each segment's sums are computed on their own, so they do not depend
+    on which other segments share the stack.
+    """
+    gram = np.matmul(block.transpose(0, 2, 1), block)
+    if block_values is None:
         return gram, None
-    return gram, np.matmul(values[positions][:, None, :], block)[:, 0, :]
+    return gram, np.matmul(block_values[:, None, :], block)[:, 0, :]
 
 
 def _bucketed_gram(
     deltas: np.ndarray,
     values: Optional[np.ndarray],
     starts: np.ndarray,
-    counts: Optional[np.ndarray] = None,
 ) -> Tuple[np.ndarray, Optional[np.ndarray]]:
     """Segmented ``δᵀδ`` (and optionally ``Σ X δ``) via batched GEMMs.
 
@@ -106,19 +116,16 @@ def _bucketed_gram(
     one :func:`equal_length_gram` call.  The ``(m, J, J)`` outer-product
     array of the seed kernel is never materialised, and no scatter-add runs;
     the number of GEMM dispatches is the number of distinct segment lengths.
-    ``counts`` defaults to back-to-back segments running to the end of
-    ``deltas``.
     """
     deltas = np.asarray(deltas, dtype=np.float64)
     rank = deltas.shape[1]
     n_segments = starts.shape[0]
-    if counts is None:
-        counts = segment_counts(starts, deltas.shape[0])
     gram = np.empty((n_segments, rank, rank), dtype=np.float64)
     c_vectors = None if values is None else np.empty((n_segments, rank))
+    counts = segment_counts(starts, deltas.shape[0])
     for segments, count in length_groups(counts):
         gram[segments], c_part = equal_length_gram(
-            deltas, values, starts[segments], count
+            *equal_length_block(deltas, values, starts[segments], count)
         )
         if values is not None:
             c_vectors[segments] = c_part
@@ -135,18 +142,15 @@ def normal_equations_sorted(
     deltas: np.ndarray,
     values: np.ndarray,
     starts: np.ndarray,
-    counts: Optional[np.ndarray] = None,
 ) -> Tuple[np.ndarray, np.ndarray]:
     """Per-row ``B`` (Eq. 10) and ``c`` (Eq. 11) over row-sorted entries.
 
     ``deltas``/``values`` must be ordered so each row's entries are
-    contiguous, with segment boundaries at ``starts`` (and lengths
-    ``counts``, by default back-to-back to the end of the arrays).
-    Returns ``B`` of shape ``(n_segments, J, J)`` and ``c`` of shape
-    ``(n_segments, J)``.
+    contiguous, with segment boundaries at ``starts``.  Returns ``B`` of
+    shape ``(n_segments, J, J)`` and ``c`` of shape ``(n_segments, J)``.
     """
     values = np.asarray(values, dtype=np.float64)
-    b_matrices, c_vectors = _bucketed_gram(deltas, values, starts, counts)
+    b_matrices, c_vectors = _bucketed_gram(deltas, values, starts)
     return b_matrices, c_vectors
 
 

@@ -25,6 +25,7 @@ from typing import Tuple
 import numpy as np
 
 from .segments import (
+    equal_length_block,
     equal_length_gram,
     length_groups,
     normal_equations_sorted,
@@ -108,38 +109,43 @@ def solve_segments(
     values = np.asarray(values, dtype=np.float64)
     starts = np.asarray(starts, dtype=np.int64)
     rank = deltas.shape[1]
-    counts = segment_counts(starts, deltas.shape[0])
-    outside = np.concatenate((np.arange(lo), np.arange(hi, starts.shape[0])))
-    b_matrices, c_vectors = normal_equations_sorted(
-        deltas, values, starts[outside], counts[outside]
+    n_entries, n_segments = deltas.shape[0], starts.shape[0]
+    inside_begin = starts[lo] if lo < n_segments else n_entries
+    inside_end = starts[hi] if hi < n_segments else n_entries
+    # The prefix [0, lo) and the suffix [hi, n) reduce on their own; a
+    # segment's sums do not depend on the segments reduced beside it.
+    b_prefix, c_prefix = normal_equations_sorted(
+        deltas[:inside_begin], values[:inside_begin], starts[:lo]
+    )
+    b_suffix, c_suffix = normal_equations_sorted(
+        deltas[inside_end:], values[inside_end:], starts[hi:] - inside_end
     )
 
     inside_starts = starts[lo:hi]
     rows = np.empty((inside_starts.shape[0], rank), dtype=np.float64)
     ridge = _ridge(regularization)
     long_rows, long_b, long_c = [], [], []
-    for segments, count in length_groups(counts[lo:hi]):
-        segment_starts = inside_starts[segments]
+    counts = segment_counts(inside_starts, inside_end)
+    for segments, count in length_groups(counts):
+        block, block_values = equal_length_block(
+            deltas, values, inside_starts[segments], count
+        )
         if count >= rank:
             # Reduced now, solved below in one batch with every long row.
-            b_part, c_part = equal_length_gram(
-                deltas, values, segment_starts, count
-            )
+            b_part, c_part = equal_length_gram(block, block_values)
             long_rows.append(segments)
             long_b.append(b_part)
             long_c.append(c_part)
         elif count == 1:
-            delta = deltas[segment_starts]
-            scale = values[segment_starts] / (
+            delta = block[:, 0, :]
+            scale = block_values[:, 0] / (
                 np.einsum("ij,ij->i", delta, delta) + ridge
             )
             rows[segments] = delta * scale[:, None]
         else:
-            positions = segment_starts[:, None] + np.arange(count)[None, :]
-            block = deltas[positions]
             systems = np.matmul(block, block.transpose(0, 2, 1))
             systems += ridge * np.eye(count)[None, :, :]
-            alpha = _solve_systems(systems, values[positions])
+            alpha = _solve_systems(systems, block_values)
             rows[segments] = np.matmul(alpha[:, None, :], block)[:, 0, :]
     if long_rows:
         # ``+ 0.0`` turns a -0.0 into +0.0 exactly as the straddling rows'
@@ -149,4 +155,8 @@ def solve_segments(
             np.concatenate(long_c) + 0.0,
             regularization,
         )
-    return rows, b_matrices, c_vectors
+    return (
+        rows,
+        np.concatenate((b_prefix, b_suffix)),
+        np.concatenate((c_prefix, c_suffix)),
+    )

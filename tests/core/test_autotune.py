@@ -51,7 +51,10 @@ def test_shape_class_key_buckets_block_sizes():
     assert block_size_bucket(0) == 0
     assert block_size_bucket(1) == 1
     assert block_size_bucket(90_000) == block_size_bucket(100_000) == 1 << 17
-    assert shape_class_key(3, (10, 10, 10), 100_000) == "order=3|ranks=10x10x10|block=131072"
+    assert (
+        shape_class_key(3, (10, 10, 10), 100_000)
+        == "solver=rows|order=3|ranks=10x10x10|block=131072"
+    )
     assert shape_class_key(3, (10, 10, 10), 1_000) != shape_class_key(
         3, (10, 10, 10), 100_000
     )
@@ -141,6 +144,28 @@ def test_cached_winner_outside_candidates_recalibrates():
     )
     assert winner == "numpy"
     assert timer.calls == 1
+
+
+def test_cache_timed_on_normal_equations_kernels_recalibrates(tmp_path):
+    """Winners keyed without ``solver=rows`` were timed on another unit."""
+    path = tmp_path / "tune.json"
+    key = shape_class_key(3, (3, 3, 3), CALIBRATION[0].shape[0])
+    older_key = key.split("|", 1)[1]
+    path.write_text(json.dumps({"choices": {older_key: "numpy"}}))
+    timer = StubTimer({"numpy": 2.0, "threaded": 1.0})
+    tuner = Autotuner(cache_path=str(path), timer=timer)
+    assert tuner.lookup(key) is None
+    winner, _ = tuner.pick(
+        key,
+        {
+            "numpy": _named_kernel("numpy", 1.0),
+            "threaded": _named_kernel("threaded", 2.0),
+        },
+        CALIBRATION,
+    )
+    assert winner == "threaded"
+    assert timer.calls == 2
+    assert json.loads(path.read_text())["choices"][key] == "threaded"
 
 
 def test_auto_backend_update_matches_numpy():

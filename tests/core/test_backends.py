@@ -248,6 +248,18 @@ def test_backends_bitwise_equal_on_multi_tile_block():
             np.testing.assert_array_equal(ours, theirs)
 
 
+def test_threaded_primitives_match_reference():
+    rng = np.random.default_rng(0)
+    gram = rng.uniform(0.5, 1.0, size=(64, 3, 3))
+    b_matrices = gram @ gram.transpose(0, 2, 1)
+    c_vectors = rng.uniform(-1.0, 1.0, size=(64, 3))
+    solved_thr = ThreadedBackend(n_workers=2, min_chunk_entries=8).solve_rows(
+        b_matrices, c_vectors, 0.01
+    )
+    solved_ref = NumpyBackend().solve_rows(b_matrices, c_vectors, 0.01)
+    np.testing.assert_allclose(solved_thr, solved_ref, atol=1e-13)
+
+
 # ----------------------------------------------------------------------
 # Solver-level wiring
 # ----------------------------------------------------------------------

@@ -388,8 +388,10 @@ class TestUpdateFactorModeKernels:
 
         Every non-singular row solved in a batch that also holds an
         exactly singular system equals that row solved alone, bit for
-        bit, so rows split across blocks solve alike in any batch.
+        bit, and so the chunked threaded solve equals the serial one.
         """
+        from repro.kernels.backends import NumpyBackend, ThreadedBackend
+
         n_rows, rank, singular = 64, 4, 37
         gram = rng.standard_normal((n_rows, rank, rank))
         b_matrices = gram @ gram.transpose(0, 2, 1)
@@ -405,3 +407,9 @@ class TestUpdateFactorModeKernels:
             )[0]
             assert alone.tobytes() == batch[row].tobytes(), row
         assert np.all(np.isfinite(batch[singular]))
+
+        threaded = ThreadedBackend(n_workers=2, min_chunk_entries=8).solve_rows(
+            b_matrices, c_vectors, regularization
+        )
+        serial = NumpyBackend().solve_rows(b_matrices, c_vectors, regularization)
+        assert threaded.tobytes() == serial.tobytes()

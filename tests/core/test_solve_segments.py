@@ -19,7 +19,7 @@ from repro.kernels import (
     solve_segments,
 )
 from repro.kernels.backends import NumpyBackend, ThreadedBackend
-from repro.kernels.solve import ZERO_REGULARIZATION_RIDGE
+from repro.kernels.solve import ZERO_REGULARIZATION_RIDGE, solve_rows
 from repro.tensor import SparseTensor
 
 RANKS = (4, 3, 2)
@@ -90,6 +90,40 @@ def test_zero_regularization_gives_the_minimum_norm_solution():
         tolerance = max(10 * ZERO_REGULARIZATION_RIDGE / sigma_min**2, 1e-9)
         error = np.linalg.norm(rows[position] - expected)
         assert error <= tolerance * np.linalg.norm(expected), (count, error)
+
+
+def test_dual_stays_accurate_where_the_primal_is_ill_conditioned():
+    """Short rows with |δ| ≈ 10⁴ at λ = 0.01, as a factor-scale drift
+    leaves them: ``DᵀD + λI`` has condition ≈ 10¹¹, so solving the
+    ``J × J`` normal equations loses about five digits, while the dual
+    matches a stable least-squares solve of ``[D; √λI] a = [x; 0]``.
+    """
+    regularization, rank = 0.01, 10
+    rng = np.random.default_rng(0)
+    counts = np.repeat(np.arange(1, rank), 20)
+    starts = np.concatenate(([0], np.cumsum(counts)[:-1])).astype(np.int64)
+    deltas = rng.normal(size=(int(counts.sum()), rank)) * 1e4
+    values = rng.normal(size=int(counts.sum()))
+    rows, _, _ = solve_segments(
+        deltas, values, starts, regularization, 0, starts.shape[0]
+    )
+    primal = solve_rows(
+        *normal_equations_sorted(deltas, values, starts), regularization
+    )
+    stable = np.empty_like(rows)
+    for position, (start, count) in enumerate(zip(starts, counts)):
+        augmented = np.vstack(
+            (deltas[start : start + count], np.sqrt(regularization) * np.eye(rank))
+        )
+        target = np.concatenate((values[start : start + count], np.zeros(rank)))
+        stable[position] = np.linalg.lstsq(augmented, target, rcond=None)[0]
+
+    def worst_relative_error(solution):
+        errors = np.linalg.norm(solution - stable, axis=1)
+        return np.max(errors / np.linalg.norm(stable, axis=1))
+
+    assert worst_relative_error(rows) <= 1e-10
+    assert worst_relative_error(primal) >= 1e-8
 
 
 def test_zero_deltas_give_zero_rows():
