@@ -174,26 +174,21 @@ MEMBERS = [
 
 
 class TestCorruptArchive:
+    # Byte 0 of a member is the .npy magic (a header parse error); the last
+    # byte is caught only by the member's CRC.  A deflated member's first
+    # and last bits can flip without changing its content, so deflated
+    # archives are damaged mid-member only.
     @pytest.mark.parametrize("member", MEMBERS)
-    @pytest.mark.parametrize("writer", ["stored", "deflated"])
-    def test_flipped_byte_is_a_named_error(self, tmp_path, rng, writer, member):
+    @pytest.mark.parametrize(
+        "writer, where",
+        [("stored", 0.0), ("stored", 0.5), ("stored", 1.0), ("deflated", 0.5)],
+    )
+    def test_flipped_byte_is_a_named_error(self, tmp_path, rng, writer, where, member):
         result = make_result(rng)
         if writer == "stored":
             path = save_model(result, str(tmp_path / "model"))
         else:
             path = save_model_deflated(result, str(tmp_path / "model.npz"))
-        flip_member_byte(path, member)
-        with pytest.raises(DataFormatError, match=f"model.npz.*{member}"):
-            load_model(path)
-
-    # The first byte is the .npy magic (a header parse error), the last is
-    # checked only by the member's CRC.  A deflated member's first and
-    # last bits can be flipped without changing its content, so this runs
-    # on stored members only.
-    @pytest.mark.parametrize("where", [0.0, 1.0])
-    @pytest.mark.parametrize("member", MEMBERS)
-    def test_flipped_edge_byte_is_a_named_error(self, tmp_path, rng, member, where):
-        path = save_model(make_result(rng), str(tmp_path / "model"))
         flip_member_byte(path, member, where)
         with pytest.raises(DataFormatError, match=f"model.npz.*{member}"):
             load_model(path)
