@@ -64,9 +64,9 @@ Backend selection
 The per-sweep *row solver* — δ contraction followed by
 ``solve_segments`` on each block, returning solved factor rows for the
 rows a block holds completely (``(B, c)`` only for the at most two rows
-a block boundary splits) — is pluggable through the
-:mod:`~repro.kernels.backends` registry, as are the whole-block
-normal-equations kernel and ``solve_rows``.  Every consumer of the row
+a block boundary splits) — is a backend's one per-block entry point and
+is pluggable through the :mod:`~repro.kernels.backends` registry, as is
+the ``solve_rows`` that finishes the split rows.  Every consumer of the row
 update accepts a ``backend=`` knob (``update_factor_mode``,
 ``PTuckerConfig``, the CLI's ``--backend`` and the microbench grid) and
 takes exactly these names:
@@ -96,8 +96,9 @@ Submodules
 ----------
 * :mod:`~repro.kernels.contraction` — progressive core contraction (δ blocks
   and fully-contracted per-entry model values).
-* :mod:`~repro.kernels.segments` — segment-sorted reductions (sums, Gram
-  matrices, normal equations) and segment gather helpers.
+* :mod:`~repro.kernels.segments` — segment-sorted reductions (sums and
+  normal equations) and the equal-length bucketing ``solve_segments``
+  shares with them.
 * :mod:`~repro.kernels.solve` — the row solves: ``solve_segments`` (dual
   form for short rows, normal equations for long ones) and the batched
   ridge solve ``solve_rows``.
@@ -116,10 +117,7 @@ from .contraction import (
 )
 from .segments import (
     block_segment_starts,
-    concatenated_segment_starts,
     normal_equations_sorted,
-    segment_gram,
-    segment_positions,
     segment_sum,
 )
 from .solve import solve_rows, solve_segments
@@ -142,10 +140,7 @@ __all__ = [
     "make_delta_contractor",
     "make_value_contractor",
     "block_segment_starts",
-    "concatenated_segment_starts",
     "normal_equations_sorted",
-    "segment_gram",
-    "segment_positions",
     "segment_sum",
     "solve_rows",
     "solve_segments",

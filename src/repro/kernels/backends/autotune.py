@@ -35,6 +35,7 @@ from typing import Callable, Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
+from ...resilience.atomic import atomic_write_json
 from .base import (
     KernelBackend,
     RowSolverKernel,
@@ -129,10 +130,10 @@ class Autotuner:
         if not self.cache_path:
             return
         payload = {"choices": self._choices, "timings": self._timings}
+        # Atomic, so a crash or a concurrent writer never leaves a torn
+        # file that ``_load`` would read as an empty cache.
         try:
-            with open(self.cache_path, "w", encoding="utf-8") as handle:
-                json.dump(payload, handle, indent=2, sort_keys=True)
-                handle.write("\n")
+            atomic_write_json(self.cache_path, payload)
         except OSError:
             pass
 

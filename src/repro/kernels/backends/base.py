@@ -1,21 +1,19 @@
 """Backend interface and registry for the hot kernel primitives.
 
 A *backend* is a named execution strategy for the row-wise update.  Its
-per-sweep *row solver* (:meth:`KernelBackend.make_row_solver`) is what a
-sweep calls per block: the δ contraction
+one per-block entry point is the per-sweep *row solver*
+(:meth:`KernelBackend.make_row_solver`): the δ contraction
 (:func:`~repro.kernels.contraction.make_delta_contractor`) followed by
 :func:`~repro.kernels.solve.solve_segments`, which solves a row of
 ``k < J`` entries in its ``k × k`` dual form and a longer row through
 its normal equations, and hands back factor rows — ``(B, c)`` only for
-the rows a block boundary splits.  Beside it sit the whole-block
-normal-equations kernel
-(:meth:`KernelBackend.make_normal_equations_kernel`, over
-:func:`~repro.kernels.segments.normal_equations_sorted`) and the batched
-row solve (:func:`~repro.kernels.solve.solve_rows`) that finishes the
-split rows.  Every backend must produce the same values as the reference
-NumPy implementation up to floating-point associativity; only the
-execution strategy (serial NumPy, shared-memory threads, worker
-processes) may differ.
+the rows a block boundary splits.  Beside it sits the batched row solve
+(:meth:`KernelBackend.solve_rows`, over
+:func:`~repro.kernels.solve.solve_rows`) that finishes the split rows.
+Every backend must produce the same values as the reference NumPy
+implementation up to floating-point associativity; only the execution
+strategy (serial NumPy, shared-memory threads, worker processes) may
+differ.
 
 Backends register themselves by name in a process-global registry;
 :func:`resolve_backend` maps the user-facing ``backend=`` knob (a name, a
@@ -31,15 +29,7 @@ from typing import Callable, Dict, List, Sequence, Tuple, Union
 import numpy as np
 
 from ..contraction import make_delta_contractor
-from ..segments import normal_equations_sorted
 from ..solve import solve_rows, solve_segments
-
-#: Signature of a per-sweep normal-equations kernel: maps one mode-sorted
-#: entry block ``(indices, values, segment_starts)`` to its per-row
-#: ``(B, c)`` stacks.
-NormalEquationsKernel = Callable[
-    [np.ndarray, np.ndarray, np.ndarray], Tuple[np.ndarray, np.ndarray]
-]
 
 #: Signature of a per-sweep row solver: maps one mode-sorted entry block
 #: ``(indices, values, segment_starts, lo, hi)`` to ``(rows, B, c)`` — the
@@ -55,7 +45,7 @@ class KernelBackend:
     """Base class: the reference (serial NumPy) execution strategy.
 
     Subclasses override :meth:`make_row_solver` (the per-sweep pass that
-    dominates a sweep) and, optionally, the other primitives.  The base
+    dominates a sweep) and, optionally, :meth:`solve_rows`.  The base
     implementations are the plain :mod:`repro.kernels` functions, so a
     subclass only has to replace the pieces its strategy actually
     accelerates.
@@ -64,35 +54,7 @@ class KernelBackend:
     #: Registry name; subclasses must override.
     name = "numpy"
 
-    # -- per-sweep passes ----------------------------------------------
-    def make_normal_equations_kernel(
-        self,
-        factors: Sequence[np.ndarray],
-        core: np.ndarray,
-        mode: int,
-        expected_entries: int,
-    ) -> NormalEquationsKernel:
-        """Build the per-sweep ``(indices, values, starts) -> (B, c)`` kernel.
-
-        Entry-independent state (precontraction tables, thread pools,
-        worker setup) is set up here, once per sweep; the
-        returned callable is then invoked per ``block_size`` chunk of the
-        mode-sorted entries.  ``starts`` are the block-local segment start
-        offsets (first element 0) and the returned stacks have one row per
-        segment.
-        """
-        contractor = make_delta_contractor(factors, core, mode, expected_entries)
-
-        def kernel(
-            indices_block: np.ndarray,
-            values_block: np.ndarray,
-            starts: np.ndarray,
-        ) -> Tuple[np.ndarray, np.ndarray]:
-            deltas = contractor(indices_block)
-            return self.normal_equations_sorted(deltas, values_block, starts)
-
-        return kernel
-
+    # -- per-sweep pass -------------------------------------------------
     def make_row_solver(
         self,
         factors: Sequence[np.ndarray],
@@ -129,16 +91,7 @@ class KernelBackend:
 
         return solver
 
-    # -- individual primitives ------------------------------------------
-    def normal_equations_sorted(
-        self,
-        deltas: np.ndarray,
-        values: np.ndarray,
-        starts: np.ndarray,
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        """Per-row ``B`` (Eq. 10) and ``c`` (Eq. 11) over row-sorted entries."""
-        return normal_equations_sorted(deltas, values, starts)
-
+    # -- split-row solve -------------------------------------------------
     def solve_rows(
         self,
         b_matrices: np.ndarray,

@@ -74,7 +74,6 @@ Worker count resolution: constructor override, else the
 from __future__ import annotations
 
 import atexit
-import os
 import threading
 from typing import TYPE_CHECKING, Optional, Sequence, Tuple
 
@@ -83,8 +82,13 @@ import numpy as np
 from ...exceptions import WorkerFailureError
 from ..contraction import make_delta_contractor
 from ..solve import solve_segments
-from .base import KernelBackend, NormalEquationsKernel, RowSolverKernel
-from .threaded import chunk_boundaries, chunk_spans, concatenate_chunk_results
+from .base import KernelBackend, RowSolverKernel
+from .threaded import (
+    chunk_boundaries,
+    chunk_spans,
+    concatenate_chunk_results,
+    env_workers,
+)
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ...fabric import TaskSupervisor
@@ -116,13 +120,7 @@ _SUPERVISOR_LOCK = threading.Lock()
 
 def default_workers() -> int:
     """Worker count: ``REPRO_PROC_WORKERS`` env override, else CPU count."""
-    env = os.environ.get(PROC_WORKERS_ENV, "").strip()
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            pass
-    return max(1, os.cpu_count() or 1)
+    return env_workers(PROC_WORKERS_ENV)
 
 
 def shared_supervisor(n_workers: int) -> "TaskSupervisor":
@@ -252,33 +250,6 @@ class ProcpoolBackend(KernelBackend):
         return n_chunks
 
     # ------------------------------------------------------------------
-    def make_normal_equations_kernel(
-        self,
-        factors: Sequence[np.ndarray],
-        core: np.ndarray,
-        mode: int,
-        expected_entries: int,
-    ) -> NormalEquationsKernel:
-        if self.n_workers <= 1:
-            return super().make_normal_equations_kernel(
-                factors, core, mode, expected_entries
-            )
-        # The row solver with an empty solve range: every segment comes
-        # back as (B, c).  λ is never used, so any value will do.
-        solver = self.make_row_solver(factors, core, mode, 0.0, expected_entries)
-
-        def kernel(
-            indices_block: np.ndarray,
-            values_block: np.ndarray,
-            starts: np.ndarray,
-        ) -> Tuple[np.ndarray, np.ndarray]:
-            _, b_matrices, c_vectors = solver(
-                indices_block, values_block, starts, 0, 0
-            )
-            return b_matrices, c_vectors
-
-        return kernel
-
     def make_row_solver(
         self,
         factors: Sequence[np.ndarray],

@@ -63,15 +63,23 @@ def shared_pool(n_workers: int) -> ThreadPoolExecutor:
         return _POOL
 
 
-def default_workers() -> int:
-    """Worker count: ``REPRO_KERNEL_THREADS`` env override, else CPU count."""
-    env = os.environ.get("REPRO_KERNEL_THREADS", "").strip()
+def env_workers(variable: str) -> int:
+    """Worker count: environment variable ``variable``, else the CPU count.
+
+    A value that is not an integer is ignored; the count is at least 1.
+    """
+    env = os.environ.get(variable, "").strip()
     if env:
         try:
             return max(1, int(env))
         except ValueError:
             pass
     return max(1, os.cpu_count() or 1)
+
+
+def default_workers() -> int:
+    """Worker count: ``REPRO_KERNEL_THREADS`` env override, else CPU count."""
+    return env_workers("REPRO_KERNEL_THREADS")
 
 
 def chunk_boundaries(

@@ -10,7 +10,7 @@ in the seed kernel.
 
 from __future__ import annotations
 
-from typing import Optional, Tuple
+from typing import Tuple
 
 import numpy as np
 
@@ -75,67 +75,30 @@ def segment_counts(starts: np.ndarray, n_entries: int) -> np.ndarray:
 
 def equal_length_block(
     deltas: np.ndarray,
-    values: Optional[np.ndarray],
+    values: np.ndarray,
     segment_starts: np.ndarray,
     length: int,
-) -> Tuple[np.ndarray, Optional[np.ndarray]]:
+) -> Tuple[np.ndarray, np.ndarray]:
     """Gather segments that all hold ``length`` entries into one stack.
 
-    Returns the ``(n_segments, length, J)`` δ stack and, when ``values``
-    is given, the matching ``(n_segments, length)`` values.
+    Returns the ``(n_segments, length, J)`` δ stack and the matching
+    ``(n_segments, length)`` values.
     """
     positions = segment_starts[:, None] + np.arange(length)[None, :]
-    if values is None:
-        return deltas[positions], None
     return deltas[positions], values[positions]
 
 
 def equal_length_gram(
-    block: np.ndarray, block_values: Optional[np.ndarray]
-) -> Tuple[np.ndarray, Optional[np.ndarray]]:
-    """``δᵀδ`` (and ``Σ X δ``) of an :func:`equal_length_block` stack.
+    block: np.ndarray, block_values: np.ndarray
+) -> Tuple[np.ndarray, np.ndarray]:
+    """``δᵀδ`` and ``Σ X δ`` of an :func:`equal_length_block` stack.
 
     The stack is contracted as ``blockᵀ block`` in one batched ``matmul``.
     Each segment's sums are computed on their own, so they do not depend
     on which other segments share the stack.
     """
     gram = np.matmul(block.transpose(0, 2, 1), block)
-    if block_values is None:
-        return gram, None
     return gram, np.matmul(block_values[:, None, :], block)[:, 0, :]
-
-
-def _bucketed_gram(
-    deltas: np.ndarray,
-    values: Optional[np.ndarray],
-    starts: np.ndarray,
-) -> Tuple[np.ndarray, Optional[np.ndarray]]:
-    """Segmented ``δᵀδ`` (and optionally ``Σ X δ``) via batched GEMMs.
-
-    Segments are bucketed by length so all equally-long segments reduce in
-    one :func:`equal_length_gram` call.  The ``(m, J, J)`` outer-product
-    array of the seed kernel is never materialised, and no scatter-add runs;
-    the number of GEMM dispatches is the number of distinct segment lengths.
-    """
-    deltas = np.asarray(deltas, dtype=np.float64)
-    rank = deltas.shape[1]
-    n_segments = starts.shape[0]
-    gram = np.empty((n_segments, rank, rank), dtype=np.float64)
-    c_vectors = None if values is None else np.empty((n_segments, rank))
-    counts = segment_counts(starts, deltas.shape[0])
-    for segments, count in length_groups(counts):
-        gram[segments], c_part = equal_length_gram(
-            *equal_length_block(deltas, values, starts[segments], count)
-        )
-        if values is not None:
-            c_vectors[segments] = c_part
-    return gram, c_vectors
-
-
-def segment_gram(deltas: np.ndarray, starts: np.ndarray) -> np.ndarray:
-    """Per-segment Gram matrices ``Σ δδᵀ`` without an ``(m, J, J)`` temporary."""
-    gram, _ = _bucketed_gram(deltas, None, starts)
-    return gram
 
 
 def normal_equations_sorted(
@@ -148,39 +111,21 @@ def normal_equations_sorted(
     ``deltas``/``values`` must be ordered so each row's entries are
     contiguous, with segment boundaries at ``starts``.  Returns ``B`` of
     shape ``(n_segments, J, J)`` and ``c`` of shape ``(n_segments, J)``.
+
+    Segments are bucketed by length so all equally-long segments reduce in
+    one :func:`equal_length_gram` call.  The ``(m, J, J)`` outer-product
+    array of the seed kernel is never materialised, and no scatter-add runs;
+    the number of GEMM dispatches is the number of distinct segment lengths.
     """
+    deltas = np.asarray(deltas, dtype=np.float64)
     values = np.asarray(values, dtype=np.float64)
-    b_matrices, c_vectors = _bucketed_gram(deltas, values, starts)
+    rank = deltas.shape[1]
+    n_segments = starts.shape[0]
+    b_matrices = np.empty((n_segments, rank, rank), dtype=np.float64)
+    c_vectors = np.empty((n_segments, rank))
+    counts = segment_counts(starts, deltas.shape[0])
+    for segments, count in length_groups(counts):
+        b_matrices[segments], c_vectors[segments] = equal_length_gram(
+            *equal_length_block(deltas, values, starts[segments], count)
+        )
     return b_matrices, c_vectors
-
-
-def concatenated_segment_starts(counts: np.ndarray) -> np.ndarray:
-    """Start offsets of each segment inside their concatenated layout.
-
-    Given per-segment lengths, returns where each segment begins once the
-    segments are packed back to back (first element 0).
-    """
-    counts = np.asarray(counts, dtype=np.int64)
-    if counts.size == 0:
-        return np.zeros(0, dtype=np.int64)
-    return np.concatenate((np.zeros(1, dtype=np.int64), np.cumsum(counts)[:-1]))
-
-
-def segment_positions(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
-    """Concatenated positions ``[s, s + c)`` for each selected segment.
-
-    Given per-segment start offsets and lengths (as in a mode context's
-    ``row_starts``/``row_counts`` restricted to one worker's rows), returns
-    the flat entry positions of all selected segments, in segment order.
-    This replaces the per-worker ``np.isin`` scan over all nnz entries with
-    an O(selected entries) gather.
-    """
-    starts = np.asarray(starts, dtype=np.int64)
-    counts = np.asarray(counts, dtype=np.int64)
-    total = int(counts.sum())
-    if total == 0:
-        return np.zeros(0, dtype=np.int64)
-    segment_of_output = np.repeat(np.arange(counts.shape[0]), counts)
-    output_starts = concatenated_segment_starts(counts)
-    offsets = np.arange(total, dtype=np.int64) - output_starts[segment_of_output]
-    return starts[segment_of_output] + offsets

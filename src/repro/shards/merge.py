@@ -72,6 +72,7 @@ from ..columns import (
     index_dtypes_for_shape,
 )
 from ..exceptions import DataFormatError, ShapeError
+from ..kernels.backends.threaded import env_workers
 from ..resilience.atomic import (
     atomic_save_array,
     fsync_directory,
@@ -113,13 +114,7 @@ def spill_workers() -> int:
     lazily once the stream's order is known, capped at one thread per
     mode since one spill task exists per mode.
     """
-    env = os.environ.get("REPRO_SPILL_WORKERS", "").strip()
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            pass
-    return max(1, os.cpu_count() or 1)
+    return env_workers("REPRO_SPILL_WORKERS")
 
 
 def _npy_header(handle, shape: Tuple[int, ...], dtype) -> None:

@@ -5,8 +5,8 @@ without materializing the union:
 
 * the **entry-source protocol** (``nnz`` / ``shape`` / ``mode_segmentation``
   / ``read_mode_block``) consumed by ``update_factor_mode(source, ...)`` and
-  the targeted re-solver — so the union can drive the same three-primitive
-  kernel backends as the base store;
+  the targeted re-solver — so the union drives the same kernel backends'
+  row solvers as the base store;
 * the **chunked entry-reader protocol** (``iter_entry_chunks``) consumed by
   ``ShardStore.build_streaming`` — so compaction folds the union through
   the existing k-way merge.
@@ -22,6 +22,12 @@ of the same base sequence, ``read_mode_block`` can merge lazily: it maps
 a union range ``[start, stop)`` to one contiguous base range plus one
 contiguous slice of the (sorted, in-RAM) delta entries, with no search
 per entry.
+
+A delta entry at a coordinate the base (or an earlier delta) already
+holds is a **second observation**, not a replacement: the union appends
+it, so both entries are read, both count in the row's normal equations
+and re-solve, and compaction stores both — exactly what a fresh build of
+the concatenated entries holds.  Nothing is deduplicated.
 
 The merge arithmetic, per mode: let ``ins[j]`` be the number of base
 entries in the mode's order that precede delta entry ``j`` (all base

@@ -128,6 +128,59 @@ def test_json_cache_roundtrip(tmp_path):
     assert fresh_timer.calls == 0
 
 
+def test_failed_dump_leaves_previous_cache_readable(tmp_path, monkeypatch):
+    """A write that dies half-way (here: disk full) never touches the
+    cache file: the previous winners still load in a fresh process."""
+    import builtins
+    import errno
+
+    path = tmp_path / "autotune.json"
+    candidates = {
+        "numpy": _named_kernel("numpy", 1.0),
+        "threaded": _named_kernel("threaded", 2.0),
+    }
+    first = Autotuner(
+        cache_path=str(path), timer=StubTimer({"numpy": 3.0, "threaded": 1.0})
+    )
+    first.pick("k1", candidates, CALIBRATION)
+    before = path.read_bytes()
+
+    class HalfWrite:
+        def __init__(self, handle):
+            self.handle = handle
+
+        def write(self, payload):
+            self.handle.write(payload[: len(payload) // 2])
+            raise OSError(errno.ENOSPC, "No space left on device")
+
+        def close(self):
+            self.handle.close()
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            self.close()
+
+    real_open = builtins.open
+
+    def disk_full_open(name, mode="r", *args, **kwargs):
+        handle = real_open(name, mode, *args, **kwargs)
+        return HalfWrite(handle) if "w" in mode else handle
+
+    monkeypatch.setattr(builtins, "open", disk_full_open)
+    second = Autotuner(
+        cache_path=str(path), timer=StubTimer({"numpy": 1.0, "threaded": 2.0})
+    )
+    winner, _ = second.pick("k2", candidates, CALIBRATION)
+    monkeypatch.undo()
+    assert winner == "numpy"  # the failed dump does not fail the pick
+
+    assert path.read_bytes() == before
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["autotune.json"]
+    assert Autotuner(cache_path=str(path)).lookup("k1") == "threaded"
+
+
 def test_corrupt_cache_file_is_ignored(tmp_path):
     path = tmp_path / "autotune.json"
     path.write_text("{not json")

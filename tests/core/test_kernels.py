@@ -13,8 +13,6 @@ from repro.kernels import (
     contract_delta_block,
     contract_value_block,
     normal_equations_sorted,
-    segment_gram,
-    segment_positions,
     segment_sum,
     solve_rows,
 )
@@ -265,7 +263,7 @@ class TestSegments:
         deltas = rng.standard_normal((12, 3))
         starts = np.array([0, 5, 6])
         sums = segment_sum(deltas, starts)
-        grams = segment_gram(deltas, starts)
+        grams, _ = normal_equations_sorted(deltas, np.ones(12), starts)
         bounds = [(0, 5), (5, 6), (6, 12)]
         for row, (lo, hi) in enumerate(bounds):
             np.testing.assert_allclose(sums[row], deltas[lo:hi].sum(axis=0))
@@ -281,14 +279,6 @@ class TestSegments:
         b_old, c_old = accumulate_normal_equations(deltas, values, segment_of_entry, 5)
         np.testing.assert_allclose(b_new, b_old[seg_ids], atol=1e-12)
         np.testing.assert_allclose(c_new, c_old[seg_ids], atol=1e-12)
-
-    def test_segment_positions_gathers_selected_ranges(self):
-        starts = np.array([0, 3, 10])
-        counts = np.array([2, 3, 1])
-        np.testing.assert_array_equal(
-            segment_positions(starts, counts), [0, 1, 3, 4, 5, 10]
-        )
-        assert segment_positions(np.empty(0), np.empty(0)).size == 0
 
 
 class TestUpdateFactorModeKernels:

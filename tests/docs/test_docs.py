@@ -97,7 +97,7 @@ def test_readme_documents_the_cli_flags():
         ("repro.tensor.io", ("iter_entry_chunks", "TextEntryReader", "rcoo")),
         ("repro.tensor.textparse", ("parse_numeric_block", "float(token)")),
         ("repro.kernels.backends", ("KernelBackend", "resolve_backend", "auto")),
-        ("repro.kernels.backends.base", ("make_normal_equations_kernel", "make_row_solver")),
+        ("repro.kernels.backends.base", ("solve_segments", "make_row_solver")),
         ("repro.kernels.solve", ("solve_segments", "dual", "push-through")),
         ("repro.resilience", ("atomic_open", "CheckpointManager", "bitwise")),
         ("repro.resilience.atomic", ("fsync", "rename", "crash")),

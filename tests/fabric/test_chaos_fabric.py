@@ -4,11 +4,12 @@ Each test runs a real chunked sweep on the ``procpool`` backend with a
 fault injected into the worker pool — SIGKILL (abrupt death), SIGSTOP
 (hung: heartbeats stop, process lingers) or a wedge (heartbeats keep
 flowing, the task never finishes) — at a task ordinal drawn from a seeded
-RNG, and asserts the recovered ``(B, c)`` stacks, or the factor rows the
-workers solved during ``update_factor_mode``, are **byte-identical** to an
-undisturbed run.  Row/segment independence is
+RNG, and asserts the factor rows the workers solved, with the ``(B, c)``
+stacks of the rows a block boundary leaves partial, are
+**byte-identical** to an undisturbed run.  Row/segment independence is
 what makes this possible: re-dispatching a lost chunk to another worker
-replays the exact same IEEE operation sequence.
+replays the exact same IEEE operation sequence.  The contract holds at
+equal BLAS thread counts (see :mod:`repro.kernels.backends.procpool`).
 
 Marked ``chaos`` (excluded from tier-1): these tests SIGKILL/SIGSTOP
 child processes and take seconds of wall clock on heartbeat timeouts.
@@ -26,7 +27,6 @@ from repro.fabric.worker import (
     INJECT_STOP_ENV,
     INJECT_WEDGE_ENV,
 )
-from repro.kernels import concatenated_segment_starts, segment_positions
 from repro.kernels.backends import ProcpoolBackend, resolve_backend
 from repro.metrics import Counters
 from repro.resilience import BackoffPolicy
@@ -36,36 +36,36 @@ pytestmark = pytest.mark.chaos
 FAST_BACKOFF = BackoffPolicy(base=0.01, cap=0.1, jitter="none")
 
 
-def _mode_inputs(tensor, mode=0):
-    context = build_mode_context(tensor, mode)
-    positions = segment_positions(context.row_starts, context.row_counts)
-    starts = concatenated_segment_starts(context.row_counts)
-    return (
-        context.sorted_indices[positions],
-        context.sorted_values[positions],
-        starts,
-    )
-
-
 @pytest.fixture()
 def sweep(planted_small):
-    """Inputs plus the undisturbed serial reference stacks."""
+    """Inputs plus the undisturbed serial reference ``(rows, B, c)``.
+
+    The solve range leaves the first and last rows partial, as a block
+    boundary would, so both worker-solved rows and ``(B, c)`` stacks
+    cross the pipe.
+    """
     tensor = planted_small.tensor
     factors = initialize_factors(
         tensor.shape, (3, 3, 3), np.random.default_rng(0)
     )
     core = initialize_core((3, 3, 3), np.random.default_rng(1))
-    indices, values, starts = _mode_inputs(tensor)
-    kernel = resolve_backend("numpy").make_normal_equations_kernel(
-        factors, core, 0, indices.shape[0]
+    context = build_mode_context(tensor, 0)
+    block = (
+        context.sorted_indices,
+        context.sorted_values,
+        context.row_starts,
+        1,
+        context.row_starts.shape[0] - 1,
     )
-    b_ref, c_ref = kernel(indices, values, starts)
-    return factors, core, indices, values, starts, b_ref, c_ref
+    solver = resolve_backend("numpy").make_row_solver(
+        factors, core, 0, 0.1, block[0].shape[0]
+    )
+    return factors, core, block, solver(*block)
 
 
 def _disturbed_run(sweep, counters, task_deadline=None, **supervisor_kwargs):
     """One procpool sweep on a freshly spawned (fault-primed) pool."""
-    factors, core, indices, values, starts, b_ref, c_ref = sweep
+    factors, core, block, expected = sweep
     supervisor = TaskSupervisor(
         2,
         task_deadline=task_deadline,
@@ -78,14 +78,13 @@ def _disturbed_run(sweep, counters, task_deadline=None, **supervisor_kwargs):
         n_workers=2, min_chunk_entries=8, supervisor=supervisor
     )
     try:
-        kernel = backend.make_normal_equations_kernel(
-            factors, core, 0, indices.shape[0]
-        )
-        b_pp, c_pp = kernel(indices, values, starts)
+        solver = backend.make_row_solver(factors, core, 0, 0.1, block[0].shape[0])
+        recovered = solver(*block)
     finally:
         supervisor.shutdown()
-    assert b_pp.tobytes() == b_ref.tobytes()
-    assert c_pp.tobytes() == c_ref.tobytes()
+    assert recovered[0].shape[0] == block[4] - block[3]
+    for ours, theirs in zip(recovered, expected):
+        assert ours.tobytes() == theirs.tobytes()
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])

@@ -17,32 +17,22 @@ from repro.kernels.backends import (
     available_backends,
     resolve_backend,
 )
-from repro.kernels import (
-    concatenated_segment_starts,
-    make_delta_contractor,
-    segment_positions,
-    solve_segments,
-)
+from repro.kernels import make_delta_contractor, solve_segments
 
 
 def _mode_inputs(tensor, mode):
     """Mode-sorted entry arrays + segment starts for one whole-mode block."""
     context = build_mode_context(tensor, mode)
-    positions = segment_positions(context.row_starts, context.row_counts)
-    starts = concatenated_segment_starts(context.row_counts)
-    return (
-        context.sorted_indices[positions],
-        context.sorted_values[positions],
-        starts,
-    )
+    return context.sorted_indices, context.sorted_values, context.row_starts
 
 
-def _run_kernel(backend, tensor, factors, core, mode):
+def _run_solver(backend, tensor, factors, core, mode):
+    """``(rows, B, c)`` of one whole-mode block whose first and last rows
+    stay partial, like rows a block boundary splits; workers solve the
+    rest."""
     indices, values, starts = _mode_inputs(tensor, mode)
-    kernel = backend.make_normal_equations_kernel(
-        factors, core, mode, indices.shape[0]
-    )
-    return kernel(indices, values, starts)
+    solver = backend.make_row_solver(factors, core, mode, 0.1, indices.shape[0])
+    return solver(indices, values, starts, 1, starts.shape[0] - 1)
 
 
 class TestRegistry:
@@ -61,8 +51,11 @@ class TestRegistry:
 
 class TestBitwise:
     @pytest.mark.parametrize("mode", [0, 1, 2])
-    def test_chunked_stacks_match_serial_reference(self, planted_small, mode):
-        """(B, c) stacks are bitwise equal to numpy whatever the chunking."""
+    def test_chunked_stacks_match_serial_reference(
+        self, planted_small, mode, bitwise
+    ):
+        """Worker-solved rows and the outside (B, c) stacks are bitwise
+        equal to numpy whatever the chunking."""
         tensor = planted_small.tensor
         factors = initialize_factors(
             tensor.shape, (3, 3, 3), np.random.default_rng(0)
@@ -74,13 +67,13 @@ class TestBitwise:
         # the process pipe in several chunks.
         procpool = ProcpoolBackend(n_workers=2, min_chunk_entries=8)
 
-        b_ref, c_ref = _run_kernel(reference, tensor, factors, core, mode)
-        b_pp, c_pp = _run_kernel(procpool, tensor, factors, core, mode)
-        np.testing.assert_array_equal(b_pp, b_ref)
-        np.testing.assert_array_equal(c_pp, c_ref)
+        expected = _run_solver(reference, tensor, factors, core, mode)
+        got = _run_solver(procpool, tensor, factors, core, mode)
+        for name, ours, theirs in zip(("rows", "B", "c"), got, expected):
+            bitwise(ours, theirs, name)
 
     def test_single_worker_degrades_to_serial_without_spawning(
-        self, planted_small
+        self, planted_small, bitwise
     ):
         tensor = planted_small.tensor
         factors = initialize_factors(
@@ -90,10 +83,10 @@ class TestBitwise:
         reference = resolve_backend("numpy")
         degraded = ProcpoolBackend(n_workers=1)
         assert degraded._supervisor is None  # nothing spawned for n=1
-        b_ref, c_ref = _run_kernel(reference, tensor, factors, core, 0)
-        b_d, c_d = _run_kernel(degraded, tensor, factors, core, 0)
-        np.testing.assert_array_equal(b_d, b_ref)
-        np.testing.assert_array_equal(c_d, c_ref)
+        expected = _run_solver(reference, tensor, factors, core, 0)
+        got = _run_solver(degraded, tensor, factors, core, 0)
+        for name, ours, theirs in zip(("rows", "B", "c"), got, expected):
+            bitwise(ours, theirs, name)
 
     def test_full_fit_matches_numpy_backend(self, planted_small, monkeypatch):
         """An entire fit through ``backend="procpool"`` is bitwise equal to
@@ -190,9 +183,9 @@ class TestRowSolver:
         tensor = planted_small.tensor
         factors, core, (indices, values, starts) = _sweep_inputs(tensor, 0)
         assert starts.shape[0] == 20
-        b_ref, c_ref = resolve_backend("numpy").make_normal_equations_kernel(
-            factors, core, 0, self.FEW_ENTRIES
-        )(indices, values, starts)
+        _, b_ref, c_ref = resolve_backend("numpy").make_row_solver(
+            factors, core, 0, 0.1, self.FEW_ENTRIES
+        )(indices, values, starts, 0, 0)
 
         context = WorkerContext()
         setup = _sweep_setup(factors, core, 0, self.FEW_ENTRIES, 0.1)
@@ -254,9 +247,9 @@ class TestRowSolver:
                     assert carried[k].tobytes() == expected_rows.tobytes()
                 else:
                     assert carried[k] is None
-        b_ref, c_ref = resolve_backend("numpy").make_normal_equations_kernel(
-            factors, core, mode, expected_entries
-        )(indices, values, starts)
+        _, b_ref, c_ref = resolve_backend("numpy").make_row_solver(
+            factors, core, mode, 0.1, expected_entries
+        )(indices, values, starts, 0, 0)
         expected = _reference_rows(
             factors, core, mode, expected_entries,
             (indices, values, starts), 1, n_segments - 1,

@@ -4,18 +4,20 @@ Every assertion here is **bitwise**: the union view must read back what a
 fresh build of the union tensor stores, and a targeted re-solve must land
 exactly the floats a full from-scratch row solve over the union lands —
 orders 3 through 5, ragged ranks, rows shorter than the rank, every
-registered kernel backend, and rows with zero prior entries.
+registered kernel backend, rows with zero prior entries, and coordinates
+a delta observes a second time.
 """
 
 import numpy as np
 import pytest
 
+from updatehelpers import random_entries, write_delta
 from repro.core.core_tensor import initialize_core, initialize_factors
 from repro.core.row_update import update_factor_mode
 from repro.kernels.backends import available_backends
 from repro.shards import ShardStore
 from repro.tensor import SparseTensor
-from repro.updates import DeltaLog, UnionEntrySource, solve_touched_rows
+from repro.updates import DeltaLog, UnionEntrySource, compact, solve_touched_rows
 
 BLOCK_SIZE = 113  # deliberately unaligned so segments straddle blocks
 
@@ -182,3 +184,64 @@ class TestFreshRows:
         )
         assert not np.isin(untouched, solved_rows).any()
         assert np.array_equal(solved_rows, union.touched_rows(0))
+
+
+class TestReobservedCoordinates:
+    """A delta entry at a coordinate the base already holds is a second
+    observation, not a replacement: reads, compaction and re-solves all
+    count both."""
+
+    def test_union_compaction_and_resolve_keep_both_observations(
+        self, tmp_path, bitwise
+    ):
+        shape, ranks = (20, 16, 12), (3, 2, 3)
+        rng = np.random.default_rng(25)
+        base_idx, base_vals = random_entries(rng, shape, 300)
+        base_idx = np.unique(base_idx, axis=0)
+        base = SparseTensor(base_idx, base_vals[: base_idx.shape[0]], shape)
+        store = ShardStore.build(base, str(tmp_path / "store"), shard_nnz=97)
+        repeat = rng.choice(base.nnz, 12, replace=False)
+        delta_idx, delta_vals = base.indices[repeat], rng.normal(size=12) + 5.0
+        DeltaLog.open(store.directory).append(
+            write_delta(tmp_path / "d.rcoo", delta_idx, delta_vals, shape), shape
+        )
+        appended = _union_tensor(base, delta_idx, delta_vals)
+
+        union = UnionEntrySource(store)
+        assert union.nnz == base.nnz + 12
+        for mode in range(3):
+            cols, vals = union.read_mode_block(mode, 0, union.nnz)
+            entries = np.column_stack([cols.column(k) for k in range(3)])
+            for coordinate, old, new in zip(
+                delta_idx, base.values[repeat], delta_vals
+            ):
+                here = (entries == coordinate).all(axis=1)
+                # Base observation first, then the delta's, in one row.
+                assert vals[here].tolist() == [old, new]
+
+        factors, core = _model(shape, ranks, seed=6)
+        replaced_values = base.values.copy()
+        replaced_values[repeat] = delta_vals
+        replaced = SparseTensor(base.indices, replaced_values, shape)
+        for mode in range(3):
+            solved_rows, new_rows = solve_touched_rows(
+                union, factors, core, mode, union.touched_rows(mode),
+                regularization=0.1, block_size=BLOCK_SIZE,
+            )
+            both = [f.copy() for f in factors]
+            update_factor_mode(
+                appended, both, core, mode, 0.1, block_size=BLOCK_SIZE
+            )
+            bitwise(new_rows, both[mode][solved_rows], f"mode {mode}")
+            last_only = [f.copy() for f in factors]
+            update_factor_mode(
+                replaced, last_only, core, mode, 0.1, block_size=BLOCK_SIZE
+            )
+            assert not np.allclose(new_rows, last_only[mode][solved_rows])
+
+        compacted = compact(store)
+        assert compacted.nnz == base.nnz + 12
+        folded = compacted.to_tensor()
+        for coordinate, old, new in zip(delta_idx, base.values[repeat], delta_vals):
+            here = (folded.indices == coordinate).all(axis=1)
+            assert folded.values[here].tolist() == [old, new]
