@@ -28,8 +28,9 @@ class PTuckerConfig:
         Fraction p of core entries removed per iteration by
         P-Tucker-Approx (paper default: 0.2).  Ignored by the other variants.
     orthogonalize:
-        Whether to run the final QR orthogonalisation + core update
-        (Algorithm 2 lines 8-11).
+        Whether to run the final orthogonalisation + core update
+        (Algorithm 2 lines 8-11): CholeskyQR2, with Householder QR where
+        that cannot be trusted.
     seed:
         Seed for the random initialisation of factors and core.
     min_iterations:

@@ -3,8 +3,9 @@
 This is the paper's primary contribution.  Each ALS sweep updates every factor
 matrix mode by mode with the row-wise rule of Eqs. (9)-(12), measures the
 reconstruction error over the observed entries only (Eq. 5), and stops when
-the error converges or the iteration cap is hit.  A final QR pass makes the
-factors orthogonal and folds the R factors into the core (Eqs. 7-8).
+the error converges or the iteration cap is hit.  A final orthogonalisation
+(CholeskyQR2, Householder QR where that cannot be trusted) makes the factors
+orthonormal and folds the R factors into the core (Eqs. 7-8).
 
 The memory-optimised default keeps only the per-row workspace (δ, B, c and the
 inverse) as intermediate data — O(T·J²), Theorem 4 — which is what lets it
@@ -27,6 +28,7 @@ from ..metrics.errors import error_and_loss
 from ..metrics.memory import MemoryTracker
 from ..metrics.timing import IterationTimer
 from ..tensor.coo import SparseTensor
+from ..tensor.validation import check_ranks
 from .config import PTuckerConfig
 from .core_tensor import initialize_core, initialize_factors, orthogonalize
 from .result import TuckerResult
@@ -199,9 +201,11 @@ def run_als(
     store.  The loop owns the whole sequence: seeded initialisation,
     checkpoint digest and resume, per-mode row updates, one residual pass
     per iteration (Eqs. 5-6), the stop rule, the checkpoint save and the
-    final QR orthogonalisation (Eqs. 7-8).  ``hooks`` is the solver whose
-    hook methods specialise it (the Cache, Approx and Sampled variants);
-    ``None`` means plain P-Tucker.
+    final orthogonalisation (Eqs. 7-8,
+    :func:`~repro.core.core_tensor.orthogonalize`).  It first checks the
+    ranks against the shape: each must be positive and at most its mode's
+    length.  ``hooks`` is the solver whose hook methods specialise it (the
+    Cache, Approx and Sampled variants); ``None`` means plain P-Tucker.
 
     An in-RAM tensor is updated through this module's
     :func:`update_factor_mode` and measured with
@@ -219,7 +223,7 @@ def run_als(
         tensor, executor = None, source
         entries = executor.store
         backend, block_size = executor.backend, executor.block_size
-    ranks = config.resolve_ranks(entries.order)
+    ranks = check_ranks(config.resolve_ranks(entries.order), entries.shape)
     rng = np.random.default_rng(config.seed)
     factors = initialize_factors(entries.shape, ranks, rng)
     core = initialize_core(ranks, rng)

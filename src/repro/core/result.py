@@ -83,7 +83,8 @@ class TuckerResult:
     def orthogonality_defect(self) -> float:
         """Max deviation of ``A^(n)T A^(n)`` from identity over all modes.
 
-        Zero (up to round-off) after the final QR step of Algorithm 2.
+        Zero (up to round-off) after the final orthogonalisation of
+        Algorithm 2.
         """
         worst = 0.0
         for f in self.factors:

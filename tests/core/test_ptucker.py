@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 
 from repro.core import PTucker, PTuckerConfig
-from repro.exceptions import OutOfMemoryError
+from repro.data import random_sparse_tensor
+from repro.exceptions import OutOfMemoryError, ShapeError
+from repro.tensor.io import TensorEntryReader
 
 
 class TestConvergence:
@@ -94,6 +96,36 @@ class TestOutputContract:
         )
         result = PTucker(config).fit(planted_small.tensor)
         assert result.memory is None
+
+
+class TestRankValidation:
+    """Every fit path refuses a rank its mode cannot hold, with one message."""
+
+    @pytest.fixture
+    def narrow_tensor(self):
+        return random_sparse_tensor((30, 4, 20), 300, seed=3)
+
+    def _fit(self, path, tensor, ranks, tmp_path):
+        config = PTuckerConfig(ranks=ranks, max_iterations=1, seed=0)
+        if path == "in-core":
+            return PTucker(config).fit(tensor)
+        if path == "shard_dir":
+            return PTucker(config.with_updates(shard_dir=str(tmp_path))).fit(tensor)
+        return PTucker(config).fit_streaming(TensorEntryReader(tensor))
+
+    @pytest.mark.parametrize("path", ["in-core", "shard_dir", "streaming"])
+    @pytest.mark.parametrize(
+        "ranks, message",
+        [((3, 6, 3), "rank 6 exceeds mode length 4"), ((3, 0, 3), "must be positive")],
+    )
+    def test_invalid_rank_is_refused(self, narrow_tensor, tmp_path, path, ranks, message):
+        with pytest.raises(ShapeError, match=message):
+            self._fit(path, narrow_tensor, ranks, tmp_path)
+
+    def test_rank_equal_to_dimension_is_accepted(self, narrow_tensor, tmp_path):
+        result = self._fit("in-core", narrow_tensor, (3, 4, 3), tmp_path)
+        assert result.core.shape == (3, 4, 3)
+        assert [f.shape for f in result.factors] == [(30, 3), (4, 4), (20, 3)]
 
 
 class TestAccuracy:

@@ -179,6 +179,12 @@ class TestFactorizeCommand:
         assert code == 2
         assert "--shards" in capsys.readouterr().err
 
+    def test_rank_above_mode_length_exits_2(self, tensor_file, capsys):
+        path, _ = tensor_file
+        code = main(["fit", path, "--ranks", "2", "13", "2", "--max-iterations", "1"])
+        assert code == 2
+        assert "rank 13 exceeds mode length 12" in capsys.readouterr().err
+
     @pytest.mark.parametrize("algorithm", ["ptucker-approx", "ptucker-sampled"])
     def test_checkpoint_dir_accepts_variants(
         self, tensor_file, tmp_path, capsys, algorithm
