@@ -1,6 +1,7 @@
 """Ablations: Tucker rank and L2 regularization strength.
 
-Two design knobs DESIGN.md calls out:
+Two design knobs the paper's setup fixes (see "Stand-ins for the paper's
+setup" in docs/BENCHMARKS.md):
 
 * the rank J controls the capacity/cost trade-off (the J^N term of Table III),
 * the regularization λ (paper default 0.01) controls over-fitting on sparse

@@ -3,18 +3,18 @@
 A scripted version of the paper's Figure 6 / Figure 10 experiments at a size
 that runs in a couple of minutes on a laptop: it sweeps the number of
 observed entries and the rank, prints the per-iteration time of each method,
-and reports the simulated thread-scalability of P-Tucker.
+and measures P-Tucker's thread scalability on this machine's cores.
 
 Run with:  python examples/scalability_study.py
 """
 
 from __future__ import annotations
 
-from repro.core import PTucker, PTuckerConfig
-from repro.data import nnz_sweep, rank_sweep, random_sparse_tensor
+from repro.core import PTuckerConfig
+from repro.data import nnz_sweep, rank_sweep
+from repro.experiments import figure10
 from repro.experiments.harness import run_algorithms
 from repro.experiments.report import render_table
-from repro.parallel import ParallelSimulator, RowScheduler
 
 METHODS = ("P-Tucker", "Tucker-CSF", "S-HOT")
 
@@ -39,27 +39,12 @@ def sweep_table(sweep, max_iterations: int = 2) -> None:
 
 
 def thread_study() -> None:
-    tensor = random_sparse_tensor((5000, 5000, 5000), nnz=50_000, seed=9)
-    config = PTuckerConfig(ranks=(5, 5, 5), max_iterations=2, seed=0)
-    result = PTucker(config).fit(tensor)
-    simulator = ParallelSimulator(
-        RowScheduler.for_tensor(tensor, result.trace.n_iterations),
-        serial_seconds=result.trace.mean_iteration_seconds,
-        rank=5,
+    result = figure10.run(
+        thread_counts=(1, 2, 4, 8, 16, 20), dimensionality=5000, nnz=50_000, seed=9
     )
-    rows = []
-    for threads in (1, 2, 4, 8, 16, 20):
-        estimate = simulator.estimate(threads)
-        rows.append(
-            {
-                "threads": threads,
-                "speedup": estimate.speedup,
-                "sec/iter": estimate.parallel_seconds,
-            }
-        )
-    print(render_table(rows, title="simulated thread scalability of P-Tucker"))
-    gain = simulator.scheduling_gain(20)
-    print(f"dynamic vs static scheduling gain at 20 threads: {gain:.2f}x")
+    print(render_table(result.rows, title="measured thread scalability of P-Tucker"))
+    for note in result.notes:
+        print(f"note: {note}")
 
 
 def main() -> None:

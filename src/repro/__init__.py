@@ -10,7 +10,6 @@ The package provides:
 * :mod:`repro.baselines` — Tucker-ALS (HOOI), Tucker-wOpt, Tucker-CSF,
   S-HOT and CP-ALS.
 * :mod:`repro.metrics` — reconstruction error, test RMSE, memory accounting.
-* :mod:`repro.parallel` — scheduling policies and the parallel cost simulator.
 * :mod:`repro.shards` — out-of-core sharded sweeps: the mmap COO shard
   store and the streaming executor (bitwise-equal to in-core).
 * :mod:`repro.discovery` — K-means, concept and relation discovery.

@@ -140,6 +140,9 @@ class PTucker:
         memory stays bounded by the chunk/block sizes from raw file to
         fitted model.  The store lands at ``config.shard_dir`` when set,
         otherwise in a temporary directory that is removed after the fit.
+        The shape is known only once the source has been read, so invalid
+        ranks are refused after the store is built, and a store at
+        ``config.shard_dir`` stays behind.
         """
         config = self.config
         self._check_supported(streaming=True)
@@ -171,13 +174,15 @@ class PTucker:
         With ``config.shard_dir`` set, the sweeps run out of core: the
         tensor is sharded to (or reused from) that directory and streamed
         through :class:`~repro.shards.executor.ShardedSweepExecutor`,
-        whose updates are bitwise-equal to the in-core ones.
+        whose updates are bitwise-equal to the in-core ones.  Invalid ranks
+        are refused before the store is built, so they leave no store behind.
         """
         config = self.config
         self._check_supported()
         if config.shard_dir:
             from ..shards import ShardedSweepExecutor, ShardStore
 
+            check_ranks(config.resolve_ranks(tensor.order), tensor.shape)
             store = ShardStore.for_tensor(
                 tensor,
                 config.shard_dir,

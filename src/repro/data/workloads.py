@@ -161,7 +161,8 @@ def realworld_standins(
     Returns a mapping from dataset name to ``(tensor, ranks)``.  Shapes keep
     the same modal semantics as Table IV (two large modes + small context
     modes for the rating tensors, small dense-ish shapes for video/image) at
-    a fraction of the size, per the substitution policy in DESIGN.md.
+    a fraction of the size (see "Stand-ins for the paper's setup" in
+    docs/BENCHMARKS.md).
     """
 
     def scaled(value: int, minimum: int = 4) -> int:

@@ -11,8 +11,9 @@ For every sweep point each method's mean time per iteration is measured; an
 intermediate-memory budget models the paper's 512 GB machine so methods that
 blow up (Tucker-wOpt on anything non-trivial) report O.O.M. instead of a
 time, exactly as in the paper's plots.  Sizes are scaled down relative to the
-paper (see DESIGN.md) but the progression of each swept attribute is kept, so
-the curve shapes and the method ordering are comparable.
+paper (see "Stand-ins for the paper's setup" in docs/BENCHMARKS.md) but the
+progression of each swept attribute is kept, so the curve shapes and the
+method ordering are comparable.
 """
 
 from __future__ import annotations

@@ -3,9 +3,9 @@
 The paper measures the average time per iteration of every method on
 Yahoo-music, MovieLens, the sea-wave video and the 'Lena' image tensors.
 This experiment runs the same comparison on the scaled-down stand-ins from
-:func:`repro.data.workloads.realworld_standins` (see the substitution table
-in DESIGN.md) and additionally includes P-Tucker-Approx, which the paper
-plots alongside P-Tucker in this figure.
+:func:`repro.data.workloads.realworld_standins` (see "Stand-ins for the
+paper's setup" in docs/BENCHMARKS.md) and additionally includes
+P-Tucker-Approx, which the paper plots alongside P-Tucker in this figure.
 """
 
 from __future__ import annotations

@@ -244,11 +244,6 @@ class WorkerPool:
         self._closed = False
 
     # ------------------------------------------------------------------
-    @property
-    def latest_seq(self) -> int:
-        """Sequence number of the newest setup broadcast."""
-        return self._seq
-
     def live_handles(self) -> List[WorkerHandle]:
         return [slot.handle for slot in self.slots if slot.handle is not None]
 

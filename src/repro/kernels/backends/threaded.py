@@ -41,6 +41,9 @@ MIN_CHUNK_ENTRIES = 8_192
 #: skewed segment lengths without flooding the queue.
 CHUNKS_PER_WORKER = 4
 
+#: Environment variable that overrides the worker count (default: CPU count).
+THREADS_VARIABLE = "REPRO_KERNEL_THREADS"
+
 _POOL: Optional[ThreadPoolExecutor] = None
 _POOL_WORKERS = 0
 _POOL_LOCK = threading.Lock()
@@ -79,7 +82,7 @@ def env_workers(variable: str) -> int:
 
 def default_workers() -> int:
     """Worker count: ``REPRO_KERNEL_THREADS`` env override, else CPU count."""
-    return env_workers("REPRO_KERNEL_THREADS")
+    return env_workers(THREADS_VARIABLE)
 
 
 def chunk_boundaries(

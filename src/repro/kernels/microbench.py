@@ -58,7 +58,6 @@ import gc
 import json
 import os
 import tempfile
-import tracemalloc
 from functools import partial
 from time import perf_counter
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
@@ -67,6 +66,7 @@ import numpy as np
 
 from ..metrics.environment import bench_environment
 from ..metrics.environment import blas_thread_count as _blas_thread_count
+from ..metrics.memory import run_with_traced_peak
 
 from ..core.row_update import (
     InMemorySource,
@@ -381,31 +381,6 @@ def _cold_peak_rss_mb(probe: str, *args: object) -> Optional[float]:
     return float(delta_kb) / 1024.0
 
 
-def _run_with_traced_peak(fn: Callable[[], object]) -> Tuple[object, float]:
-    """Run ``fn`` under ``tracemalloc`` and return its allocation peak.
-
-    Deterministic counterpart of the subprocess RSS measurement
-    (:func:`_cold_peak_rss_mb`): numpy reports its buffer allocations to
-    tracemalloc, so the peak covers every array the call materialises
-    (but not memory-mapped file pages — those are page cache, not
-    intermediate data).  Do not time inside ``fn``; tracing slows
-    allocation.
-    """
-    gc.collect()
-    was_tracing = tracemalloc.is_tracing()
-    if not was_tracing:
-        tracemalloc.start()
-    tracemalloc.reset_peak()
-    before = tracemalloc.get_traced_memory()[0]
-    try:
-        result = fn()
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        if not was_tracing:
-            tracemalloc.stop()
-    return result, float(max(0, peak - before))
-
-
 def _bench_sharded_vs_incore(
     tensor: SparseTensor,
     factors: Sequence[np.ndarray],
@@ -457,8 +432,8 @@ def _bench_sharded_vs_incore(
             best_incore = min(best_incore, seconds)
             seconds, sharded_factor = sharded_run()
             best_sharded = min(best_sharded, seconds)
-        (_, _), traced_incore = _run_with_traced_peak(incore_run)
-        (_, _), traced_sharded = _run_with_traced_peak(sharded_run)
+        (_, _), traced_incore = run_with_traced_peak(incore_run)
+        (_, _), traced_sharded = run_with_traced_peak(sharded_run)
         rank = int(np.asarray(core).shape[0])
         rss_incore = _cold_peak_rss_mb(
             _SWEEP_RSS_PROBE, "incore", shard_dir, block_size, rank
@@ -725,8 +700,8 @@ def _bench_ingest(
             incore_dir, stream_dir
         )
 
-        _, traced_incore = _run_with_traced_peak(incore_build)
-        _, traced_stream = _run_with_traced_peak(streaming_build_run)
+        _, traced_incore = run_with_traced_peak(incore_build)
+        _, traced_stream = run_with_traced_peak(streaming_build_run)
         mib = 1024.0 * 1024.0
         row["peak_traced_mb_build_incore"] = traced_incore / mib
         row["peak_traced_mb_build_streaming"] = traced_stream / mib

@@ -14,12 +14,17 @@ This module provides two pieces:
   actual intermediate allocations to.  It records the peak and can enforce a
   budget, raising :class:`~repro.exceptions.OutOfMemoryError` exactly where
   the real implementation would have died.
+
+:func:`run_with_traced_peak` measures instead of charging: the allocation
+peak of a call under ``tracemalloc``.
 """
 
 from __future__ import annotations
 
+import gc
+import tracemalloc
 from dataclasses import dataclass, field
-from typing import Dict, Optional, Sequence
+from typing import Callable, Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -164,10 +169,6 @@ class MemoryTracker:
         if what in self.allocations:
             self.allocations[what] = max(0, self.allocations[what] - n)
 
-    def release_array(self, shape: Sequence[int], what: str = "intermediate") -> None:
-        """Release the bytes of a float64 array of the given shape."""
-        self.release(_prod(shape) * BYTES_PER_FLOAT, what)
-
     def release_all(self) -> None:
         """Drop every recorded allocation (end of an update phase)."""
         self.current_bytes = 0
@@ -177,3 +178,26 @@ class MemoryTracker:
     def peak_megabytes(self) -> float:
         """Peak intermediate data in MB, the unit used by Figure 8(b)."""
         return self.peak_bytes / (1024.0 * 1024.0)
+
+
+def run_with_traced_peak(fn: Callable[[], object]) -> Tuple[object, float]:
+    """Run ``fn`` under ``tracemalloc`` and return its allocation peak in bytes.
+
+    numpy reports its buffer allocations to tracemalloc, so the peak covers
+    every array the call materialises (but not memory-mapped file pages —
+    those are page cache, not intermediate data).  Do not time inside
+    ``fn``; tracing slows allocation.
+    """
+    gc.collect()
+    was_tracing = tracemalloc.is_tracing()
+    if not was_tracing:
+        tracemalloc.start()
+    tracemalloc.reset_peak()
+    before = tracemalloc.get_traced_memory()[0]
+    try:
+        result = fn()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        if not was_tracing:
+            tracemalloc.stop()
+    return result, float(max(0, peak - before))

@@ -905,9 +905,3 @@ def load_shards(directory: PathLike) -> SparseTensor:
     from ..shards import ShardStore
 
     return ShardStore.open(os.fspath(directory)).to_tensor()
-
-
-def roundtrip_paths(base: PathLike) -> Tuple[str, str]:
-    """Return the (text, npz) file names derived from a base path (test helper)."""
-    base = os.fspath(base)
-    return base + ".tns", base + ".npz"

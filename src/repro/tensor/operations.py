@@ -25,7 +25,6 @@ import numpy as np
 from ..exceptions import ShapeError
 from ..kernels import block_segment_starts, make_value_contractor, segment_sum
 from .coo import SparseTensor
-from .dense import unfold
 from .validation import check_mode
 
 
@@ -174,15 +173,6 @@ def sparse_gram_chain(
         gram += y_block.T @ y_block
         start = stop
     return gram
-
-
-def dense_from_sparse_unfold(tensor: SparseTensor, mode: int) -> np.ndarray:
-    """Dense mode-``mode`` unfolding of a sparse tensor (zero-filled).
-
-    Only used for tests and very small tensors; delegates to
-    :func:`repro.tensor.dense.unfold` after densification.
-    """
-    return unfold(tensor.to_dense(), mode)
 
 
 def mode_lengths_product(shape: Sequence[int], skip: int = -1) -> int:

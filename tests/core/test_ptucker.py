@@ -121,6 +121,9 @@ class TestRankValidation:
     def test_invalid_rank_is_refused(self, narrow_tensor, tmp_path, path, ranks, message):
         with pytest.raises(ShapeError, match=message):
             self._fit(path, narrow_tensor, ranks, tmp_path)
+        if path != "streaming":
+            # Refused before any store is built: no manifest, no mode dirs.
+            assert list(tmp_path.iterdir()) == []
 
     def test_rank_equal_to_dimension_is_accepted(self, narrow_tensor, tmp_path):
         result = self._fit("in-core", narrow_tensor, (3, 4, 3), tmp_path)

@@ -131,7 +131,6 @@ def test_readme_documents_the_cli_flags():
         ("repro.core.row_update", ("InMemorySource", "read_mode_block", "bitwise")),
         ("repro.core.ptucker", ("run_als", "update_factor_mode", "error_and_loss")),
         ("repro.kernels.microbench", ("kron_update_factor_mode", "frozen", "speedup")),
-        ("repro.parallel", ("partition", "RowScheduler", "simulat")),
     ],
 )
 def test_pydoc_renders_public_api(module, expected):

@@ -5,10 +5,14 @@ properties the paper's corresponding figure/table relies on (which methods
 appear, which columns exist, the expected qualitative ordering).
 """
 
+import os
+
 import numpy as np
 import pytest
 
+from repro.core import PTucker
 from repro.experiments import EXPERIMENTS, figure5, figure8, figure9, figure10, table1, table3, table5, table6
+from repro.kernels.backends import threaded
 
 
 class TestRegistry:
@@ -120,21 +124,73 @@ class TestFigure9:
 
 
 class TestFigure10:
-    def test_speedup_monotone_in_threads(self):
-        result = figure10.run(
-            thread_counts=(1, 2, 4, 8), dimensionality=400, nnz=4000, max_iterations=1
-        )
-        speedups = [row["speedup"] for row in result.rows]
-        assert all(b >= a - 1e-9 for a, b in zip(speedups, speedups[1:]))
-        assert speedups[0] == pytest.approx(1.0, rel=1e-6)
+    """Figure 10 rows are measured ``threaded`` fits, never modelled ones.
 
-    def test_memory_linear_in_threads(self):
-        result = figure10.run(
-            thread_counts=(1, 4), dimensionality=400, nnz=4000, max_iterations=1
-        )
-        assert result.rows[1]["memory_MB"] == pytest.approx(
-            4 * result.rows[0]["memory_MB"], rel=1e-6
-        )
+    Only claims that hold at any scale are asserted: wall-clock speed-ups
+    depend on the host, so none is compared against a threshold.
+    """
+
+    #: 20 000 entries make at least two 8 192-entry chunks per mode at 2 threads.
+    SIZE = dict(dimensionality=400, nnz=20_000, rank=4, max_iterations=1)
+
+    @pytest.fixture
+    def two_cores(self, monkeypatch):
+        monkeypatch.setattr(figure10.os, "cpu_count", lambda: 2)
+
+    @pytest.fixture
+    def fits(self, monkeypatch):
+        """Every model ``figure10.run`` fits, keyed by the thread count it ran at."""
+        recorded = []
+
+        class RecordingPTucker(PTucker):
+            def fit(self, tensor):
+                result = super().fit(tensor)
+                threads = os.environ[figure10.THREADS_VARIABLE]
+                recorded.append((int(threads), tensor, self.config, result))
+                return result
+
+        monkeypatch.setattr(figure10, "PTucker", RecordingPTucker)
+        return recorded
+
+    def test_rows_stop_at_cpu_count_and_name_the_rest(self, two_cores):
+        result = figure10.run(thread_counts=(1, 2, 4, 8), **self.SIZE)
+        assert [row["threads"] for row in result.rows] == [1, 2]
+        assert any("T = 4, 8" in note for note in result.notes)
+        assert any("dynamic over static" in note for note in result.notes)
+        assert result.rows[0]["speedup"] == 1.0
+        assert all(row["traced_peak_MB"] > 0 for row in result.rows)
+
+    def test_fits_are_bitwise_equal_across_threads_and_to_numpy(
+        self, two_cores, fits, monkeypatch, bitwise
+    ):
+        chunked = []
+        boundaries = threaded.chunk_boundaries
+
+        def spy(starts, n_entries, n_chunks):
+            edges = boundaries(starts, n_entries, n_chunks)
+            chunked.append(edges.shape[0] - 1)
+            return edges
+
+        monkeypatch.setattr(threaded, "chunk_boundaries", spy)
+        figure10.run(thread_counts=(1, 2), **self.SIZE)
+        assert {threads for threads, *_ in fits} == {1, 2}
+        assert chunked and min(chunked) >= 2, "2 threads must really chunk"
+
+        _, tensor, config, _ = fits[0]
+        reference = PTucker(config.with_updates(backend="numpy")).fit(tensor)
+        for threads, _, _, result in fits:
+            bitwise(result.core, reference.core, f"core @ {threads}")
+            for mode, (mine, theirs) in enumerate(zip(result.factors, reference.factors)):
+                bitwise(mine, theirs, f"factor {mode} @ {threads}")
+
+    @pytest.mark.parametrize("caller_value", [None, "3"])
+    def test_thread_variable_is_restored(self, two_cores, monkeypatch, caller_value):
+        if caller_value is None:
+            monkeypatch.delenv(figure10.THREADS_VARIABLE, raising=False)
+        else:
+            monkeypatch.setenv(figure10.THREADS_VARIABLE, caller_value)
+        figure10.run(thread_counts=(1, 2), dimensionality=50, nnz=500, max_iterations=1)
+        assert os.environ.get(figure10.THREADS_VARIABLE) == caller_value
 
 
 class TestDiscoveryTables:

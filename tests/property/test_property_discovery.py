@@ -1,11 +1,10 @@
-"""Property-based tests on K-means and the partition/scheduling invariants."""
+"""Property-based tests on K-means invariants."""
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.discovery import kmeans
-from repro.parallel import partition_rows
 
 
 @given(
@@ -50,20 +49,3 @@ def test_kmeans_assignment_is_nearest_centroid(n_rows, n_clusters, seed):
     own = all_distances[np.arange(n_rows), result.labels]
     assert np.all(own <= all_distances.min(axis=1) + 1e-9)
 
-
-@given(
-    st.lists(st.floats(0.1, 100.0), min_size=1, max_size=200),
-    st.integers(1, 16),
-    st.sampled_from(["static", "dynamic", "lpt"]),
-)
-@settings(max_examples=50, deadline=None)
-def test_partition_invariants(costs, n_threads, policy):
-    """Every partition covers all items once and its makespan respects the bounds."""
-    costs_arr = np.asarray(costs)
-    partition = partition_rows(costs_arr, n_threads, policy)
-    assert partition.assignments.shape[0] == costs_arr.shape[0]
-    np.testing.assert_allclose(partition.thread_loads().sum(), costs_arr.sum())
-    makespan = partition.makespan()
-    lower = max(costs_arr.sum() / partition.n_threads, costs_arr.max())
-    assert makespan >= lower - 1e-6
-    assert makespan <= costs_arr.sum() + 1e-6

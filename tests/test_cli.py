@@ -179,11 +179,18 @@ class TestFactorizeCommand:
         assert code == 2
         assert "--shards" in capsys.readouterr().err
 
-    def test_rank_above_mode_length_exits_2(self, tensor_file, capsys):
+    @pytest.mark.parametrize("sharded", [False, True], ids=["in-core", "shards"])
+    def test_rank_above_mode_length_exits_2(self, tensor_file, tmp_path, capsys, sharded):
         path, _ = tensor_file
-        code = main(["fit", path, "--ranks", "2", "13", "2", "--max-iterations", "1"])
+        shards = tmp_path / "shards"
+        extra = ["--shards", str(shards)] if sharded else []
+        code = main(
+            ["fit", path, "--ranks", "2", "13", "2", "--max-iterations", "1", *extra]
+        )
         assert code == 2
         assert "rank 13 exceeds mode length 12" in capsys.readouterr().err
+        # Refused before the shard build: no store is left behind.
+        assert not shards.exists() or list(shards.iterdir()) == []
 
     @pytest.mark.parametrize("algorithm", ["ptucker-approx", "ptucker-sampled"])
     def test_checkpoint_dir_accepts_variants(
