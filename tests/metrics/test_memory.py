@@ -1,10 +1,16 @@
 """Tests for the intermediate-data memory model and runtime tracker."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from repro.exceptions import OutOfMemoryError
 from repro.metrics import BYTES_PER_FLOAT, MemoryModel, MemoryTracker, TensorAttributes
+from repro.metrics.memory import run_with_traced_peak
+
+#: Elements of an 8 MiB float64 array: far above the traced noise of a small call.
+BIG = 1024 * 1024
 
 
 @pytest.fixture
@@ -119,3 +125,48 @@ class TestMemoryTracker:
         tracker.allocate(5, "delta")
         tracker.release(3, "delta")
         assert tracker.allocations["delta"] == 12
+
+
+class TestRunWithTracedPeak:
+    @pytest.fixture(autouse=True)
+    def not_tracing(self):
+        was_tracing = tracemalloc.is_tracing()
+        if was_tracing:  # pragma: no cover - only under a tracing runner
+            tracemalloc.stop()
+        yield
+        if was_tracing:  # pragma: no cover
+            tracemalloc.start()
+
+    def test_returns_the_value_and_counts_an_array_built_inside(self):
+        result, peak = run_with_traced_peak(lambda: float(np.ones(BIG).sum()))
+        assert result == BIG
+        assert peak >= BIG * BYTES_PER_FLOAT
+
+    def test_memory_held_or_peaked_before_the_call_is_not_counted(self):
+        tracemalloc.start()
+        try:
+            held = np.ones(BIG)
+            np.ones(2 * BIG).sum()  # an earlier, higher peak
+            _, peak = run_with_traced_peak(lambda: np.ones(16))
+        finally:
+            tracemalloc.stop()
+        assert held.nbytes == BIG * BYTES_PER_FLOAT
+        assert peak < BIG * BYTES_PER_FLOAT / 8
+
+    @pytest.mark.parametrize("already_tracing", [False, True])
+    def test_tracing_state_is_restored(self, already_tracing):
+        if already_tracing:
+            tracemalloc.start()
+        try:
+            run_with_traced_peak(lambda: None)
+            assert tracemalloc.is_tracing() is already_tracing
+        finally:
+            tracemalloc.stop()
+
+    def test_an_exception_propagates_and_tracing_stops(self):
+        def fail():
+            raise RuntimeError("fit failed")
+
+        with pytest.raises(RuntimeError, match="fit failed"):
+            run_with_traced_peak(fail)
+        assert not tracemalloc.is_tracing()
