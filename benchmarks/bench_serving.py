@@ -11,8 +11,8 @@ Run as a pytest benchmark (small grid) or as a script::
     PYTHONPATH=src python benchmarks/bench_serving.py [--small] [-o OUT]
 
 which writes ``BENCH_serving.json`` (the full default grid, including the
-items=200k/rank=256 acceptance cell where batch-1024 top-K clears 10x the
-unbatched per-query loop on one CPU; ``--small`` smoke runs write
+items=200k/rank=256 cell where batch-1024 top-K runs about 9-12x faster
+per query than the unbatched per-query loop; ``--small`` smoke runs write
 ``BENCH_serving_small.json`` instead so they never clobber the committed
 full-grid record).  Column glossary: ``docs/BENCHMARKS.md``.
 """

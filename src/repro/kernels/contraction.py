@@ -103,16 +103,22 @@ class _ContractionPlan:
 
         if pre is None:
             # Greedy precontraction set: smallest dimensions first, while
-            # the table stays under budget and beats the batched cost over
-            # the sweep.
+            # the table stays under budget and has no more rows (the
+            # product of the precontracted lengths) than the sweep has
+            # entries to gather them.
             pre = []
             size = core_arr.size
+            table_rows = 1
             for k in sorted(other, key=lambda q: np.asarray(factors[q]).shape[0]):
                 dim_k = np.asarray(factors[k]).shape[0]
                 new_size = (size // core_arr.shape[k]) * dim_k
-                if dim_k <= expected_entries and new_size <= PRECONTRACT_CELL_BUDGET:
+                if (
+                    table_rows * dim_k <= expected_entries
+                    and new_size <= PRECONTRACT_CELL_BUDGET
+                ):
                     pre.append(k)
                     size = new_size
+                    table_rows *= dim_k
         pre = [int(k) for k in pre]
         batch = [k for k in other if k not in pre]
         kept = [keep_mode] if keep_mode is not None else []

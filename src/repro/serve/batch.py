@@ -1,12 +1,12 @@
 """Micro-batching: coalesce concurrent requests into one kernel call.
 
-One top-K query pays the full read of the item projection matrix
-``U_m`` (``I_m × J_m`` floats); a batch of B queries pays it once and
-amortises it B ways — on the serving box that memory traffic, not FLOPs,
-is the per-query cost.  :class:`MicroBatcher` therefore holds each
-arriving request for at most ``max_wait_ms`` while more requests of the
-same kind accumulate, then executes the whole group as one call to the
-handler.
+One top-K query pays the full read of the item mode's float32 screen
+matrix (``J_m × I_m`` float32 values, half the bytes of ``U_m`` itself);
+a batch of B queries pays it once and amortises it B ways — on the
+serving box that memory traffic, not FLOPs, is the per-query cost.
+:class:`MicroBatcher` therefore holds each arriving request for at most
+``max_wait_ms`` while more requests of the same kind accumulate, then
+executes the whole group as one call to the handler.
 
 Correctness note: batching is *free* here — the model's kernels are
 batch-invariant (see :mod:`repro.serve.topk` and the ``batch_invariant``

@@ -23,11 +23,10 @@ counts:
 * **Batched predict** — point predictions at batch 4096 against the
   per-entry loop.
 
-Single-CPU honesty: the screening GEMM is the one serving stage that
-scales with cores while the unbatched GEMV stays memory-bound, so the
-batched/unbatched ratios recorded on a one-CPU container (see
-``environment.single_cpu_caveat``) are a *floor* — multicore hardware
-widens them.
+Cores: the float32 screening GEMM is the one serving stage that scales
+with cores while the unbatched GEMV stays memory-bound, so the
+batched/unbatched ratios depend on the host's core count (recorded in
+``environment``; ``single_cpu_caveat`` flags a one-CPU record).
 
 ``benchmarks/bench_serving.py`` wraps :func:`run_serving_bench` as a
 script (writing ``BENCH_serving.json``) and as a ``slow``-marked pytest
@@ -46,10 +45,10 @@ from ..metrics.environment import bench_environment
 from ..metrics.timing import percentile
 from .model import ServingModel
 
-#: Full default grid.  The (items=200k, rank=256) cell is the acceptance
-#: cell: batched top-K at batch 1024 against the unbatched per-query loop
-#: is FLOP-bound GEMM vs. memory-bound GEMV there, which is where batching
-#: pays an order of magnitude even on one core.
+#: Full default grid.  In the (items=200k, rank=256) cell batched top-K
+#: at batch 1024 against the unbatched per-query loop is FLOP-bound GEMM
+#: vs. memory-bound GEMV, which is where batching pays most (about 9-12x
+#: per query on two cores).
 DEFAULT_GRID: Tuple[Dict[str, int], ...] = (
     {"items": 2_000, "rank": 16},
     {"items": 50_000, "rank": 64},

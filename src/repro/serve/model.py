@@ -13,10 +13,13 @@ precomputed state:
 * **Top-K** queries never reconstruct anything dense.  The context rows
   are contracted into rank space (``q = core ×_{k≠m} u_k``, a length
   ``J_m`` vector, via the same batch-invariant δ kernel the solver uses
-  with ``keep_mode = m``), and ``q`` is scored against the precomputed
-  rank-major item projection ``U_m^T`` by the deterministic blocked
-  scorer of :mod:`repro.serve.topk` — ``O(I_m · J_m)`` per query, with
-  the projection read amortised across the batch.
+  with ``keep_mode = m``), and ``q`` is screened against the mode's
+  :class:`~repro.serve.topk.ItemProjection` — a float32 rank-major cast
+  of ``U_m^T``, ``O(I_m · J_m)`` float32 per query with the read
+  amortised across the batch — and the few candidates are rescored from
+  the float64 factor rows by the deterministic scorer of
+  :mod:`repro.serve.topk`.  The float32 screen is the only item matrix
+  kept beside the factor.
 * A hot-row :class:`~repro.serve.cache.LRUCache` keeps recent ``q``
   vectors per (mode, context), so repeat queries by the same user skip
   the core contraction entirely; a second cache keeps gathered factor
@@ -30,7 +33,7 @@ the ranking — "recommend something the user hasn't rated".
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
@@ -39,7 +42,7 @@ from ..kernels.contraction import make_delta_contractor, make_value_contractor
 from ..metrics import Counters
 from ..model_io import load_result, validate_model
 from .cache import LRUCache
-from .topk import TopKResult, topk_scores
+from .topk import ItemProjection, TopKResult, topk_scores
 
 #: Contraction plans are built for this many entries regardless of actual
 #: batch sizes — plan geometry must not vary with batching, or batched
@@ -90,13 +93,11 @@ class ServingModel:
         )
         self._store = None
         self.mmap_backed = any(isinstance(f, np.memmap) for f in factors)
-        # Per-mode (projection, per-item abs-sums, margin) triples kept as
-        # ONE tuple per mode: a top-K reader grabs the whole triple in a
-        # single dict read, so a concurrent hot-swap can never pair a new
-        # projection with a stale margin (which could mis-prune).
-        self._projection_state: Dict[
-            int, Tuple[np.ndarray, np.ndarray, float]
-        ] = {}
+        # One immutable ItemProjection (screen, factor, abs-sums, margin)
+        # per item mode: a top-K reader grabs it in a single dict read, so
+        # a concurrent hot-swap can never pair a new screen with a stale
+        # factor or margin (which could mis-prune).
+        self._projections: Dict[int, ItemProjection] = {}
         self._delta: Dict[int, object] = {}
         self._value = make_value_contractor(
             self.factors, self.core, PLAN_ENTRIES, batch_invariant=True
@@ -138,44 +139,25 @@ class ServingModel:
     # ------------------------------------------------------------------
     # Precomputed per-mode state
     # ------------------------------------------------------------------
-    def item_projection(self, mode: int) -> np.ndarray:
-        """Rank-major ``(J_m, I_m)`` projection of mode ``m``'s factor.
+    def item_projection(self, mode: int) -> ItemProjection:
+        """The :class:`~repro.serve.topk.ItemProjection` of item mode ``m``.
 
-        Built once per designated item mode on first use: the transpose
-        is materialised C-contiguous so the blocked scorer streams
-        contiguous item coefficients per rank component (and, for
-        memory-mapped factors, so scoring never faults pages through a
-        strided map).
-        """
-        return self._projection_entry(mode)[0]
-
-    def _projection_entry(
-        self, mode: int
-    ) -> Tuple[np.ndarray, np.ndarray, float]:
-        """``(projection, per-item abs-sums, margin)`` of an item mode.
-
-        The abs-sum vector is retained so :meth:`apply_update` can patch
-        the margin surgically (recompute only the swapped columns' sums
-        and re-take the max) instead of rebuilding the projection — the
+        Built once per designated item mode on first use: a float32
+        rank-major ``(J_m, I_m)`` screen cast from the factor in row
+        chunks (so the screening GEMM streams contiguous item
+        coefficients per rank component at half the bytes of float64),
+        plus the float64 factor itself, which rescoring reads row by row.
+        :meth:`apply_update` patches it instead of rebuilding it — the
         ``model.projection_builds`` counter proves a swap never triggers
         a rebuild.
         """
         self._check_mode(mode)
-        state = self._projection_state.get(mode)
-        if state is None:
-            projection = np.ascontiguousarray(
-                np.asarray(self.factors[mode]).T, dtype=np.float64
-            )
-            if projection.size == 0:
-                sums = np.zeros(projection.shape[1], dtype=np.float64)
-                margin = 0.0
-            else:
-                sums = np.abs(projection).sum(axis=0)
-                margin = float(sums.max()) if sums.size else 0.0
-            state = (projection, sums, margin)
-            self._projection_state[mode] = state
+        projection = self._projections.get(mode)
+        if projection is None:
+            projection = ItemProjection.build(self.factors[mode])
+            self._projections[mode] = projection
             self.counters.add("model.projection_builds")
-        return state
+        return projection
 
     def _delta_contractor(self, mode: int):
         """The batch-invariant rank-space kernel for item mode ``m``."""
@@ -355,8 +337,7 @@ class ServingModel:
         if exclude_observed:
             block = self._context_block(contexts, mode)
             exclude = [self._observed_items(row, mode) for row in block]
-        projection, _, margin = self._projection_entry(mode)
-        results = topk_scores(q_block, projection, k, exclude, margin=margin)
+        results = topk_scores(q_block, self.item_projection(mode), k, exclude)
         self.counters.add("model.topk_queries", len(results))
         return results
 
@@ -401,8 +382,10 @@ class ServingModel:
           *contents* into its tables at build time, so rebuilding over
           the snapshot is what keeps every closure self-consistent;
         * the item projection of ``mode`` is patched **surgically** —
-          swapped columns assigned, their abs-sums recomputed, the margin
-          re-maxed — never rebuilt (see ``model.projection_builds``);
+          a copy of the float32 screen with the swapped columns cast in,
+          their abs-sums recomputed, the margin re-maxed — never rebuilt
+          (see ``model.projection_builds``) unless the new margin moves
+          the screen's power-of-two scale;
         * only the cache entries the swap staled are invalidated: ``q``
           vectors whose context touches a swapped row of ``mode`` and
           staged copies of the swapped rows.  Everything else stays warm,
@@ -447,23 +430,24 @@ class ServingModel:
             )
             for m in self._delta
         }
-        new_states = dict(self._projection_state)
-        if mode in new_states:
-            projection, sums, _ = new_states[mode]
-            projection = np.array(projection, copy=True)
-            projection[:, rows] = new_rows.T
-            sums = np.array(sums, copy=True)
-            sums[rows] = np.abs(new_rows).sum(axis=1)
-            margin = float(sums.max()) if sums.size else 0.0
-            new_states[mode] = (projection, sums, margin)
-            self.counters.add("model.projection_row_updates", rows.shape[0])
+        new_projections = dict(self._projections)
+        if mode in new_projections:
+            old = new_projections[mode]
+            new = old.with_rows(rows, new_rows, factor)
+            new_projections[mode] = new
+            if new.exponent != old.exponent:
+                self.counters.add("model.projection_builds")
+            else:
+                self.counters.add(
+                    "model.projection_row_updates", rows.shape[0]
+                )
         # Publish: each assignment swaps a whole self-consistent object,
         # so any reader sees a coherent snapshot.
         self.factors = new_factors
         self.mmap_backed = any(isinstance(f, np.memmap) for f in new_factors)
         self._value = new_value
         self._delta = new_delta
-        self._projection_state = new_states
+        self._projections = new_projections
         swapped = {int(r) for r in rows}
         self.query_cache.invalidate_where(
             lambda key: key[0] != mode and int(key[1 + mode]) in swapped

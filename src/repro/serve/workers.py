@@ -5,13 +5,15 @@ pool of worker processes behind the server's query path.  Every worker
 loads the **full model** (a ``SETUP`` broadcast replayed to respawned
 workers, so a replacement always rejoins with identical state); top-K
 queries are then sharded along the **item axis** — worker task ``i``
-scores items ``[lo_i, hi_i)`` — and the shard results are merged by the
-canonical ``(-score, item)`` rule.  The merge is exact, ties included:
-the blocked scorer of :mod:`repro.serve.topk` fixes each ``(q, item)``
-score's accumulation order over the full rank axis regardless of which
-column range it is computed in, so a shard's scores are bitwise equal to
-the unsharded scorer's, and any global top-K member necessarily ranks in
-its own shard's top-K.  Sharded answers are therefore bitwise identical
+screens items ``[lo_i, hi_i)`` through a column view of the float32
+screen and rescores them from a row slice of the float64 factor — and
+the shard results are merged by the canonical ``(-score, item)`` rule.
+The merge is exact, ties included: the deterministic scorer of
+:mod:`repro.serve.topk` fixes each ``(q, item)`` score's accumulation
+order over the full rank axis regardless of which item range it is
+computed in, so a shard's scores are bitwise equal to the unsharded
+scorer's, and any global top-K member necessarily ranks in its own
+shard's top-K.  Sharded answers are therefore bitwise identical
 to single-process answers — the multi-worker chaos tests assert this
 under worker SIGKILL.
 
@@ -75,7 +77,8 @@ def _worker_predict(context, payload):
 def _worker_topk(context, payload):
     """Top-K of one item shard ``[lo, hi)`` for a batch of contexts.
 
-    Scores are computed against a column *view* of the full projection, so
+    The shard is :meth:`~repro.serve.topk.ItemProjection.columns` — a
+    column view of the float32 screen and a row slice of the factor — so
     each ``(q, item)`` score sees the identical accumulation the unsharded
     scorer performs; returned item indices are shifted back to global ids.
     """
@@ -83,8 +86,7 @@ def _worker_topk(context, payload):
     model: ServingModel = context.setups["model"]
     model._check_mode(mode)
     q_block = model.project(contexts, mode)
-    projection, _, margin = model._projection_entry(mode)
-    shard = projection[:, lo:hi]
+    shard = model.item_projection(mode).columns(lo, hi)
     exclude: Optional[List[Optional[np.ndarray]]] = None
     if exclude_observed:
         block = model._context_block(contexts, mode)
@@ -93,7 +95,7 @@ def _worker_topk(context, payload):
             observed = model._observed_items(row, mode)
             local = observed[(observed >= lo) & (observed < hi)] - lo
             exclude.append(local)
-    results = topk_scores(q_block, shard, k, exclude, margin=margin)
+    results = topk_scores(q_block, shard, k, exclude)
     return [
         ((r.items + lo).astype(np.int64), np.asarray(r.scores))
         for r in results

@@ -126,6 +126,49 @@ class TestBatchInvariantContraction:
         np.testing.assert_allclose(invariant, default, atol=1e-12)
 
 
+class TestPrecontractionRowCap:
+    """The precontracted table never has more rows than the sweep has
+    entries: its rows are the product of the precontracted modes' lengths."""
+
+    @staticmethod
+    def table_rows(plan):
+        return int(np.prod(plan.pre_dims, dtype=np.int64))
+
+    @pytest.mark.parametrize("keep", [0, None])
+    def test_figure8_order4_shape_precontracts_one_mode(self, rng, keep):
+        """50⁴ with 800 entries and J = 3: each mode fits on its own, but
+        two of them already need 2 500 rows, so only one is tabled."""
+        _, factors, core = random_problem(rng, (50,) * 4, (3,) * 4, 1)
+        plan = contraction_module._ContractionPlan(factors, core, keep, 800)
+        assert len(plan.pre) == 1
+        assert self.table_rows(plan) == 50
+        assert len(plan.loop_modes) == (2 if keep == 0 else 3)
+
+    def test_running_product_stops_the_greedy_choice(self, rng):
+        shape, ranks = (6, 9, 20, 40), (2, 2, 2, 2)
+        _, factors, core = random_problem(rng, shape, ranks, 1)
+        for entries, expected in [
+            (5, []), (6, [0]), (53, [0]), (54, [0, 1]), (1079, [0, 1]),
+            (1080, [0, 1, 2]), (43_200, [0, 1, 2, 3]),
+        ]:
+            plan = contraction_module._ContractionPlan(
+                factors, core, None, entries
+            )
+            assert plan.pre == expected, entries
+            assert self.table_rows(plan) <= entries
+
+    def test_capped_plan_contracts_like_the_batched_one(self, rng, monkeypatch):
+        shape, ranks = (50, 50, 50, 50), (3, 3, 3, 3)
+        _, factors, core = random_problem(rng, shape, ranks, 1)
+        indices = np.stack([rng.integers(0, 50, size=800) for _ in shape], axis=1)
+        capped = contraction_module.make_delta_contractor(factors, core, 0, 800)
+        monkeypatch.setattr(contraction_module, "PRECONTRACT_CELL_BUDGET", 0)
+        batched = contraction_module.make_delta_contractor(factors, core, 0, 800)
+        np.testing.assert_allclose(
+            capped(indices), batched(indices), rtol=1e-12, atol=1e-12
+        )
+
+
 class TestTiledContraction:
     """Blocks are contracted in ``TILE_BYTES`` tiles, bitwise like one piece."""
 
@@ -151,19 +194,21 @@ class TestTiledContraction:
         if path == "gemm":
             monkeypatch.setattr(contraction_module, "PRECONTRACT_CELL_BUDGET", 0)
         keep = mode if kind == "delta" else None
-        # A plan sized for a large sweep, as the solvers' block loops use it.
+        # A plan sized for a large sweep, as the solvers' block loops use it
+        # (20 000 entries: enough rows for the 6·8·9·20 all-precontracted
+        # table, too few for a 2000-long mode).
         plan = contraction_module._ContractionPlan(
-            factors, core, keep, 1000, batch_invariant
+            factors, core, keep, 20_000, batch_invariant
         )
         assert bool(plan.pre) == (path != "gemm")
         assert bool(plan.loop_modes) == (path != "all-precontracted")
         if kind == "delta":
             contract = contraction_module.make_delta_contractor(
-                factors, core, mode, 1000, batch_invariant=batch_invariant
+                factors, core, mode, 20_000, batch_invariant=batch_invariant
             )
         else:
             contract = contraction_module.make_value_contractor(
-                factors, core, 1000, batch_invariant=batch_invariant
+                factors, core, 20_000, batch_invariant=batch_invariant
             )
 
         monkeypatch.setattr(contraction_module, "TILE_BYTES", 1 << 62)
@@ -196,7 +241,7 @@ class TestTiledContraction:
     def test_gather_past_the_table_raises(self, rng, monkeypatch, n_entries):
         shape, ranks = (9, 8, 20), (3, 4, 2)
         _, factors, core = random_problem(rng, shape, ranks, 1)
-        contract = contraction_module.make_value_contractor(factors, core, 1000)
+        contract = contraction_module.make_value_contractor(factors, core, 2000)
         assert contract.precontracted == frozenset(range(3))
         monkeypatch.setattr(contraction_module, "TILE_BYTES", 8 * self.TILE)
         indices = np.zeros((n_entries, 3), dtype=np.int64)

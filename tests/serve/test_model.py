@@ -5,7 +5,7 @@ import pytest
 
 from repro.exceptions import DataFormatError, ShapeError
 from repro.serve import ServingModel
-from repro.serve.topk import canonical_topk
+from repro.serve.topk import ItemProjection, canonical_topk, score_block
 
 
 def make_model(shape, ranks, seed=0, **kwargs):
@@ -201,6 +201,86 @@ class TestExcludeObserved:
         store = ShardStore.build(tensor, str(tmp_path / "shards"))
         with pytest.raises(ShapeError):
             model.attach_store(store)
+
+
+class TestItemProjection:
+    def test_one_float32_screen_beside_the_float64_factor(self, bitwise):
+        model, factors, _ = make_model((8, 3000, 5), (2, 6, 3), seed=18)
+        projection = model.item_projection(1)
+        assert projection.screen.dtype == np.float32
+        assert projection.screen.shape == (6, 3000)
+        assert projection.screen.flags.c_contiguous
+        assert projection.factor is model.factors[1]
+        assert projection.exponent == 0
+        bitwise(projection.screen, factors[1].T.astype(np.float32), "screen")
+        assert model.item_projection(1) is projection
+        assert model.counters.get("model.projection_builds") == 1
+
+    def test_exclude_observed_goes_through_the_screen(self, tmp_path, bitwise):
+        """Exclusion on a long item axis matches the float64 brute force."""
+        from repro.shards import ShardStore
+        from repro.tensor import SparseTensor
+
+        shape = (5, 4000, 3)
+        model, factors, _ = make_model(shape, (2, 4, 2), seed=19)
+        rng = np.random.default_rng(20)
+        contexts = [(u, 0, c) for u in range(5) for c in range(3)]
+        q = model.project(contexts, 1)
+        exact = score_block(q, factors[1].T)
+        # Each context has observed its own 40 best items and 60 others.
+        entries = []
+        for row, (u, _, c) in enumerate(contexts):
+            seen = np.concatenate(
+                [np.argsort(-exact[row])[:40], rng.integers(0, 4000, 60)]
+            )
+            entries.extend((u, int(i), c) for i in np.unique(seen))
+        indices = np.array(entries)
+        tensor = SparseTensor(
+            indices=indices, values=np.ones(len(indices)), shape=shape
+        )
+        model.attach_store(ShardStore.build(tensor, str(tmp_path / "shards")))
+        results = model.topk_batch(contexts, 1, 10, exclude_observed=True)
+        for row, (u, _, c) in enumerate(contexts):
+            mine = indices[(indices[:, 0] == u) & (indices[:, 2] == c), 1]
+            expected = canonical_topk(exact[row], 10, mine)
+            bitwise(results[row].items, expected.items, f"items {contexts[row]}")
+            bitwise(results[row].scores, expected.scores, f"scores {contexts[row]}")
+
+    def test_hot_swapped_screen_equals_a_fresh_build(self, bitwise):
+        model, factors, core = make_model((6, 2500, 4), (2, 5, 2), seed=21)
+        model.topk((1, 0, 2), 1, 5)
+        rng = np.random.default_rng(22)
+        rows = np.sort(rng.choice(2500, size=40, replace=False))
+        new_rows = rng.standard_normal((40, 5))
+        model.apply_update(1, rows, new_rows)
+        updated = [f.copy() for f in factors]
+        updated[1][rows] = new_rows
+        fresh = ServingModel(updated, core).item_projection(1)
+        swapped = model.item_projection(1)
+        bitwise(swapped.screen, fresh.screen, "hot-swapped screen")
+        bitwise(swapped.factor, fresh.factor, "hot-swapped factor")
+        bitwise(swapped.sums, fresh.sums, "hot-swapped abs-sums")
+        assert swapped.margin == fresh.margin
+        assert model.counters.get("model.projection_builds") == 1
+
+    def test_memory_mapped_factor_answers_like_an_in_memory_one(
+        self, tmp_path, bitwise
+    ):
+        """Rescoring reads candidate rows straight off the mapped factor."""
+        from repro.core.trace import ConvergenceTrace
+        from repro.resilience import CheckpointManager
+
+        model, factors, core = make_model((7, 3000, 4), (2, 5, 2), seed=23)
+        manager = CheckpointManager(str(tmp_path / "ckpt"))
+        manager.save(1, factors, core, ConvergenceTrace(), "digest")
+        mapped = ServingModel.load(str(tmp_path / "ckpt"), mmap=True)
+        assert isinstance(mapped.item_projection(1).factor, np.memmap)
+        contexts = [(u, 0, c) for u in range(7) for c in range(4)]
+        for ours, theirs in zip(
+            mapped.topk_batch(contexts, 1, 12), model.topk_batch(contexts, 1, 12)
+        ):
+            bitwise(ours.items, theirs.items, "mapped items")
+            bitwise(ours.scores, theirs.scores, "mapped scores")
 
 
 class TestStats:

@@ -181,6 +181,76 @@ class TestExcludeObserved:
             engine.shutdown()
 
 
+class TestTwoWorkerScreen:
+    def test_two_workers_match_inloop_and_brute_force(self, tmp_path):
+        """Two item shards, each a column view of the float32 screen plus
+        a row slice of the factor, answer byte-identically to the in-loop
+        model and to the float64 brute force — with exact ties and near
+        ties straddling the shard edge, and with exclusions."""
+        from repro.serve.topk import canonical_topk, score_block
+        from repro.shards import ShardStore
+        from repro.tensor import SparseTensor
+
+        shape, ranks = (3, 6000, 2), (1, 4, 1)
+        rng = np.random.default_rng(31)
+        items = rng.uniform(-0.2, 0.2, (6000, 4))
+        # Near-tied rows (1e-12 apart, below float32 resolution) on both
+        # sides of the 3000-item shard edge, and an exactly tied pair.
+        near = np.array([2990, 2995, 3000, 3004, 3010, 4000, 10, 5990])
+        rows = rng.uniform(-2.0, 2.0, (near.shape[0], 4))
+        target = 1.0 + 1e-12 * np.arange(near.shape[0])
+        rows[:, 0] = target - rows[:, 1:].sum(axis=1)
+        rows[-1] = rows[-2]
+        items[near] = rows
+        factors = [np.array([[1.0], [2.0], [-1.0]]), items, np.ones((2, 1))]
+        core = np.ones(ranks)
+        path = save_model(
+            TuckerResult(core=core, factors=factors, algorithm="ptucker"),
+            str(tmp_path / "model"),
+        )
+        observed = np.array([[0, 3010, 1], [0, 17, 1], [1, 2995, 0]])
+        store_path = str(tmp_path / "shards")
+        ShardStore.build(
+            SparseTensor(indices=observed, values=np.ones(3), shape=shape),
+            store_path,
+        )
+        local = ServingModel(factors, core, algorithm="ptucker")
+        local.attach_store(store_path)
+        reference = ServingModel(factors, core, algorithm="ptucker")
+        reference.attach_store(store_path)
+        engine = ServingWorkerEngine(
+            path, local_model=local, n_workers=2, store_path=store_path
+        )
+        contexts = [[0, 1], [1, 0], [2, 1]]
+        try:
+            assert engine.wait_ready(60.0)
+            for k in (3, 6, 7):
+                for exclude_observed in (False, True):
+                    answers = engine.topk_batch(
+                        contexts, 1, k, exclude_observed=exclude_observed
+                    )
+                    assert_topk_bitwise(
+                        answers,
+                        reference.topk_batch(
+                            contexts, 1, k, exclude_observed=exclude_observed
+                        ),
+                    )
+                    q = reference.project(contexts, 1)
+                    for row, (user, other) in enumerate(contexts):
+                        seen = observed[
+                            (observed[:, 0] == user) & (observed[:, 2] == other),
+                            1,
+                        ]
+                        expected = canonical_topk(
+                            score_block(q[row : row + 1], items.T)[0],
+                            k,
+                            seen if exclude_observed else None,
+                        )
+                        assert_topk_bitwise([answers[row]], [expected])
+        finally:
+            engine.shutdown()
+
+
 class TestDegradation:
     def test_fabric_error_falls_back_to_local_model(
         self, engine, reference, monkeypatch

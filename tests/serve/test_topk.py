@@ -1,15 +1,23 @@
-"""Canonical top-K selection and the deterministic blocked scorer."""
+"""Canonical top-K selection, the deterministic scorer and the float32 screen.
+
+Every ``topk_scores`` answer is compared bitwise against the float64
+brute force: ``score_block`` over the whole factor plus ``canonical_topk``.
+"""
 
 import numpy as np
 import pytest
 
+from repro.serve import topk as topk_module
 from repro.serve.topk import (
+    ItemProjection,
     TopKResult,
     canonical_topk,
     score_block,
     score_pairs,
+    screen_exponent,
     topk_scores,
 )
+from repro.serve.workers import _merge_topk
 
 
 def brute_topk(scores, k, exclude=None):
@@ -75,6 +83,24 @@ class TestCanonicalTopk:
         assert result.items.shape == (0,)
 
 
+def brute_force(q, factor, k, exclude=None):
+    """float64 reference answers: score every item, select canonically."""
+    return [
+        canonical_topk(
+            score_block(q[row : row + 1], factor.T)[0],
+            k,
+            None if exclude is None else exclude[row],
+        )
+        for row in range(q.shape[0])
+    ]
+
+
+def assert_all_same(results, expected, bitwise):
+    assert len(results) == len(expected)
+    for a, b in zip(results, expected):
+        assert_same(a, b, bitwise)
+
+
 class TestScoreBlock:
     def test_matches_gemm_values(self):
         rng = np.random.default_rng(2)
@@ -95,12 +121,12 @@ class TestScoreBlock:
     def test_score_pairs_bitwise_equal_to_score_block_gather(self, bitwise):
         rng = np.random.default_rng(8)
         q = rng.standard_normal((9, 11))
-        projection = rng.standard_normal((11, 200))
+        factor = rng.standard_normal((200, 11))
         row_map = rng.integers(9, size=57)
         col_map = rng.integers(200, size=57)
-        gathered = score_block(q, projection)[row_map, col_map]
+        gathered = score_block(q, factor.T)[row_map, col_map]
         bitwise(
-            score_pairs(q, projection, row_map, col_map),
+            score_pairs(q, factor, row_map, col_map),
             gathered,
             "score_pairs vs gathered block",
         )
@@ -124,17 +150,15 @@ class TestTopkScores:
     def test_matches_canonical_full_scan(self, items_total, k, bitwise):
         rng = np.random.default_rng(items_total * 31 + k)
         q = rng.standard_normal((4, 6))
-        projection = rng.standard_normal((6, items_total))
-        results = topk_scores(q, projection, k)
-        for row in range(4):
-            full = score_block(q[row : row + 1], projection)[0]
-            assert_same(results[row], canonical_topk(full, k), bitwise)
+        factor = rng.standard_normal((items_total, 6))
+        results = topk_scores(q, ItemProjection.build(factor), k)
+        assert_all_same(results, brute_force(q, factor, k), bitwise)
 
     def test_pruning_survives_adversarial_ties(self):
         # Constant scores: every chunk maximum equals every score, so the
         # pruning bound keeps all chunks and ties resolve canonically.
         q = np.ones((2, 3))
-        projection = np.ones((3, 5000))
+        projection = ItemProjection.build(np.ones((5000, 3)))
         for k in (1, 10, 2048, 4999, 5000):
             results = topk_scores(q, projection, k)
             for result in results:
@@ -143,7 +167,7 @@ class TestTopkScores:
     def test_batched_equals_unbatched_bitwise(self, bitwise):
         rng = np.random.default_rng(9)
         q = rng.standard_normal((50, 12))
-        projection = rng.standard_normal((12, 7001))
+        projection = ItemProjection.build(rng.standard_normal((7001, 12)))
         batch = topk_scores(q, projection, 9)
         for row in range(50):
             single = topk_scores(q[row : row + 1], projection, 9)[0]
@@ -152,7 +176,7 @@ class TestTopkScores:
     def test_row_and_col_block_geometry_does_not_change_results(self, bitwise):
         rng = np.random.default_rng(10)
         q = rng.standard_normal((7, 5))
-        projection = rng.standard_normal((5, 3000))
+        projection = ItemProjection.build(rng.standard_normal((3000, 5)))
         reference = topk_scores(q, projection, 12)
         for col_block, row_block in [(128, 2), (999, 3), (3000, 7), (4096, 1)]:
             results = topk_scores(
@@ -164,11 +188,193 @@ class TestTopkScores:
     def test_per_query_exclusion(self, bitwise):
         rng = np.random.default_rng(11)
         q = rng.standard_normal((3, 4))
-        projection = rng.standard_normal((4, 600))
+        factor = rng.standard_normal((600, 4))
         exclude = [np.array([0, 5, 599]), None, np.arange(300)]
-        results = topk_scores(q, projection, 8, exclude)
-        for row in range(3):
-            full = score_block(q[row : row + 1], projection)[0]
-            assert_same(
-                results[row], canonical_topk(full, 8, exclude[row]), bitwise
+        results = topk_scores(q, ItemProjection.build(factor), 8, exclude)
+        assert_all_same(results, brute_force(q, factor, 8, exclude), bitwise)
+
+
+def near_tie_factor(items=5000, rank=4, stride=97, seed=0):
+    """Items whose exact scores under ``q = 1`` differ below float32 resolution.
+
+    Every ``stride``-th item is a random row whose first entry is chosen
+    so it scores ``1 + 1e-12 · (position // 2)`` in float64: 52 near-tied
+    items spread over every screening chunk, in exactly tied (identical)
+    pairs.  Their float32 screen scores scatter over several float32
+    ulps, so the screen ranks them in an order unrelated to the exact
+    one.  All other items score at most 0.8.
+    """
+    rng = np.random.default_rng(seed)
+    factor = np.zeros((items, rank))
+    factor[:, 0] = rng.uniform(-1.0, 0.5, items)
+    factor[:, 1:] = rng.uniform(-0.1, 0.1, (items, rank - 1))
+    group = np.arange(0, items, stride)
+    pairs = rng.uniform(-2.0, 2.0, ((group.shape[0] + 1) // 2, rank))
+    rows = np.repeat(pairs, 2, axis=0)[: group.shape[0]]
+    target = 1.0 + 1e-12 * (np.arange(group.shape[0]) // 2)
+    rows[:, 0] = target - rows[:, 1:].sum(axis=1)
+    factor[group] = rows
+    return factor, group
+
+
+def float32_screen_scores(q, projection):
+    """The screen exactly as ``topk_scores`` computes it (scaled units)."""
+    exponents = -np.frexp(np.abs(q).max(axis=1))[1]
+    return np.ldexp(q, exponents[:, None]).astype(np.float32) @ projection.screen
+
+
+@pytest.fixture()
+def full_scans(monkeypatch):
+    """Count the rows that fall back to the deterministic full scan."""
+    calls = []
+    original = topk_module._exact_row
+
+    def spy(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(topk_module, "_exact_row", spy)
+    return calls
+
+
+class TestFloat32Screen:
+    @pytest.mark.parametrize("k", [10, 11, 25])
+    def test_near_ties_below_float32_resolution(self, k, bitwise, full_scans):
+        factor, group = near_tie_factor()
+        projection = ItemProjection.build(factor)
+        q = np.array([[1.0, 1.0, 1.0, 1.0], [3.0, 3.0, 3.0, 3.0]])
+        screen = float32_screen_scores(q, projection)
+        expected = brute_force(q, factor, k)
+        for row in range(2):
+            top = expected[row].items
+            assert set(top) <= set(group)
+            # The screen alone would lose an exact top-K member: it
+            # screens strictly below the screen's own k-th largest score.
+            kth = np.sort(screen[row])[-k]
+            assert screen[row, top].min() < kth
+        assert np.unique(expected[0].scores).shape[0] < k  # exact ties
+        assert_all_same(topk_scores(q, projection, k), expected, bitwise)
+        assert not full_scans
+
+    @pytest.mark.parametrize(
+        "q_scale,factor_scale",
+        [
+            (1e-200, 1e200),
+            (1e200, 1e-200),
+            (1e200, 1.0),
+            (1e-200, 1.0),
+            (1.0, 1e200),
+            (1.0, 1e-200),
+            (1e-150, 1e-150),
+        ],
+    )
+    def test_extreme_scales_are_scaled_by_powers_of_two(
+        self, q_scale, factor_scale, bitwise, full_scans
+    ):
+        rng = np.random.default_rng(21)
+        factor = rng.standard_normal((6000, 16)) * factor_scale
+        q = rng.standard_normal((6, 16)) * q_scale
+        projection = ItemProjection.build(factor)
+        assert (projection.exponent != 0) == (factor_scale != 1.0)
+        assert np.isfinite(projection.screen).all()
+        if projection.exponent:
+            scaled = np.abs(projection.screen).astype(np.float64).sum(axis=0)
+            assert 0.5 <= scaled.max() < 1.0 + 1e-6
+        results = topk_scores(q, projection, 10)
+        assert_all_same(results, brute_force(q, factor, 10), bitwise)
+        # The screen, not the fallback scan, produced every answer.
+        assert not full_scans
+
+    def test_float64_underflow_falls_back_to_the_full_scan(
+        self, bitwise, full_scans
+    ):
+        """Scores near 1e-400 underflow to zero in float64: every item
+        ties, and the absolute margin term sends the rows to the scan."""
+        rng = np.random.default_rng(22)
+        factor = rng.standard_normal((3000, 8)) * 1e-200
+        q = rng.standard_normal((3, 8)) * 1e-200
+        results = topk_scores(q, ItemProjection.build(factor), 7)
+        assert_all_same(results, brute_force(q, factor, 7), bitwise)
+        assert len(full_scans) == 3
+
+    def test_exclusion_goes_through_the_screen(self, bitwise, full_scans):
+        rng = np.random.default_rng(23)
+        factor = rng.standard_normal((9000, 12))
+        q = rng.standard_normal((8, 12))
+        exact = score_block(q, factor.T)
+        exclude = []
+        for row in range(8):
+            best = np.argsort(-exact[row], kind="stable")
+            # The row's own best items, a duplicate, and random others.
+            exclude.append(
+                np.concatenate(
+                    [best[: 3 * row], best[:1], rng.integers(0, 9000, 50)]
+                )
             )
+        exclude[5] = None
+        exclude[6] = np.zeros(0, dtype=np.int64)
+        projection = ItemProjection.build(factor)
+        results = topk_scores(q, projection, 10, exclude)
+        assert_all_same(results, brute_force(q, factor, 10, exclude), bitwise)
+        assert not full_scans
+        for result, row_exclude in zip(results, exclude):
+            if row_exclude is not None:
+                assert not set(result.items) & set(row_exclude)
+
+    def test_exclusion_leaving_fewer_than_k_items(self, bitwise):
+        rng = np.random.default_rng(24)
+        factor = rng.standard_normal((5000, 6))
+        q = rng.standard_normal((2, 6))
+        exclude = [np.arange(4996), np.arange(1, 5000)]
+        results = topk_scores(q, ItemProjection.build(factor), 10, exclude)
+        assert_all_same(results, brute_force(q, factor, 10, exclude), bitwise)
+        assert [len(r.items) for r in results] == [4, 1]
+
+    @pytest.mark.parametrize("scale", [1.0, 1e100])
+    def test_hot_swapped_screen_is_byte_equal_to_a_fresh_build(
+        self, scale, bitwise
+    ):
+        rng = np.random.default_rng(25)
+        factor = rng.standard_normal((4000, 19)) * scale
+        projection = ItemProjection.build(factor)
+        exponents = {projection.exponent}
+        for swap in range(3):
+            rows = np.sort(rng.choice(4000, size=60, replace=False))
+            # The last swap grows the margin past a power of two, which
+            # moves a scaled screen's exponent.
+            new_rows = rng.standard_normal((60, 19)) * scale * 10.0 ** swap
+            updated = projection.factor.copy()
+            updated[rows] = new_rows
+            projection = projection.with_rows(rows, new_rows, updated)
+            fresh = ItemProjection.build(updated)
+            bitwise(projection.screen, fresh.screen, f"screen after swap {swap}")
+            bitwise(projection.sums, fresh.sums, f"sums after swap {swap}")
+            assert projection.margin == fresh.margin
+            assert projection.exponent == fresh.exponent
+            exponents.add(projection.exponent)
+        assert screen_exponent(projection.margin) == projection.exponent
+        # Unscaled factors keep exponent 0; the scaled one's moves.
+        assert (len(exponents) > 1) == (scale != 1.0)
+
+    def test_item_shards_merge_to_the_unsharded_answer(self, bitwise):
+        """Two column shards, each screened against its own float32 view
+        and rescored from its own factor rows, merge canonically to the
+        unsharded answer — near ties and exclusions included."""
+        factor, group = near_tie_factor(items=6001)
+        projection = ItemProjection.build(factor)
+        q = np.array([[1.0, 1.0, 1.0, 1.0], [0.5, 2.0, -1.0, 0.25]])
+        exclude = [group[-3:], None]
+        k = 12
+        whole = topk_scores(q, projection, k, exclude)
+        assert_all_same(whole, brute_force(q, factor, k, exclude), bitwise)
+        edges = [0, 3001, 6001]
+        parts = []
+        for lo, hi in zip(edges[:-1], edges[1:]):
+            local = [
+                None if e is None else e[(e >= lo) & (e < hi)] - lo
+                for e in exclude
+            ]
+            shard = topk_scores(q, projection.columns(lo, hi), k, local)
+            parts.append([(r.items + lo, r.scores) for r in shard])
+        merged = [_merge_topk([p[row] for p in parts], k) for row in range(2)]
+        assert_all_same(merged, whole, bitwise)

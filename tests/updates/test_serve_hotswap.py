@@ -85,9 +85,11 @@ class TestSurgicalProjection:
             theirs = fresh.topk(context, 1, 20)
             bitwise(mine.items, theirs.items, f"items for {context}")
             bitwise(mine.scores, theirs.scores, f"scores for {context}")
-        # The patched margin is exactly the rebuilt one's, so pruning
-        # behaves identically.
-        assert model._projection_entry(1)[2] == fresh._projection_entry(1)[2]
+        # The patched screen and margin are exactly the rebuilt ones, so
+        # pruning behaves identically.
+        patched, rebuilt = model.item_projection(1), fresh.item_projection(1)
+        assert patched.margin == rebuilt.margin
+        bitwise(patched.screen, rebuilt.screen, "patched screen")
 
 
 class TestSurgicalInvalidation:
