@@ -11,9 +11,10 @@ What travels, per sweep and per chunk:
 
 * **Setup** (one ``SETUP`` frame per worker per sweep, compacted in the
   replay log so long fits stay bounded): the core, λ, the updated mode,
-  and the parent plan's precontraction order with the whole factors of
+  the parent plan's precontraction order with the whole factors of
   exactly those modes (small by construction: a mode is precontracted
-  only when it has no more rows than the sweep has entries).  Every other
+  only when it has no more rows than the sweep has entries), and the
+  sweep's expected entries, which decide whether the plan groups.  Every other
   factor — the updated mode's and every batched mode's — travels as an
   empty ``(0, J_k)`` placeholder.
 * **Task** (one ``TASK`` frame per chunk): the chunk's index rows,
@@ -28,8 +29,9 @@ row update): a row of ``k < J`` entries in its ``k × k`` dual form at
 ``O(k²J + k³)``, a longer one through its normal equations.  It returns J
 floats per complete row; only a row that a block boundary leaves partial
 comes back as ``(B, c)`` for the driver to finish.  The worker's plan
-takes the parent's precontraction order as given (the order fixes the
-table's summation order) and reads the given rows in place of its own
+takes the parent's precontraction order and expected entries as given
+(the order fixes the table's summation order, and both fix whether δ is
+grouped by table row) and reads the given rows in place of its own
 gather, so each row is bitwise identical to the serial reference
 whatever the chunking, worker count, or mid-sweep worker deaths.
 
@@ -166,16 +168,19 @@ def _setup_sweep(context, payload):
 
     Supersedes any previous sweep: older ``ne:`` setups and cache entries
     are dropped so worker memory stays bounded over long fits.  The
-    contraction plan takes the parent's precontraction order as given,
-    which pins its tables to the parent's bits — the precondition for
-    chunk results being bitwise equal to the parent's serial reference.
+    contraction plan takes the parent's precontraction order and
+    expected entries as given, which pins its tables and its grouping to
+    the parent's — the precondition for chunk results being bitwise
+    equal to the parent's serial reference.
     """
     for stale in [k for k in context.setups if str(k).startswith("ne:")]:
         del context.setups[stale]
     context.cache.clear()
-    factors, core, mode, pre, regularization = payload
-    # A given precontraction order leaves no choice to ``expected_entries``.
-    contractor = make_delta_contractor(factors, core, mode, 0, pre=pre)
+    factors, core, mode, pre, expected_entries, regularization = payload
+    # The parent's order and sweep size: the same tables, grouped alike.
+    contractor = make_delta_contractor(
+        factors, core, mode, expected_entries, pre=pre
+    )
 
     def solver(indices_block, values_block, starts, lo, hi, rows):
         return solve_segments(
@@ -287,7 +292,7 @@ class ProcpoolBackend(KernelBackend):
         supervisor.broadcast_setup(
             setup_key,
             "repro.kernels.backends.procpool:_setup_sweep",
-            (shipped, np.asarray(core), mode, pre, regularization),
+            (shipped, np.asarray(core), mode, pre, expected_entries, regularization),
             replace_prefix="ne:",
         )
 

@@ -21,9 +21,28 @@ the ``(m, Π_{k≠n} J_k)`` Kronecker matrix of the seed kernel never exists.
 A block is evaluated in consecutive tiles whose widest per-entry
 intermediate spans about :data:`TILE_BYTES`, each written into its slice of
 one preallocated output, so the largest temporary is about
-``2 · TILE_BYTES`` per call whatever the caller's block size.  Every row
-is computed on its own, and no piece is shorter than a tile (so BLAS never
-sees a tiny tail), so tiling does not change a bit of the result.
+``2 · TILE_BYTES`` per call whatever the caller's block size.
+
+* **Grouped table rows** — a fit's δ plan whose table has few rows (the
+  year and hour modes of a ratings tensor each table only the other short
+  mode: 12 or 24 rows of ``J_n · J_a · J_b`` values) does not gather a
+  table row per entry.  It stably sorts each tile by table row and, per
+  run of equal rows, multiplies the group's gathered rows of the last
+  batched mode (``m_g × J_last``) by that table row, stored once as
+  ``(J_last × rest)``, in one GEMM; the other batched modes follow as
+  usual and the result is scattered back to entry order.  The widest
+  per-entry intermediate shrinks ``J_last``-fold, so tiles grow as much.
+  The rule is a function of the plan's shape only: group when a tile
+  (capped at the sweep's entries) holds at least :data:`MIN_MEAN_GROUP`
+  entries per table row on average.  The 288-row tables of a ratings
+  tensor's user and movie modes, the value contractor and every
+  ``batch_invariant`` plan keep the gather.
+
+Every entry's row is computed on its own, so neither tiling nor grouping
+changes a bit of it: a GEMM gives each row of an ``m ≥ 2`` product the
+bits it has in any other such product, but numpy hands a one-row product
+to gemv, which sums differently, so a group of one entry is evaluated as
+a two-row GEMM.
 
 See the package docstring of :mod:`repro.kernels` for the complexity
 comparison against the seed Kronecker kernel.
@@ -46,6 +65,12 @@ PRECONTRACT_CELL_BUDGET = 1 << 21
 #: spans about this many bytes (half of a 2 MiB per-core L2), so the
 #: contraction temporaries stay cache-resident whatever the block size.
 TILE_BYTES = 1 << 20
+
+#: A fit plan evaluates its last batched mode one table row at a time (one
+#: GEMM per group of entries sharing the row) when a tile holds at least
+#: this many entries per table row on average.  A tile holds the fewer of
+#: ``TILE_BYTES // (8 · width)`` and the sweep's expected entries.
+MIN_MEAN_GROUP = 64
 
 
 class _ContractionPlan:
@@ -71,6 +96,13 @@ class _ContractionPlan:
     (the ``procpool`` workers) produces the same bits as the original;
     the other modes' factors are then never read when :meth:`apply` is
     given their gathered rows.
+
+    ``grouped`` plans (see the module docstring) keep ``flat`` as
+    ``(table rows, J_last, rest)``, one GEMM operand per table row, and
+    their ``width`` is the GEMM's per-entry output.  Whether a plan groups
+    depends only on ``pre``, the ranks, ``expected_entries`` and
+    :data:`TILE_BYTES`, so a plan rebuilt from ``pre`` and the same
+    ``expected_entries`` groups alike.
     """
 
     __slots__ = (
@@ -79,11 +111,11 @@ class _ContractionPlan:
         "pre_dims",
         "flat",
         "g",
-        "rest",
         "loop_modes",
         "batch_invariant",
         "width",
         "out_width",
+        "grouped",
     )
 
     def __init__(
@@ -140,7 +172,6 @@ class _ContractionPlan:
             target = [~k for k in pre] + kept + batch
             table = np.transpose(table, [axes.index(a) for a in target])
             self.pre_dims = table.shape[: len(pre)]
-            self.rest = list(table.shape[len(pre) :])
             # C-contiguous explicitly: when the transpose happens to be
             # reshapeable as a strided view, ``take`` on the resulting
             # F-ordered array walks the whole table per gather (measured
@@ -152,14 +183,34 @@ class _ContractionPlan:
             self.g = None
             self.loop_modes = batch
             self.width = self.flat.shape[1]
+            # Fit δ plans with a batched mode left group a tile's entries
+            # by table row when the mean group is long enough; a tile holds
+            # at most the sweep's entries.
+            n_rows = self.flat.shape[0]
+            grouped_width = self.width // table.shape[-1] if batch else 0
+            self.grouped = (
+                keep_mode is not None
+                and bool(batch)
+                and not self.batch_invariant
+                and n_rows * MIN_MEAN_GROUP
+                <= min(expected_entries, TILE_BYTES // (8 * grouped_width))
+            )
+            if self.grouped:
+                # Each table row as the (J_last, rest) right operand of its
+                # group's GEMM; the widest per-entry intermediate is then
+                # the GEMM's output, J_last times narrower than a row.
+                self.flat = np.ascontiguousarray(
+                    self.flat.reshape(n_rows, grouped_width, -1).transpose(0, 2, 1)
+                )
+                self.width = grouped_width
         else:
             # The first batched step reduces the core's last axis as one GEMM.
             self.g = np.transpose(core_arr, kept + batch)
-            self.rest = list(self.g.shape[:-1])
             self.pre_dims = ()
             self.flat = None
             self.loop_modes = batch
             self.width = self.g.size // self.g.shape[-1]
+            self.grouped = False
 
     def apply(
         self,
@@ -178,8 +229,7 @@ class _ContractionPlan:
         pieces = max(1, n_entries // tile)
         if pieces == 1:
             return self._apply_tile(indices_block, None, rows)
-        # Near-equal consecutive pieces, none shorter than a tile: BLAS
-        # never sees a tiny tail.
+        # Near-equal consecutive pieces, none shorter than a tile.
         bounds = np.arange(pieces + 1, dtype=np.int64) * n_entries // pieces
         out = np.empty((n_entries, self.out_width), dtype=np.float64)
         for lo, hi in zip(bounds[:-1].tolist(), bounds[1:].tolist()):
@@ -193,7 +243,7 @@ class _ContractionPlan:
         """Mode ``k``'s factor row of every entry: given, else gathered."""
         if rows is not None:
             return rows[k]
-        return np.asarray(self.factors[k])[indices_block[:, k]]
+        return np.asarray(self.factors[k]).take(indices_block[:, k], axis=0)
 
     def _apply_tile(self, indices_block, out=None, rows=None) -> np.ndarray:
         """Contract the planned modes for one tile of entries (into ``out``)."""
@@ -203,6 +253,8 @@ class _ContractionPlan:
             linear = np.zeros(n_entries, dtype=np.int64)
             for axis, k in enumerate(self.pre):
                 linear = linear * self.pre_dims[axis] + indices_block[:, k]
+            if self.grouped:
+                return self._apply_grouped(indices_block, linear, out, rows)
             if not self.loop_modes:
                 # Every mode precontracted: gather straight into the output.
                 # ``take`` buffers ``out`` under its default bounds mode, so
@@ -230,20 +282,65 @@ class _ContractionPlan:
                 temp = rows_last @ g2.T
             loop_modes = self.loop_modes[:-1]
 
-        # Batched steps: the next mode to contract is always the
-        # (contiguous) last axis of the shrinking intermediate.
-        remaining = list(self.rest)
-        for k in reversed(loop_modes):
-            rank_k = remaining.pop()
-            temp = np.einsum(
-                "zxj,zj->zx",
-                temp.reshape(n_entries, -1, rank_k),
-                self._rows(k, indices_block, rows),
-            )
+        temp = self._contract_batched(temp, loop_modes, indices_block, rows)
         if out is None:
-            return temp.reshape(n_entries, -1)
-        out[...] = temp.reshape(n_entries, -1)
+            return temp
+        out[...] = temp
         return out
+
+    def _apply_grouped(self, indices_block, linear, out, rows) -> np.ndarray:
+        """One GEMM per group of the tile's entries that share a table row.
+
+        The entries are stably sorted by table row; each group's gathered
+        rows of the last batched mode meet that table row in one BLAS GEMM,
+        the other batched modes follow as usual, and the result is
+        scattered back to entry order.  numpy hands a one-row product to
+        gemv, whose bits differ from a GEMM row's, so a lone entry is
+        evaluated as a two-row GEMM: every entry's row then comes out of a
+        GEMM with at least two rows, and its bits do not depend on the
+        group, tile or block it arrived in.
+        """
+        n_entries, n_rows = indices_block.shape[0], self.flat.shape[0]
+        if not 0 <= linear.min() <= linear.max() < n_rows:
+            raise IndexError("entry index outside the factor matrices")
+        # Stable, so the order is unique; a 16-bit key sorts by radix.
+        key = linear.astype(np.uint16) if n_rows <= 1 << 16 else linear
+        order = np.argsort(key, kind="stable")
+        linear = linear[order]
+        indices_block = indices_block[order]
+        if rows is not None:
+            rows = [None if r is None else r[order] for r in rows]
+        rows_last = self._rows(self.loop_modes[-1], indices_block, rows)
+        cuts = np.flatnonzero(linear[1:] != linear[:-1]) + 1
+        table_rows = linear[np.concatenate(([0], cuts))].tolist()
+        cuts = cuts.tolist()
+        temp = np.empty((n_entries, self.width), dtype=np.float64)
+        for lo, hi, row in zip([0] + cuts, cuts + [n_entries], table_rows):
+            if hi - lo == 1:
+                temp[lo] = (rows_last[[lo, lo]] @ self.flat[row])[0]
+            else:
+                np.matmul(rows_last[lo:hi], self.flat[row], out=temp[lo:hi])
+        temp = self._contract_batched(
+            temp, self.loop_modes[:-1], indices_block, rows
+        )
+        if out is None:
+            out = np.empty((n_entries, self.out_width), dtype=np.float64)
+        out[order] = temp
+        return out
+
+    def _contract_batched(self, temp, loop_modes, indices_block, rows) -> np.ndarray:
+        """Contract ``loop_modes`` out of ``temp``, one batched einsum each.
+
+        The next mode to contract is always the (contiguous) last axis of
+        the shrinking intermediate.
+        """
+        n_entries = indices_block.shape[0]
+        for k in reversed(loop_modes):
+            rows_k = self._rows(k, indices_block, rows)
+            temp = np.einsum(
+                "zxj,zj->zx", temp.reshape(n_entries, -1, rows_k.shape[1]), rows_k
+            )
+        return temp.reshape(n_entries, -1)
 
 
 def make_delta_contractor(

@@ -26,18 +26,20 @@ The classic two-phase external sort, once per mode:
    stable and positions within a chunk are increasing, every run is sorted
    by the compound key ``(mode index, original position)`` — the exact
    ordering of the stable ``argsort`` the in-RAM build uses.
-2. *Merge.*  A heap over the run cursors pops the run with the smallest
-   head key; a galloping ``searchsorted`` finds how far that run can emit
-   before the next run's head key intervenes, so entries move in blocks,
-   not one at a time.  Emitted blocks stream straight into the columnar
-   shard ``.npy`` files (headers written up front — every shard's size is
-   known from ``nnz`` and ``shard_nnz``), cast per block from the run's
-   chunk-local dtype to the final per-column dtype of the store's shape,
-   while the row segmentation accumulates on the fly.  When the spill
-   produced more than :data:`MAX_OPEN_RUNS` runs, the merge *cascades*
-   first — groups of runs are merged into longer intermediate runs until
-   one pass fits — so open file descriptors stay bounded regardless of
-   tensor size.
+2. *Merge.*  In rounds: every live run offers a window of at most
+   ``merge_block // live`` entries, the smallest window-end key is the
+   pivot, and every run emits its entries up to the pivot (one
+   ``searchsorted`` each); one ``lexsort`` puts the round's pieces in key
+   order.  Interleaved runs therefore move in blocks of up to
+   ``merge_block`` entries, not one block per run switch.  Emitted blocks
+   stream straight into the columnar shard ``.npy`` files (headers written
+   up front — every shard's size is known from ``nnz`` and
+   ``shard_nnz``), cast from the runs' chunk-local dtypes to the final
+   per-column dtypes of the store's shape, while the row segmentation
+   accumulates on the fly.  When the spill produced more than
+   :data:`MAX_OPEN_RUNS` runs, the merge *cascades* first — groups of runs
+   are merged into longer intermediate runs until one pass fits — so open
+   file descriptors stay bounded regardless of tensor size.
 
 While spilling, the ingest pass also accumulates everything the manifest
 fingerprint needs: the SHA-256 digest over the canonical int64 index bytes
@@ -57,7 +59,6 @@ from __future__ import annotations
 
 import contextlib
 import hashlib
-import heapq
 import logging
 import os
 import shutil
@@ -425,64 +426,67 @@ def _ingest(state: _IngestState, source, chunk_nnz: int) -> None:
             state.nnz += indices.shape[0]
 
 
-def _iter_merged(runs, mode: int, merge_block: int):
+def _iter_merged(runs, mode: int, merge_block: int, dtypes):
     """Merge sorted runs; yield ``(columns, values, positions)`` blocks.
 
     ``runs`` are ``(columns, values, positions)`` triples (``columns`` a
     tuple of per-mode 1-D maps, possibly in different chunk-local narrow
     dtypes), each sorted by the compound key
-    ``(columns[mode], positions)``.  A heap over the run cursors pops
-    the run with the smallest head key; a galloping ``searchsorted``
-    finds how far it can emit before the next run's head intervenes, so
-    entries move in blocks of at most ``merge_block``.  Yielded column
-    slices keep their run's dtype; the consumers cast to the final store
-    dtypes as they write.
+    ``(columns[mode], positions)``.  Each round, every live run offers a
+    window of at most ``merge_block // live`` entries; the pivot is the
+    smallest window-end key, every run emits its window's entries up to
+    the pivot, and the pieces are put in key order by one ``lexsort``.
+    Keys are unique (positions are), so the output order is that of a
+    merge moving one entry at a time; every round empties at least one
+    window, and a block never exceeds ``merge_block`` entries.  Yielded
+    columns are cast to ``dtypes``.
     """
     cursors = [0] * len(runs)
-    heap = []
-    for run_id, (columns, _, positions) in enumerate(runs):
-        if columns[mode].shape[0]:
-            heapq.heappush(
-                heap,
-                (int(columns[mode][0]), int(positions[0]), run_id),
-            )
-    while heap:
-        _, _, run_id = heapq.heappop(heap)
-        columns, values, positions = runs[run_id]
-        mode_column = columns[mode]
-        cursor = cursors[run_id]
-        window_stop = min(mode_column.shape[0], cursor + merge_block)
-        if heap:
-            next_value, next_position, _ = heap[0]
-            column = mode_column[cursor:window_stop]
-            # Emit every entry with key strictly below the next run's head:
-            # all rows below ``next_value``, plus the tied rows whose
-            # original position precedes ``next_position``.
-            below = int(np.searchsorted(column, next_value, side="left"))
-            tie_stop = int(np.searchsorted(column, next_value, side="right"))
+    lengths = [run[2].shape[0] for run in runs]
+    while True:
+        live = [r for r in range(len(runs)) if cursors[r] < lengths[r]]
+        if not live:
+            return
+        window = max(1, merge_block // len(live))
+        stops = [min(lengths[r], cursors[r] + window) for r in live]
+        pivot = min(
+            (int(runs[r][0][mode][stop - 1]), int(runs[r][2][stop - 1]))
+            for r, stop in zip(live, stops)
+        )
+        pieces = []  # (run, span) of each run's emission this round
+        for r, window_stop in zip(live, stops):
+            columns, values, positions = runs[r]
+            cursor = cursors[r]
+            column = columns[mode][cursor:window_stop]
+            # Every entry with key ≤ pivot: all rows below the pivot's row,
+            # plus the tied rows whose original position does not follow it.
+            below = int(np.searchsorted(column, pivot[0], side="left"))
+            tie_stop = int(np.searchsorted(column, pivot[0], side="right"))
             ties = int(
                 np.searchsorted(
                     positions[cursor + below : cursor + tie_stop],
-                    next_position,
-                    side="left",
+                    pivot[1],
+                    side="right",
                 )
             )
             stop = cursor + below + ties
-        else:
-            stop = window_stop
-        if stop == cursor:  # pragma: no cover - heap invariant guarantees > 0
-            stop = cursor + 1
-        yield (
-            tuple(column[cursor:stop] for column in columns),
-            values[cursor:stop],
-            positions[cursor:stop],
-        )
-        cursors[run_id] = stop
-        if stop < mode_column.shape[0]:
-            heapq.heappush(
-                heap,
-                (int(mode_column[stop]), int(positions[stop]), run_id),
+            if stop > cursor:
+                pieces.append((runs[r], slice(cursor, stop)))
+            cursors[r] = stop
+        block_columns = tuple(
+            np.concatenate(
+                [run[0][k][span].astype(dtype, copy=False) for run, span in pieces]
             )
+            for k, dtype in enumerate(dtypes)
+        )
+        block_values = np.concatenate([run[1][span] for run, span in pieces])
+        block_positions = np.concatenate([run[2][span] for run, span in pieces])
+        if len(pieces) > 1:
+            order = np.lexsort((block_positions, block_columns[mode]))
+            block_columns = tuple(column[order] for column in block_columns)
+            block_values = block_values[order]
+            block_positions = block_positions[order]
+        yield block_columns, block_values, block_positions
 
 
 def _open_runs(stems, order: int):
@@ -552,14 +556,10 @@ def _cascade_runs(
                 _npy_header(values_out, (total,), np.float64)
                 _npy_header(pos_out, (total,), np.int64)
                 for columns, values, positions in _iter_merged(
-                    runs, mode, merge_block
+                    runs, mode, merge_block, final_dtypes
                 ):
-                    for k, handle in enumerate(column_handles):
-                        handle.write(
-                            np.ascontiguousarray(
-                                columns[k], dtype=final_dtypes[k]
-                            ).tobytes()
-                        )
+                    for column, handle in zip(columns, column_handles):
+                        handle.write(column.tobytes())
                     values_out.write(
                         np.ascontiguousarray(values, dtype=np.float64).tobytes()
                     )
@@ -599,7 +599,8 @@ def _merge_mode(
         directory, mode, state.nnz, state.column_dtypes(), shard_nnz
     )
     segmentation = _SegmentationAccumulator()
-    for block_columns, block_values, _ in _iter_merged(runs, mode, merge_block):
+    merged = _iter_merged(runs, mode, merge_block, state.column_dtypes())
+    for block_columns, block_values, _ in merged:
         writer.write(block_columns, block_values)
         segmentation.update(np.asarray(block_columns[mode]))
     writer.close()

@@ -218,10 +218,12 @@ def test_backends_bitwise_equal_on_multi_tile_block():
 
     The block is several default-size tiles long with an uneven tail, so
     every backend (procpool's workers run the module default too) tiles
-    its chunks differently and must still reduce the same rows.
+    its chunks differently and must still reduce the same rows.  The plan
+    is a grouped one (mode 2 tables only the 24 hours), so its tiles are
+    2 621 entries long and every chunk boundary splits groups.
     """
     rng = np.random.default_rng(13)
-    shape, ranks, mode, nnz = (3_000, 2_000, 12, 24), (10, 10, 5, 5), 2, 5_000
+    shape, ranks, mode, nnz = (3_000, 2_000, 12, 24), (10, 10, 5, 5), 2, 9_000
     indices = np.stack([rng.integers(0, d, nnz) for d in shape], axis=1)
     tensor = SparseTensor(indices, rng.uniform(0.5, 5.0, nnz), shape)
     factors = [rng.uniform(-1.0, 1.0, size=(d, r)) for d, r in zip(shape, ranks)]
@@ -229,6 +231,7 @@ def test_backends_bitwise_equal_on_multi_tile_block():
     ctx = build_mode_context(tensor, mode)
     plan = contraction_module._ContractionPlan(factors, core, mode, nnz)
     tile = contraction_module.TILE_BYTES // (8 * plan.width)
+    assert plan.grouped
     assert nnz >= 3 * tile and nnz % tile
 
     n_segments = ctx.row_starts.shape[0]

@@ -162,7 +162,7 @@ def _sweep_setup(factors, core, mode, expected_entries, regularization):
     shipped = [
         f if k in pre else np.empty((0, f.shape[1])) for k, f in enumerate(factors)
     ]
-    return (shipped, core, mode, pre, regularization)
+    return (shipped, core, mode, pre, expected_entries, regularization)
 
 
 class TestRowSolver:
@@ -222,8 +222,11 @@ class TestRowSolver:
             n_workers=2, min_chunk_entries=8, supervisor=supervisor
         )
         solver = backend.make_row_solver(factors, core, mode, 0.1, expected_entries)
-        (shipped, _, shipped_mode, pre, regularization), = supervisor.setups
+        (shipped, _, shipped_mode, pre, shipped_entries, regularization), = (
+            supervisor.setups
+        )
         assert shipped_mode == mode and regularization == 0.1
+        assert shipped_entries == expected_entries
         assert pre == _sweep_setup(factors, core, mode, expected_entries, 0.1)[3]
         batched = [k for k in range(3) if k != mode and k not in pre]
         if expected_entries == self.FEW_ENTRIES:

@@ -137,6 +137,69 @@ class TestBitwiseIdentity:
         )
         assert_directories_identical(in_ram, streamed)
 
+    @pytest.mark.parametrize("max_open_runs", [128, 4])
+    def test_runs_interleaving_at_every_entry(
+        self, tmp_path, monkeypatch, max_open_runs
+    ):
+        """Every run holds every mode-0 row twice and mode 1 deals rows out
+        round-robin, so the merge switches runs at every entry (tied on
+        mode 0, distinct on mode 1), across windows shorter than a run and
+        through a cascade at a shrunk fan-in."""
+        import repro.shards.merge as merge_module
+
+        monkeypatch.setattr(merge_module, "MAX_OPEN_RUNS", max_open_runs)
+        rng = np.random.default_rng(7)
+        n_runs, run_nnz = 6, 1_000
+        chunks = []
+        for run in range(n_runs):
+            local = rng.permutation(run_nnz)
+            chunks.append(
+                np.stack(
+                    [
+                        local // 2,
+                        local * n_runs + run,
+                        rng.integers(0, 9, run_nnz),
+                    ],
+                    axis=1,
+                )
+            )
+        indices = np.concatenate(chunks).astype(np.int64)
+        shape = (run_nnz // 2, run_nnz * n_runs, 9)
+        tensor = SparseTensor(indices, rng.standard_normal(indices.shape[0]), shape)
+        in_ram = str(tmp_path / "in_ram")
+        streamed = str(tmp_path / "streamed")
+        ShardStore.build(tensor, in_ram, shard_nnz=777)
+        # One run per chunk; the default merge block (1 024 at this chunk
+        # size) gives each of the six runs a window of 170 entries.
+        ShardStore.build_streaming(
+            TensorEntryReader(tensor), streamed, shard_nnz=777, chunk_nnz=run_nnz
+        )
+        assert_directories_identical(in_ram, streamed)
+
+    @pytest.mark.parametrize("merge_block", [1, 2, 5, 64])
+    def test_windowed_merge_order_and_block_bound(self, merge_block):
+        """Blocks follow the compound key and never exceed ``merge_block``."""
+        import repro.shards.merge as merge_module
+
+        rng = np.random.default_rng(merge_block)
+        runs, keys = [], []
+        for run in range(5):
+            n = int(rng.integers(0, 40))
+            # Both ascending, so the run is sorted by (column, position).
+            column = np.sort(rng.integers(0, 6, n)).astype(np.uint8)
+            positions = np.sort(rng.choice(10_000, n, replace=False)) * 5 + run
+            runs.append(((column,), positions * 0.5, positions.astype(np.int64)))
+            keys += list(zip(column.tolist(), positions.tolist()))
+        blocks = list(
+            merge_module._iter_merged(runs, 0, merge_block, (np.int64,))
+        )
+        merged = [
+            (int(c), int(p)) for (col,), _, pos in blocks for c, p in zip(col, pos)
+        ]
+        assert merged == sorted(keys)
+        assert all(0 < values.shape[0] <= merge_block for _, values, _ in blocks)
+        assert all(col.dtype == np.int64 for (col,), _, _ in blocks)
+
     @pytest.mark.slow
     def test_large_disk_heavy_build(self, tmp_path):
         tensor = random_tensor(4, 60_000, seed=99, dim=64)

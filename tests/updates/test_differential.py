@@ -27,6 +27,9 @@ CASES = [
     pytest.param((9, 8, 7, 6, 5), (2, 2, 3, 2, 2), 400, 50, id="order5-ragged"),
     # Most rows hold fewer entries than the rank: the k × k dual form.
     pytest.param((200, 150, 120), (4, 5, 3), 260, 40, id="order3-short-rows"),
+    # A ratings shape: modes 2 and 3 take the grouped δ path (one GEMM per
+    # row of their 24- or 12-row table), and blocks cut its groups.
+    pytest.param((3000, 2000, 12, 24), (10, 10, 5, 5), 3000, 300, id="ratings-grouped"),
 ]
 
 
