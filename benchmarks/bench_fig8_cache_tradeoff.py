@@ -19,13 +19,14 @@ def test_fig8_order_sweep(benchmark):
     print(render_table(result.rows, title="Figure 8 - P-Tucker vs P-Tucker-Cache"))
     for note in result.notes:
         print(f"note: {note}")
-    cache_memory = [
-        row["peak_mem_MB"] for row in result.rows if row["algorithm"] == "P-Tucker-Cache"
-    ]
-    base_memory = [
-        row["peak_mem_MB"] for row in result.rows if row["algorithm"] == "P-Tucker"
-    ]
-    assert all(c > b for c, b in zip(cache_memory, base_memory))
+    for column in ("peak_mem_MB", "traced_peak_MB"):
+        cache_memory = [
+            row[column] for row in result.rows if row["algorithm"] == "P-Tucker-Cache"
+        ]
+        base_memory = [
+            row[column] for row in result.rows if row["algorithm"] == "P-Tucker"
+        ]
+        assert all(c > b for c, b in zip(cache_memory, base_memory)), column
 
 
 @pytest.mark.parametrize("solver_cls", [PTucker, PTuckerCache])

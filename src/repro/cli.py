@@ -61,7 +61,7 @@ from .baselines import CpAls, SHot, TuckerAls, TuckerCsf, TuckerWopt
 from .columns import INDEX_DTYPE_POLICIES
 from .core import PTucker, PTuckerApprox, PTuckerCache, PTuckerConfig, TuckerResult
 from .core.sampled import PTuckerSampled
-from .kernels.backends import backend_names_for_cli
+from .kernels.backends import available_backends
 from .model_io import load_model, load_result, save_model
 from .tensor import SparseTensor, load_text
 from .tensor.io import DEFAULT_CHUNK_NNZ, open_entry_reader
@@ -105,11 +105,10 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     factorize.add_argument(
         "--backend",
-        choices=backend_names_for_cli(),
+        choices=available_backends(),
         default="numpy",
         help="kernel execution strategy: 'numpy' (serial), 'threaded' "
-        "(shared-memory threads), 'procpool' (supervised worker processes) "
-        "or 'auto' (the measured-fastest per block)",
+        "(shared-memory threads) or 'procpool' (supervised worker processes)",
     )
     factorize.add_argument(
         "--shards",
@@ -297,7 +296,7 @@ def _build_parser() -> argparse.ArgumentParser:
     update.add_argument("--regularization", type=float, default=0.01)
     update.add_argument(
         "--backend",
-        choices=backend_names_for_cli(),
+        choices=available_backends(),
         default="numpy",
         help="kernel execution strategy for the targeted re-solves",
     )

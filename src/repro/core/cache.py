@@ -5,7 +5,8 @@ solver precomputes, for every pair of an observed entry α and a core entry β,
 the full product ``Pres[α][β] = G_β · Π_{k=1..N} a^(k)_{i_k j_k}``.  While
 updating mode n, the δ contribution of a pair (α, β) is then obtained as
 ``Pres[α][β] / a^(n)_{i_n j_n}`` — O(1) instead of O(N) multiplications.
-After a factor matrix changes, the affected cache cells are rescaled by the
+Since every β of one j_n group shares that divisor, this implementation sums
+the group first and divides once per (α, j_n).  After a factor matrix changes, the affected cache cells are rescaled by the
 ratio of new to old row entries.
 
 The trade-off is memory: the table is |Ω| x |G| (Theorem 6), which this
@@ -88,40 +89,32 @@ class PTuckerCache(PTucker):
 
     # ------------------------------------------------------------------
     def _delta_provider(self, tensor: SparseTensor, factors, core, mode: int):
-        """δ from the cache: divide Pres by the mode-n factor entry, then reduce.
+        """δ from the cache: reduce Pres over each j_n group, then divide.
 
-        ``Pres[α][β] / a^(n)_{i_n j_n}`` recovers ``G_β Π_{k≠n} a^(k)``; the
-        core entries β are then reduced over their j_n groups to produce the
-        length-J_n vector δ.  Entries whose divisor is (numerically) zero are
-        recomputed with the direct product, matching the paper's note on
-        lines 12 and 19.  The mode's current factor is kept for the
-        rescale that follows the update (:meth:`_after_mode_update`).
+        Every cell of a j_n group shares the divisor ``a^(n)_{i_n j_n}``, so
+        ``Σ_β Pres[α][β] / a^(n)_{i_n j_n}`` over the group is the group sum
+        divided once: one reshaped sum of the table per mode update, then
+        one division per (entry, j_n) rather than per (entry, core cell).
+        The sum rounds differently from the paper's divide-then-reduce
+        order, within float64 rounding of the direct δ.  Entries with a
+        (numerically) zero divisor are recomputed with the direct product,
+        matching the paper's note on lines 12 and 19.  The mode's current
+        factor is kept as the divisor and for the rescale that follows the
+        update (:meth:`_after_mode_update`).
         """
-        pres = self._pres
-        if pres is None:
+        if self._pres is None:
             return None
-        self._previous_factor = factors[mode].copy()
+        previous = factors[mode].copy()
+        self._previous_factor = previous
         core_arr = np.asarray(core)
-        rank = core_arr.shape[mode]
-        # Column grouping of the flattened (C-order) core by its mode-n index.
-        jn_of_column = np.indices(core_arr.shape)[mode].reshape(-1)
-        group_matrix = np.zeros((core_arr.size, rank), dtype=np.float64)
-        group_matrix[np.arange(core_arr.size), jn_of_column] = 1.0
+        group_sums = self._grouped_pres(core_arr.shape, mode).sum(axis=(1, 3))
 
         def provider(entry_positions: np.ndarray, mode_inner: int) -> np.ndarray:
             rows = tensor.indices[entry_positions]
-            divisors = np.asarray(factors[mode_inner])[rows[:, mode_inner]]
-            # Per (entry, core cell) divisor: the factor entry a^(n)_{i_n j_n}.
-            divisor_cells = divisors[:, jn_of_column]
-            safe = np.abs(divisor_cells) > self._zero_tolerance
-            contributions = np.zeros((rows.shape[0], core_arr.size), dtype=np.float64)
-            np.divide(
-                pres[entry_positions],
-                divisor_cells,
-                out=contributions,
-                where=safe,
-            )
-            deltas = contributions @ group_matrix
+            divisors = previous[rows[:, mode_inner]]
+            safe = np.abs(divisors) > self._zero_tolerance
+            deltas = np.zeros_like(divisors)
+            np.divide(group_sums[entry_positions], divisors, out=deltas, where=safe)
             # Fallback: entries touching a zero factor value get the direct O(N) path.
             needs_fallback = np.nonzero(~safe.all(axis=1))[0]
             if needs_fallback.size:
@@ -131,6 +124,14 @@ class PTuckerCache(PTucker):
             return deltas
 
         return provider
+
+    def _grouped_pres(self, core_shape, mode: int) -> np.ndarray:
+        """Pres viewed as ``(|Ω|, Π_{k<n} J_k, J_n, Π_{k>n} J_k)``.
+
+        The flattened core is C-ordered, so axis 2 of this view is j_n.
+        """
+        before = int(np.prod(core_shape[:mode], dtype=np.int64))
+        return self._pres.reshape(self._pres.shape[0], before, core_shape[mode], -1)
 
     # ------------------------------------------------------------------
     def _after_mode_update(
@@ -144,14 +145,13 @@ class PTuckerCache(PTucker):
         if self._pres is None:
             return
         core_arr = np.asarray(core)
-        jn_of_column = np.indices(core_arr.shape)[mode].reshape(-1)
         mode_rows = tensor.indices[:, mode]
-        old_cells = self._previous_factor[mode_rows][:, jn_of_column]
-        new_cells = np.asarray(factors[mode])[mode_rows][:, jn_of_column]
-        safe = np.abs(old_cells) > self._zero_tolerance
-        ratio = np.ones_like(old_cells)
-        np.divide(new_cells, old_cells, out=ratio, where=safe)
-        self._pres *= ratio
+        old = self._previous_factor[mode_rows]
+        safe = np.abs(old) > self._zero_tolerance
+        ratio = np.ones_like(old)
+        np.divide(np.asarray(factors[mode])[mode_rows], old, out=ratio, where=safe)
+        grouped = self._grouped_pres(core_arr.shape, mode)
+        grouped *= ratio[:, None, :, None]
         # Cells whose old value was zero cannot be rescaled; rebuild them exactly.
         stale_entries = np.nonzero(~safe.all(axis=1))[0]
         if stale_entries.size:

@@ -44,10 +44,9 @@ class PTuckerConfig:
         paper's O.O.M. results).
     backend:
         Kernel execution strategy for the row update: ``"numpy"`` (default,
-        serial), ``"threaded"`` (shared-memory threads), ``"procpool"``
-        (supervised worker processes) or ``"auto"`` for per-block
-        autotuned dispatch.  Any other name raises
-        :class:`~repro.exceptions.ShapeError`.  See
+        serial), ``"threaded"`` (shared-memory threads) or ``"procpool"``
+        (supervised worker processes); all three give bitwise-equal fits.
+        Any other name raises :class:`~repro.exceptions.ShapeError`.  See
         :mod:`repro.kernels.backends`.
     shard_dir:
         When set, :meth:`~repro.core.ptucker.PTucker.fit` runs its sweeps
@@ -150,13 +149,12 @@ class PTuckerConfig:
         from ..columns import check_index_dtype_policy
 
         check_index_dtype_policy(self.index_dtype)
-        from ..kernels.backends import backend_names_for_cli
+        from ..kernels.backends import get_backend
 
-        if self.backend not in backend_names_for_cli():
-            raise ShapeError(
-                f"unknown kernel backend {self.backend!r}; "
-                f"choose one of {backend_names_for_cli()}"
-            )
+        try:
+            get_backend(self.backend)
+        except KeyError as exc:
+            raise ShapeError(exc.args[0]) from None
 
     def resolve_ranks(self, order: int) -> Tuple[int, ...]:
         """Broadcast a single rank to every mode and validate the count."""

@@ -150,16 +150,6 @@ def build_mode_context(
     )
 
 
-def build_all_mode_contexts(
-    tensor: SparseTensor, index_dtype: str = "wide"
-) -> List[ModeContext]:
-    """Contexts for every mode of the tensor."""
-    return [
-        build_mode_context(tensor, mode, index_dtype=index_dtype)
-        for mode in range(tensor.order)
-    ]
-
-
 class InMemorySource:
     """An in-RAM tensor as an entry source, built once from its mode contexts.
 
@@ -330,9 +320,8 @@ def update_factor_mode(
     source, since it indexes the tensor's original entry ordering.
 
     ``backend`` selects the execution strategy of the kernel: a
-    registered backend name (``"numpy"``, ``"threaded"``, ``"procpool"``),
-    ``"auto"`` for per-block autotuned dispatch, or a
-    :class:`~repro.kernels.backends.KernelBackend` instance.  All backends
+    registered backend name (``"numpy"``, ``"threaded"``, ``"procpool"``)
+    or a :class:`~repro.kernels.backends.KernelBackend` instance.  All backends
     compute the same values up to floating-point associativity.  With a
     ``delta_provider`` the backend still runs the reduction and solve, but
     δ comes from the provider.

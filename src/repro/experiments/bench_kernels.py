@@ -44,8 +44,7 @@ def run(
     result.add_note(
         "backends timed: "
         + ", ".join(payload["backends"])
-        + "; backend_selected = measured-fastest per cell "
-        "(the autotuner's choice for that shape class)"
+        + "; backend_selected = argmin of measured per-backend times"
     )
     result.add_note(
         "max |error| vs brute force: "

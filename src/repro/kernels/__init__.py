@@ -83,10 +83,8 @@ takes exactly these names:
   its chunk's rows, so factor rows (J floats per row), not normal
   equations (J² + J), cross the process pipe.  Degrades to the serial
   reference with one worker (``REPRO_PROC_WORKERS``).
-* ``"auto"`` — per-block autotuned dispatch: the first block of each
-  (order, rank profile, block size) shape class times the candidate
-  backends' row solvers and every later block runs the measured winner
-  (cached in process, and across processes via ``REPRO_AUTOTUNE_CACHE``).
+
+Any other name is rejected with ``unknown kernel backend``.
 
 All backends compute identical values up to floating-point associativity;
 the equivalence is property-tested across orders, ragged ranks, empty
@@ -102,8 +100,8 @@ Submodules
 * :mod:`~repro.kernels.solve` — the row solves: ``solve_segments`` (dual
   form for short rows, normal equations for long ones) and the batched
   ridge solve ``solve_rows``.
-* :mod:`~repro.kernels.backends` — the named execution strategies and the
-  autotuner behind the ``backend=`` knob.
+* :mod:`~repro.kernels.backends` — the named execution strategies behind
+  the ``backend=`` knob.
 * :mod:`~repro.kernels.microbench` — kernel/backend timing grids and the
   frozen seed Kronecker sweep they time against (imported lazily; it
   depends on the tensor and solver layers).

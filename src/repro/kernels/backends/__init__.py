@@ -12,15 +12,13 @@ this package registers the three backends:
   multicore hosts plus transparent recovery from killed or hung workers;
   degrades to the serial reference on single-CPU hosts.
 
-``"auto"`` resolves to the autotuned dispatcher of
-:mod:`~repro.kernels.backends.autotune`, which measures the candidates per
-(order, rank profile, block size) shape class and always executes the
-measured-fastest one.  Any other name is rejected with
-``unknown kernel backend``.
+Every fit names its backend; any other name is rejected with
+``unknown kernel backend``.  The three compute bitwise-equal factor rows,
+so the choice moves wall time, never the model.
 
 Consumers map the user-facing ``backend=`` knob (a registered name, a
-:class:`~repro.kernels.backends.base.KernelBackend` instance, ``"auto"``
-or ``None``) to a concrete backend with :func:`resolve_backend`; new
+:class:`~repro.kernels.backends.base.KernelBackend` instance or
+``None``) to a concrete backend with :func:`resolve_backend`; new
 strategies subclass :class:`KernelBackend` and call
 :func:`register_backend` once at import time.
 
@@ -36,32 +34,25 @@ from .base import (
     KernelBackend,
     NumpyBackend,
     available_backends,
-    backend_names_for_cli,
     get_backend,
     register_backend,
     resolve_backend,
 )
 from .threaded import ThreadedBackend
 from .procpool import ProcpoolBackend
-from .autotune import AutoBackend, Autotuner, block_size_bucket, shape_class_key
 
 register_backend(NumpyBackend())
 register_backend(ThreadedBackend())
 register_backend(ProcpoolBackend())
 
 __all__ = [
-    "AutoBackend",
-    "Autotuner",
     "BackendSpec",
     "KernelBackend",
     "NumpyBackend",
     "ProcpoolBackend",
     "ThreadedBackend",
     "available_backends",
-    "backend_names_for_cli",
-    "block_size_bucket",
     "get_backend",
     "register_backend",
     "resolve_backend",
-    "shape_class_key",
 ]

@@ -17,7 +17,7 @@ differ.
 
 Backends register themselves by name in a process-global registry;
 :func:`resolve_backend` maps the user-facing ``backend=`` knob (a name, a
-:class:`KernelBackend` instance, or ``"auto"``) to a concrete backend.  A
+:class:`KernelBackend` instance, or ``None``) to a concrete backend.  A
 name that is not registered is an error: every name runs the backend it
 names.
 """
@@ -143,8 +143,7 @@ def get_backend(name: str) -> KernelBackend:
         return _REGISTRY[name]
     except KeyError:
         raise KeyError(
-            f"unknown kernel backend {name!r}; available: "
-            f"{available_backends()} (or 'auto')"
+            f"unknown kernel backend {name!r}; available: {available_backends()}"
         ) from None
 
 
@@ -154,21 +153,11 @@ BackendSpec = Union[str, KernelBackend, None]
 def resolve_backend(spec: BackendSpec) -> KernelBackend:
     """Map a ``backend=`` argument to a concrete :class:`KernelBackend`.
 
-    ``None`` means the reference backend; ``"auto"`` returns the shared
-    autotuned dispatcher; a :class:`KernelBackend` instance passes through
-    unchanged; any other string is a registry lookup.
+    ``None`` means the reference backend; a :class:`KernelBackend`
+    instance passes through unchanged; a string is a registry lookup.
     """
     if spec is None:
         return _REGISTRY["numpy"]
     if isinstance(spec, KernelBackend):
         return spec
-    if spec == "auto":
-        from .autotune import default_auto_backend
-
-        return default_auto_backend()
     return get_backend(spec)
-
-
-def backend_names_for_cli() -> List[str]:
-    """The valid ``backend=`` strings: ``"auto"`` plus the registered names."""
-    return ["auto"] + sorted(available_backends())

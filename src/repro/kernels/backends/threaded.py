@@ -14,8 +14,8 @@ genuinely overlap on multicore hosts.  Every row is solved on its own, so
 the chunked rows are bitwise equal to the serial ones.  With a single
 worker there is nothing to overlap and per-chunk dispatch is pure
 overhead (measured ~10% at nnz=100k), so the backend degrades to the
-exact serial path — the autotuner then sees two equal candidates instead
-of a regression.
+exact serial path, so naming ``threaded`` on one core costs nothing
+over ``numpy``.
 
 The pool is a process-global singleton reused across sweeps (threads are
 cheap to keep idle, expensive to respawn per mode update).

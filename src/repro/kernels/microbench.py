@@ -762,8 +762,8 @@ def run_microbench(
     registered one).  ``seconds_contracted`` remains the serial ``numpy``
     backend, so the kron-vs-contracted speedup column stays comparable
     across the repository's history; the extra per-backend columns and
-    ``backend_selected`` (argmin of the measured times — exactly the choice
-    the autotuner's measurement rule makes for this shape) sit alongside.
+    ``backend_selected`` (argmin of the measured per-backend times) sit
+    alongside.
     """
     repeats = max(1, int(repeats))
     grid = tuple(DEFAULT_GRID if grid is None else grid)

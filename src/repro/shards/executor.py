@@ -5,7 +5,7 @@ to :func:`repro.core.row_update.update_factor_mode` as its entry source,
 in place of the in-RAM :class:`~repro.core.row_update.InMemorySource`:
 shards are memory-mapped and streamed one ``block_size`` run of entries at
 a time, each block's normal equations are computed by any registered
-kernel backend (``numpy`` / ``threaded`` / ``procpool`` / ``auto``), and
+kernel backend (``numpy`` / ``threaded`` / ``procpool``), and
 the per-row partial sums are merged into the factor matrix
 by the same block loop the in-core update runs.
 

@@ -15,12 +15,10 @@ from repro.core.row_update import build_mode_context, update_factor_mode
 from repro.kernels import available_backends, get_backend, resolve_backend
 from repro.kernels import contraction as contraction_module
 from repro.kernels.backends import (
-    AutoBackend,
     KernelBackend,
     NumpyBackend,
     ProcpoolBackend,
     ThreadedBackend,
-    backend_names_for_cli,
     register_backend,
 )
 from repro.kernels.backends.threaded import chunk_boundaries
@@ -80,14 +78,12 @@ def test_resolve_passthrough_and_specials():
     instance = ThreadedBackend(n_workers=2)
     assert resolve_backend(instance) is instance
     assert resolve_backend(None).name == "numpy"
-    assert isinstance(resolve_backend("auto"), AutoBackend)
 
 
 def test_every_backend_name_runs_the_backend_it_names():
     """No name stands for a different backend."""
-    names = backend_names_for_cli()
-    assert names == ["auto"] + sorted(available_backends())
-    assert {"numpy", "threaded", "procpool"} <= set(names)
+    names = available_backends()
+    assert sorted(names) == ["numpy", "procpool", "threaded"]
     for name in names:
         assert resolve_backend(name).name == name
 
@@ -105,23 +101,41 @@ def _reject_in_resolver(name):
         resolve_backend(name)
 
 
+def _reject_in_row_update(name):
+    tensor = SparseTensor(np.array([[0, 0, 0]]), np.array([1.0]), (1, 1, 1))
+    factors = [np.ones((1, 1)) for _ in range(3)]
+    with pytest.raises(KeyError, match="unknown kernel backend"):
+        update_factor_mode(tensor, factors, np.ones((1, 1, 1)), 0, 0.01, backend=name)
+
+
 def _reject_in_cli(name):
     from repro.cli import main
 
     with pytest.raises(SystemExit) as exit_info:
-        main(["factorize", "tensor.tns", "--ranks", "2", "--backend", name])
+        main(["fit", "tensor.tns", "--ranks", "2", "--backend", name])
     assert exit_info.value.code == 2
 
 
-@pytest.mark.parametrize(
+REJECTORS = pytest.mark.parametrize(
     "reject",
-    [_reject_in_config, _reject_in_resolver, _reject_in_cli],
-    ids=["config", "resolver", "cli"],
+    [_reject_in_config, _reject_in_resolver, _reject_in_row_update, _reject_in_cli],
+    ids=["config", "resolver", "row_update", "cli"],
 )
+
+
+@REJECTORS
 def test_unregistered_backend_name_is_rejected(reject):
     """A name with no registered backend (here the retired ``numba``) fails
-    in the config, the resolver and the CLI alike; nothing falls back."""
+    in the config, the resolver, the row update and the CLI alike; nothing
+    falls back."""
     reject("numba")
+
+
+@REJECTORS
+def test_auto_is_not_a_backend_name(reject):
+    """``auto`` names no backend: every entry point refuses it with the
+    same ``unknown kernel backend`` error as any unregistered name."""
+    reject("auto")
 
 
 def test_register_backend_last_wins():

@@ -124,30 +124,3 @@ class TestDtypeHelpers:
             np.dtype(np.uint32),
         )
         assert index_dtypes_for_shape(shape, "wide") == (np.dtype(np.int64),) * 3
-
-
-class TestAutoBackendWithNarrowBlocks:
-    def test_autotuned_dispatch_consumes_columns(self, rng):
-        """backend="auto" calibrates over narrow blocks without widening."""
-        from repro.core.row_update import (
-            InMemorySource,
-            build_mode_context,
-            update_factor_mode,
-        )
-        from repro.data import random_sparse_tensor
-
-        tensor = random_sparse_tensor((30, 20, 10), nnz=400, seed=2)
-        core = rng.uniform(-0.5, 0.5, size=(3, 3, 3))
-        factors = [
-            rng.uniform(-0.5, 0.5, size=(dim, 3)) for dim in tensor.shape
-        ]
-        results = {}
-        for policy in ("auto", "wide"):
-            context = build_mode_context(tensor, 0, index_dtype=policy)
-            fresh = [np.array(f, copy=True) for f in factors]
-            update_factor_mode(
-                InMemorySource(tensor, [context]), fresh, core, 0, 0.01,
-                backend="auto",
-            )
-            results[policy] = fresh[0]
-        np.testing.assert_array_equal(results["auto"], results["wide"])

@@ -22,7 +22,7 @@ from repro.kernels.backends import ProcpoolBackend, ThreadedBackend
 from repro.kernels.backends import base as backend_base
 from repro.tensor.io import TensorEntryReader
 
-BACKENDS = ("numpy", "threaded", "procpool", "auto")
+BACKENDS = ("numpy", "threaded", "procpool")
 
 
 @pytest.fixture
@@ -31,8 +31,7 @@ def chunking_backends(monkeypatch):
 
     Fits name their backend by string, so the registered instances are
     swapped for ones with two workers and an 8-entry chunk floor: even
-    the small test tensor's blocks cross threads and the process pipe,
-    and ``auto`` dispatches among these instances.
+    the small test tensor's blocks cross threads and the process pipe.
     """
     monkeypatch.setitem(
         backend_base._REGISTRY,

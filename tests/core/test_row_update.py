@@ -6,7 +6,6 @@ import pytest
 from repro.core import PTuckerConfig
 from repro.core.row_update import (
     brute_force_row_update,
-    build_all_mode_contexts,
     build_mode_context,
     solve_rows,
     update_factor_mode,
@@ -49,7 +48,7 @@ class TestModeContext:
 
     def test_contexts_for_all_modes(self, setup_small):
         tensor, _, _ = setup_small
-        contexts = build_all_mode_contexts(tensor)
+        contexts = [build_mode_context(tensor, mode) for mode in range(tensor.order)]
         assert len(contexts) == tensor.order
         assert [c.mode for c in contexts] == [0, 1, 2]
 

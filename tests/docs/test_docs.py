@@ -96,7 +96,10 @@ def test_readme_documents_the_cli_flags():
         ("repro.shards.merge", ("streaming_build", "k-way", "bitwise", "narrow")),
         ("repro.tensor.io", ("iter_entry_chunks", "TextEntryReader", "rcoo")),
         ("repro.tensor.textparse", ("parse_numeric_block", "float(token)")),
-        ("repro.kernels.backends", ("KernelBackend", "resolve_backend", "auto")),
+        (
+            "repro.kernels.backends",
+            ("KernelBackend", "resolve_backend", "unknown kernel backend"),
+        ),
         ("repro.kernels.backends.base", ("solve_segments", "make_row_solver")),
         ("repro.kernels.solve", ("solve_segments", "dual", "push-through")),
         ("repro.resilience", ("atomic_open", "CheckpointManager", "bitwise")),
@@ -213,9 +216,9 @@ def _readme_backend_row():
 def test_backend_lists_name_the_registered_backends(read):
     """Every place that lists the kernel backends names exactly the ones
     ``--backend`` accepts, and none that is not registered."""
-    from repro.kernels.backends import backend_names_for_cli
+    from repro.kernels.backends import available_backends
 
     text = read()
-    for name in backend_names_for_cli():
+    for name in available_backends():
         assert re.search(rf"[`'\"]{name}[`'\"]", text), f"does not name {name!r}"
     assert "numba" not in text.lower()

@@ -101,6 +101,34 @@ class TestFigure8:
         cache_rows = [r for r in result.rows if r["algorithm"] == "P-Tucker-Cache"]
         assert cache_rows[-1]["peak_mem_MB"] > cache_rows[0]["peak_mem_MB"]
 
+    def test_traced_peak_covers_the_charged_memory(self):
+        """The measured allocation peak holds at least what the solver
+        charges, and Cache's exceeds P-Tucker's at every order."""
+        result = figure8.run(orders=(3, 4), dimensionality=25, nnz=400, max_iterations=1)
+        by_key = {(row["order"], row["algorithm"]): row for row in result.rows}
+        for row in result.rows:
+            assert row["traced_peak_MB"] >= row["peak_mem_MB"] > 0
+        for order in (3, 4):
+            assert (
+                by_key[(order, "P-Tucker-Cache")]["traced_peak_MB"]
+                > by_key[(order, "P-Tucker")]["traced_peak_MB"]
+            )
+
+    def test_notes_split_the_memory_claim_from_the_speed_claim(self):
+        """The memory claim is noted as reproduced; the speed claim is noted
+        as not reproduced, with the sec/iter ratio measured at the top order."""
+        result = figure8.run(orders=(3, 4), dimensionality=25, nnz=400, max_iterations=1)
+        by_key = {(row["order"], row["algorithm"]): row for row in result.rows}
+        ratio = (
+            by_key[(4, "P-Tucker-Cache")]["sec/iter"]
+            / by_key[(4, "P-Tucker")]["sec/iter"]
+        )
+        reproduced = [n for n in result.notes if n.startswith("Reproduced:")]
+        not_reproduced = [n for n in result.notes if n.startswith("Not reproduced:")]
+        assert len(reproduced) == 1 and "J^N" in reproduced[0]
+        assert len(not_reproduced) == 1 and "1.7x faster" in not_reproduced[0]
+        assert f"{ratio:.1f}x P-Tucker's at order 4" in not_reproduced[0]
+
 
 class TestFigure9:
     def test_core_shrinks_only_for_approx(self):

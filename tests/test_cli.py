@@ -89,7 +89,7 @@ class TestFactorizeCommand:
         assert code == 0
         assert "S-HOT" in capsys.readouterr().out
 
-    @pytest.mark.parametrize("backend", ["threaded", "auto"])
+    @pytest.mark.parametrize("backend", ["threaded", "procpool"])
     def test_factorize_with_backend(self, tensor_file, capsys, backend):
         """A non-default backend name runs end to end."""
         path, _ = tensor_file
