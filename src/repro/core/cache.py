@@ -24,7 +24,7 @@ from typing import List, Optional
 import numpy as np
 
 from ..exceptions import ShapeError
-from ..kernels import contract_delta_block
+from ..kernels import contract_delta_block, contraction
 from ..metrics.memory import BYTES_PER_FLOAT, MemoryTracker
 from ..tensor.coo import SparseTensor
 from ..tensor.operations import factor_rows_product
@@ -64,11 +64,12 @@ class PTuckerCache(PTucker):
     ) -> None:
         """Precompute Pres for every (observed entry, core entry) pair.
 
-        The table is filled block by block (reusing ``config.block_size``) so
-        the only full-size allocation is the |Ω| × |G| table itself — the
-        transient Kronecker weight blocks stay ``block_size`` rows tall, and
-        the tracker's accounting (charged up front, before the fill) matches
-        the true peak.
+        The table is filled in tiles of ``TILE_BYTES // (8 · |G|)`` entries
+        (the contraction kernel's tile budget), so the only full-size
+        allocation is the |Ω| × |G| table itself: the transient Kronecker
+        weight blocks span about ``TILE_BYTES`` whatever |Ω| is.  The
+        tracker charges the table alone (up front, before the fill); the
+        true peak is that table plus a few tile-sized temporaries.
         """
         core_flat = np.asarray(core).reshape(-1)
         n_entries = tensor.nnz
@@ -76,7 +77,7 @@ class PTuckerCache(PTucker):
         if memory is not None:
             memory.allocate(n_entries * width * BYTES_PER_FLOAT, "cache-table")
         pres = np.empty((n_entries, width), dtype=np.float64)
-        block = self.config.block_size
+        block = max(1, contraction.TILE_BYTES // (BYTES_PER_FLOAT * width))
         for start in range(0, n_entries, block):
             stop = min(start + block, n_entries)
             # A slice keeps the index gather inside factor_rows_product a view.

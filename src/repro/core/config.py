@@ -91,7 +91,9 @@ class PTuckerConfig:
         Store checkpoints after the first of a run as low-rank R@C row
         diffs against the previous save (see
         :mod:`repro.updates.lowrank`); loading resolves the chain to
-        bitwise-equal full factors, so ``resume`` works unchanged.
+        bitwise-equal full factors, so ``resume`` works unchanged.  A
+        sweep rewrites every row with observed entries, so a diff leaves
+        out only the rows without any.
     resume:
         Continue from the newest valid checkpoint in ``checkpoint_dir``
         instead of starting fresh.  The resumed trajectory is

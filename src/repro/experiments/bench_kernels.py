@@ -62,8 +62,9 @@ def run(
         "counts-precision text file; seconds_build_streaming covers the "
         "whole text->store external-memory build at a fixed chunk size "
         "with peak_*_mb_build_* bounded by the chunk, and "
-        "streaming_build_equals_incore asserts the store is bitwise-"
-        "identical to ShardStore.build (see docs/BENCHMARKS.md)"
+        "streaming_build_equals_incore asserts it is byte-identical to the "
+        "store ShardStore.build streams from the parsed tensor through the "
+        "same builder (see docs/BENCHMARKS.md)"
     )
     if output:
         path = write_payload(payload, os.path.abspath(output))

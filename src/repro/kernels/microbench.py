@@ -498,7 +498,6 @@ def _bench_index_dtype(
             store = ShardStore.build(
                 tensor, store_dir, shard_nnz=block_size, index_dtype=policy
             )
-            tensor.clear_caches()
             index_bytes = sum(
                 _directory_bytes(store_dir, suffix=f".col{k}.npy")
                 for k in range(tensor.order)
@@ -628,24 +627,27 @@ def _bench_ingest(
     Writes the cell's tensor (values quantized to small counts — the
     short-token regime of real text data) as a text file, then measures: the
     vectorized parser against the frozen seed per-line loop
-    (``seconds_parse_text`` / ``seconds_parse_text_loop``), the in-RAM
-    shard build against the external-memory streaming build at an
-    8192-entry chunk size shared across the large cells
-    (``seconds_build_*``), the bitwise-identity of the two
-    stores, and each build's peak memory — deterministic tracemalloc
+    (``seconds_parse_text`` / ``seconds_parse_text_loop``), the store
+    build from the already-parsed tensor (``ShardStore.build``, which
+    streams it through the one external-memory builder at its default
+    chunk size) against the text-sourced build at an 8192-entry chunk
+    size shared across the large cells (``seconds_build_*``), whether the
+    tensor-sourced and text-sourced stores are byte-identical, and each
+    build's peak memory — deterministic tracemalloc
     (``peak_traced_mb_build_*``) plus cold-subprocess RSS
-    (``peak_rss_mb_build_*``).  The streaming numbers cover the whole
-    text → store pipeline, whose peak is bounded by the chunk size; the
-    in-RAM numbers start from an already-parsed tensor and still scale
-    with nnz.
+    (``peak_rss_mb_build_*``).  The ``*_incore`` column names are kept
+    from when ``ShardStore.build`` was a separate in-RAM sort; the
+    text-sourced numbers cover the whole text → store pipeline, whose
+    peak is bounded by the 8192-entry chunk, and the tensor-sourced ones
+    by the default chunk (so they grow with nnz up to 500 000 entries).
     """
     from ..shards import ShardStore
 
     counts = _counts_like(tensor)
     # 8192-entry chunks for every cell large enough to sustain them (the
-    # streaming build's peak should stay flat as nnz grows while the
-    # in-RAM build's scales); only cells under 32k entries shrink to
-    # nnz/4 so chunking is still exercised.
+    # text-sourced build's peak should stay flat as nnz grows); only
+    # cells under 32k entries shrink to nnz/4 so chunking is still
+    # exercised.
     chunk_nnz = max(1_024, min(8_192, tensor.nnz // 4))
     row: Dict[str, object] = {"ingest_chunk_nnz": int(chunk_nnz)}
     with tempfile.TemporaryDirectory(prefix="repro-ingest-bench-") as work:
@@ -677,7 +679,6 @@ def _bench_ingest(
         stream_dir = os.path.join(work, "stream")
 
         def incore_build():
-            parsed.clear_caches()
             start = perf_counter()
             ShardStore.build(parsed, incore_dir, shard_nnz=chunk_nnz)
             return perf_counter() - start

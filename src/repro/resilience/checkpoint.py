@@ -40,9 +40,10 @@ previous save (``factorN.rows.npy`` + ``factorN.diff.npy``) plus the
 full core and trace, and records ``base_iteration`` in its manifest.
 Loading resolves the chain recursively — every link verified — and
 reconstructs factors **bitwise-equal** to what a full checkpoint would
-have held, so ``fit --resume`` works identically on chains.  ALS rewrites
-most rows every sweep, but targeted incremental updates touch a handful,
-which is where the inferred rank (and the saved bytes) collapse.
+have held, so ``fit --resume`` works identically on chains.  Only
+``run_als`` saves checkpoints, and an ALS sweep rewrites every row that
+has observed entries, so what a diff spares over a full save is the rows
+of each mode with no observed entries: ALS never rewrites them.
 
 Corruption is diagnosed, never silently repaired: loading a checkpoint
 whose file fails its checksum (bit flip) or size (truncation) raises

@@ -5,9 +5,9 @@ Omega_in (Section III-B of the paper), so a sweep does not need the tensor
 in RAM: mode-sorted entries can stream from disk while updates land on
 disjoint row ranges.  This package provides the two pieces:
 
-* :class:`~repro.shards.store.ShardStore` — converts a
-  :class:`~repro.tensor.coo.SparseTensor` into per-mode, mode-sorted,
-  memory-mapped COO shards on disk (format v2: one narrow ``.npy`` file
+* :class:`~repro.shards.store.ShardStore` — the per-mode, mode-sorted,
+  memory-mapped COO shards of a :class:`~repro.tensor.coo.SparseTensor`
+  on disk (format v2: one narrow ``.npy`` file
   per index column — ``uint8``/``uint16``/``uint32``/``int64`` by mode
   dimension — plus float64 values and a JSON manifest recording column
   dtypes, per-shard entry ranges, row ranges and segment offsets; the
@@ -23,13 +23,15 @@ disjoint row ranges.  This package provides the two pieces:
   resident working set bounded by ``block_size`` instead of nnz.  Its
   :meth:`~repro.shards.executor.ShardedSweepExecutor.fit` runs the one
   P-Tucker driver (:func:`~repro.core.ptucker.run_als`) out of core.
-* :mod:`~repro.shards.merge` — the external-memory build behind
-  :meth:`~repro.shards.store.ShardStore.build_streaming`: chunks from any
-  entry reader (:mod:`repro.tensor.io`) are spilled as per-mode sorted
-  runs and k-way merged into the same shard layout, bitwise-identical to
-  the in-RAM build, with peak memory bounded by the chunk size.  This
-  closes the last in-RAM stage of the pipeline: a raw text file becomes a
-  store — and a fitted model — without the tensor ever existing in RAM.
+* :mod:`~repro.shards.merge` — the one store builder, behind both
+  :meth:`~repro.shards.store.ShardStore.build` (an in-RAM tensor, read
+  through :class:`~repro.tensor.io.TensorEntryReader`) and
+  :meth:`~repro.shards.store.ShardStore.build_streaming` (any entry
+  reader of :mod:`repro.tensor.io`): chunks are spilled as per-mode
+  sorted runs and k-way merged into the shard layout, with peak memory
+  bounded by the chunk size and output independent of it.  A raw text
+  file therefore becomes a store — and a fitted model — without the
+  tensor ever existing in RAM.
 
 Entry points elsewhere in the library: ``update_factor_mode(store, ...)``
 streams a single mode update, ``PTuckerConfig(shard_dir=..., shard_nnz=...,

@@ -1,13 +1,18 @@
-"""External-memory shard-store builds: spill sorted runs, k-way merge.
+"""The shard-store builder: spill sorted runs, k-way merge.
 
 :func:`streaming_build` turns any chunked entry source (the protocol of
 :mod:`repro.tensor.io`) into the on-disk layout of
 :class:`~repro.shards.store.ShardStore` without ever materialising the
-tensor.  It is the out-of-core counterpart of
-:meth:`~repro.shards.store.ShardStore.build` and produces **bitwise
-identical** output — same columnar shard ``.npy`` files, same segmentation
-arrays, same manifest (including the SHA-256 entry fingerprint) — which
-the equivalence tests assert file by file.
+tensor.  It is the only store builder: an in-RAM tensor
+(:meth:`~repro.shards.store.ShardStore.build`, ``save_shards(tensor)``,
+``for_tensor``, fits with ``shard_dir``) is read through
+:class:`~repro.tensor.io.TensorEntryReader`, and ``ingest``, ``fit
+--from-text`` and compaction feed it their own readers.  Per mode, the
+store holds the entries under the stable ``argsort`` of the mode column,
+the row segmentation ``numpy.unique`` gives over it, and a SHA-256 entry
+fingerprint; the output is bitwise the same for any chunk size, cascade
+depth or input source of the same entries, which the tests assert file by
+file.
 
 The classic two-phase external sort, once per mode:
 
@@ -25,7 +30,7 @@ The classic two-phase external sort, once per mode:
    forces the serial path, which the tests pin.  Because the chunk sort is
    stable and positions within a chunk are increasing, every run is sorted
    by the compound key ``(mode index, original position)`` — the exact
-   ordering of the stable ``argsort`` the in-RAM build uses.
+   ordering of a stable ``argsort`` of the whole mode column.
 2. *Merge.*  In rounds: every live run offers a window of at most
    ``merge_block // live`` entries, the smallest window-end key is the
    pivot, and every run emits its entries up to the pivot (one
@@ -44,10 +49,11 @@ The classic two-phase external sort, once per mode:
 While spilling, the ingest pass also accumulates everything the manifest
 fingerprint needs: the SHA-256 digest over the canonical int64 index bytes
 (value bytes are streamed into the digest afterwards from the value spill,
-preserving the ``indices-then-values`` digest order of
-``ShardStore.build``), the integer index sum, per-mode maxima for shape
-inference, and the value spill itself, whose memory-map yields the same
-pairwise-summed ``values_sum`` NumPy computes over an in-RAM array.
+preserving the ``indices-then-values`` order in which
+``ShardStore.matches`` digests an in-RAM tensor), the integer index sum,
+per-mode maxima for shape inference, and the value spill itself, whose
+memory-map yields the same pairwise-summed ``values_sum`` NumPy computes
+over an in-RAM array.
 
 Peak memory is O(``chunk_nnz``) plus the segmentation arrays (one entry
 per distinct row id); disk usage during the build is roughly twice the
@@ -674,7 +680,7 @@ def streaming_build(
             raise DataFormatError("ingest finished in an inconsistent state")
 
         # Fingerprint: indices were digested during the spill; values are
-        # appended now, preserving ShardStore.build's digest order.  The
+        # appended now, preserving ShardStore.matches' digest order.  The
         # value sum runs over the spill's memory map, which NumPy reduces
         # with the same pairwise algorithm as an in-RAM array.
         if state.nnz:

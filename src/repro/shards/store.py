@@ -15,6 +15,10 @@ matrix, on disk and on the wire alike.  Reads go through
 :class:`~repro.columns.IndexColumns` blocks, which every kernel backend
 consumes without widening; the nnz-sized sorted index/value copies that a
 :class:`~repro.core.row_update.ModeContext` keeps in RAM never exist.
+This module defines the format and reads it; one builder writes it, the
+external-memory merge of :mod:`repro.shards.merge`, which
+:meth:`ShardStore.build` feeds an in-RAM tensor through
+:class:`~repro.tensor.io.TensorEntryReader`.
 
 Directory layout::
 
@@ -61,7 +65,6 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-import shutil
 from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
@@ -74,11 +77,7 @@ from ..columns import (
     index_dtypes_for_shape,
 )
 from ..exceptions import DataFormatError, ShapeError
-from ..resilience.atomic import (
-    atomic_save_array,
-    atomic_write_json,
-    fsync_directory,
-)
+from ..resilience.atomic import atomic_write_json, fsync_directory
 from ..tensor.coo import SparseTensor
 
 #: Manifest file name inside a shard directory.
@@ -224,8 +223,7 @@ def _mode_shards_json(
 
     Shard boundaries are fixed by ``nnz`` and ``shard_nnz`` alone; every
     row-range and segment field is derived from ``row_ids``/``row_starts``,
-    so the in-RAM build and the external-memory merge produce identical
-    manifests by construction.
+    so the manifest does not depend on how the builder chunked its input.
     """
     shards: List[Dict[str, object]] = []
     for number, start in enumerate(range(0, nnz, shard_nnz)):
@@ -262,7 +260,7 @@ def _manifest_payload(
     fingerprint: Dict[str, object],
     modes_json: List[Dict[str, object]],
 ) -> Dict[str, object]:
-    """The manifest dictionary shared by both build paths."""
+    """The manifest dictionary the store builder writes."""
     return {
         "format": FORMAT_NAME,
         "version": FORMAT_VERSION,
@@ -328,9 +326,11 @@ def _npy_file_info(path: str) -> Tuple[Tuple[int, ...], np.dtype, int]:
 class ShardStore:
     """Mode-sorted, memory-mapped columnar COO shards of one sparse tensor.
 
-    Build one with :meth:`build` (from an in-RAM tensor) and reopen it later
-    with :meth:`open`; :meth:`for_tensor` combines both, reusing an existing
-    directory when its manifest matches the tensor.  The store implements
+    Build one with :meth:`build_streaming` (from any chunked entry reader)
+    or :meth:`build` (from an in-RAM tensor, streamed through the former)
+    and reopen it later with :meth:`open`; :meth:`for_tensor` combines
+    both, reusing an existing directory when its manifest matches the
+    tensor.  The store implements
     the *entry source* protocol the row update streams from
     (:attr:`nnz` / :attr:`shape` / :attr:`order`,
     :meth:`mode_segmentation`, :meth:`read_mode_block`), so it can be
@@ -483,81 +483,20 @@ class ShardStore:
         in the tensor's entry order) and written as consecutive shards of at
         most ``shard_nnz`` entries, one narrow column file per mode plus
         the float64 values (``index_dtype="wide"`` keeps int64 columns).
-        An existing store in ``directory`` is replaced; unrelated files in
-        the directory are left alone.
+        The tensor is streamed through :meth:`build_streaming` at the
+        default chunk size — there is one store builder.  An existing store
+        in ``directory`` is replaced; unrelated files in the directory are
+        left alone.
         """
-        if shard_nnz < 1:
-            raise ShapeError("shard_nnz must be at least 1")
-        check_index_dtype_policy(index_dtype)
-        directory = os.fspath(directory)
-        os.makedirs(directory, exist_ok=True)
-        _retire_manifest(directory)
-        column_dtypes = index_dtypes_for_shape(tensor.shape, index_dtype)
+        from ..tensor.io import TensorEntryReader
 
-        modes_json: List[Dict[str, object]] = []
-        for mode in range(tensor.order):
-            mode_dir = os.path.join(directory, _mode_dir(mode))
-            if os.path.isdir(mode_dir):
-                shutil.rmtree(mode_dir)
-            os.makedirs(mode_dir)
-
-            perm = tensor.sort_by_mode(mode)
-            # Narrow columnar copies of the sorted entries: the int64
-            # matrix gather never happens, so even the build's transient
-            # peak shrinks with the dtypes.
-            sorted_columns = [
-                np.ascontiguousarray(tensor.indices[perm, k], dtype=dtype)
-                for k, dtype in enumerate(column_dtypes)
-            ]
-            sorted_values = np.ascontiguousarray(
-                tensor.values[perm], dtype=np.float64
-            )
-            mode_column = sorted_columns[mode]
-            row_ids, row_starts, row_counts = np.unique(
-                mode_column, return_index=True, return_counts=True
-            )
-            row_ids = row_ids.astype(np.int64)
-            row_starts = row_starts.astype(np.int64)
-            row_counts = row_counts.astype(np.int64)
-            atomic_save_array(os.path.join(mode_dir, "row_ids.npy"), row_ids)
-            atomic_save_array(os.path.join(mode_dir, "row_starts.npy"), row_starts)
-            atomic_save_array(os.path.join(mode_dir, "row_counts.npy"), row_counts)
-
-            shards_json = _mode_shards_json(
-                mode, tensor.nnz, shard_nnz, tensor.order, row_ids, row_starts
-            )
-            for shard_json in shards_json:
-                start = int(shard_json["start"])
-                stop = int(shard_json["stop"])
-                for k, column_path in enumerate(shard_json["columns"]):
-                    atomic_save_array(
-                        os.path.join(directory, str(column_path)),
-                        sorted_columns[k][start:stop],
-                    )
-                atomic_save_array(
-                    os.path.join(directory, str(shard_json["values"])),
-                    sorted_values[start:stop],
-                )
-            modes_json.append({"mode": mode, "shards": shards_json})
-            # Release this mode's cached sort permutation (and the sorted
-            # copies) before the next mode doubles the build's peak memory.
-            del perm, sorted_columns, sorted_values, mode_column
-            tensor.clear_caches()
-
-        manifest = _manifest_payload(
-            tensor.shape,
-            tensor.nnz,
-            shard_nnz,
-            index_dtype,
-            {
-                "values_sum": float(np.sum(tensor.values)) if tensor.nnz else 0.0,
-                "indices_sum": int(tensor.indices.sum()) if tensor.nnz else 0,
-                "entries_sha256": _tensor_digest(tensor),
-            },
-            modes_json,
+        return cls.build_streaming(
+            TensorEntryReader(tensor),
+            directory,
+            shard_nnz=shard_nnz,
+            shape=tensor.shape,
+            index_dtype=index_dtype,
         )
-        _write_manifest(directory, manifest)
-        return cls(directory, manifest)
 
     @classmethod
     def build_streaming(
@@ -579,9 +518,9 @@ class ShardStore:
         already in narrow column dtypes, so spill bytes shrink with the
         data — and k-way merged into the shard layout on disk (see
         :mod:`repro.shards.merge`), so peak memory is bounded by the chunk
-        size — never by nnz — and the resulting directory is
-        **bitwise-identical** to :meth:`build` on the same entries: same
-        shard files, same manifest, same fingerprint.  ``shape`` overrides
+        size — never by nnz — and the resulting directory is the same,
+        file for file, for any chunk size or source of the same entries
+        (:meth:`build` of the tensor included).  ``shape`` overrides
         the source's own shape; when neither is given it is inferred as
         max index + 1 per mode, exactly as
         :func:`repro.tensor.io.load_text` infers it.
@@ -839,10 +778,10 @@ class ShardStore:
         checksummed artifacts (checkpoints) pin every byte.
         """
 
-        def check(relative: str, shape: Tuple[int, ...], dtype: np.dtype) -> None:
+        def header(relative: str) -> Tuple[Tuple[int, ...], np.dtype, int]:
             path = os.path.join(self.directory, relative)
             try:
-                found_shape, found_dtype, offset = _npy_file_info(path)
+                return _npy_file_info(path)
             except FileNotFoundError:
                 raise DataFormatError(
                     f"{path}: shard-store file is missing"
@@ -851,6 +790,10 @@ class ShardStore:
                 raise DataFormatError(
                     f"{path}: unreadable .npy header ({exc})"
                 ) from None
+
+        def check(relative: str, shape: Tuple[int, ...], dtype: np.dtype) -> None:
+            path = os.path.join(self.directory, relative)
+            found_shape, found_dtype, offset = header(relative)
             if found_shape != tuple(shape):
                 raise DataFormatError(
                     f"{path}: header shape {found_shape} does not match "
@@ -876,21 +819,12 @@ class ShardStore:
             lengths = {}
             for name in ("row_ids.npy", "row_starts.npy", "row_counts.npy"):
                 relative = os.path.join(mode_dir, name)
-                path = os.path.join(self.directory, relative)
-                try:
-                    shape, dtype, _ = _npy_file_info(path)
-                except FileNotFoundError:
-                    raise DataFormatError(
-                        f"{path}: shard-store file is missing"
-                    ) from None
-                except (OSError, ValueError) as exc:
-                    raise DataFormatError(
-                        f"{path}: unreadable .npy header ({exc})"
-                    ) from None
+                shape, dtype, _ = header(relative)
                 if len(shape) != 1 or dtype != np.dtype(np.int64):
                     raise DataFormatError(
-                        f"{path}: expected a 1-D int64 segmentation array, "
-                        f"found shape {shape} dtype {dtype}"
+                        f"{os.path.join(self.directory, relative)}: expected "
+                        f"a 1-D int64 segmentation array, found shape "
+                        f"{shape} dtype {dtype}"
                     )
                 check(relative, shape, np.int64)
                 lengths[name] = shape[0]

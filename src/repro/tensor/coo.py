@@ -224,9 +224,9 @@ class SparseTensor:
         A fully warmed cache holds one int64 permutation per mode —
         O(order · nnz) bytes on top of the entries themselves.  Callers
         that are done sorting, or that must keep peak memory bounded while
-        touching every mode in turn (:meth:`repro.shards.ShardStore.build`
-        clears between modes), can release it explicitly; the permutations
-        are recomputed on demand, bit-identically, by :meth:`sort_by_mode`.
+        touching every mode in turn, can release it explicitly; the
+        permutations are recomputed on demand, bit-identically, by
+        :meth:`sort_by_mode`.
         """
         self._mode_sorted_cache.clear()
 

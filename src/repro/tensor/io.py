@@ -4,12 +4,13 @@ The P-Tucker release reads whitespace-separated text files where each line is
 ``i_1 i_2 ... i_N value`` (1-based indices).  This module reads and writes
 that format, auto-detects the tensor shape when one is not given, supports a
 simple ``.npz`` binary round-trip for faster test fixtures, implements the
-chunked binary **rcoo** COO container (:func:`save_rcoo` /
-:func:`write_rcoo` / :class:`RcooEntryReader` — magic + fixed header +
-fixed-size blocks with narrow per-column index dtypes, so huge files stream
-in bounded memory instead of decompressing whole ``.npz`` arrays), and
-exports / imports the out-of-core shard-store format of :mod:`repro.shards`
-(:func:`save_shards` / :func:`load_shards`).
+chunked binary **rcoo** COO container (magic + fixed header + fixed-size
+blocks with narrow per-column index dtypes, so huge files stream in
+bounded memory instead of decompressing whole ``.npz`` arrays; written by
+:func:`write_rcoo` alone — :func:`save_rcoo` feeds it a tensor — and read
+by :class:`RcooEntryReader`), and exports / imports the out-of-core
+shard-store format of :mod:`repro.shards` (:func:`save_shards` /
+:func:`load_shards`).
 
 Every input format is exposed through the chunked *entry reader* protocol:
 an object with a ``shape`` attribute (``None`` when not yet known) and an
@@ -18,10 +19,11 @@ pairs of at most ``chunk_nnz`` entries, in file order.  Readers exist for
 text files (:class:`TextEntryReader` — vectorized parsing, bounded memory),
 ``.npz`` archives (:class:`NpzEntryReader`), rcoo containers
 (:class:`RcooEntryReader`), in-RAM tensors (:class:`TensorEntryReader`) and
-shard stores (:class:`ShardEntryReader`).  The streaming shard-store
-builder (:meth:`repro.shards.ShardStore.build_streaming`) consumes any of
-them, so a raw text file can become an on-disk store — and then a fitted
-model — without the tensor ever existing in RAM.
+shard stores (:class:`ShardEntryReader`).  The shard-store builder
+(:meth:`repro.shards.ShardStore.build_streaming`, which
+:meth:`~repro.shards.ShardStore.build` and :func:`save_shards` also run)
+consumes any of them, so a raw text file can become an on-disk store —
+and then a fitted model — without the tensor ever existing in RAM.
 
 Text parsing is tiered for speed: a fully vectorized parser
 (:mod:`repro.tensor.textparse`) handles plain numeric blocks an order of
@@ -316,6 +318,16 @@ def _empty_chunk(order: int) -> EntryChunk:
     )
 
 
+def _join_chunks(chunks: Sequence[EntryChunk]) -> EntryChunk:
+    """One ``(indices, values)`` pair from a non-empty list of chunks."""
+    if len(chunks) == 1:
+        return chunks[0]
+    return (
+        np.concatenate([i for i, _ in chunks]),
+        np.concatenate([v for _, v in chunks]),
+    )
+
+
 def _exact_chunks(
     blocks: Iterator[EntryChunk], chunk_nnz: int
 ) -> Iterator[EntryChunk]:
@@ -334,16 +346,7 @@ def _exact_chunks(
         count += indices.shape[0]
         if count < chunk_nnz:
             continue
-        whole_idx = (
-            np.concatenate([i for i, _ in pending])
-            if len(pending) > 1
-            else pending[0][0]
-        )
-        whole_val = (
-            np.concatenate([v for _, v in pending])
-            if len(pending) > 1
-            else pending[0][1]
-        )
+        whole_idx, whole_val = _join_chunks(pending)
         full = (count // chunk_nnz) * chunk_nnz
         for start in range(0, full, chunk_nnz):
             yield (
@@ -355,14 +358,7 @@ def _exact_chunks(
         if count:
             pending = [(whole_idx[full:], whole_val[full:])]
     if count:
-        yield (
-            np.concatenate([i for i, _ in pending])
-            if len(pending) > 1
-            else pending[0][0],
-            np.concatenate([v for _, v in pending])
-            if len(pending) > 1
-            else pending[0][1],
-        )
+        yield _join_chunks(pending)
 
 
 class NpzEntryReader:
@@ -461,17 +457,6 @@ def _rcoo_header_bytes(
     return prefix + dims + codes
 
 
-def _write_rcoo_block(
-    handle, indices: np.ndarray, values: np.ndarray, index_dtypes
-) -> None:
-    """One block: each index column in its narrow dtype, then the values."""
-    for k, dtype in enumerate(index_dtypes):
-        handle.write(
-            np.ascontiguousarray(indices[:, k], dtype=dtype).tobytes()
-        )
-    handle.write(np.ascontiguousarray(values, dtype=np.float64).tobytes())
-
-
 def save_rcoo(
     tensor: SparseTensor,
     path: PathLike,
@@ -487,25 +472,16 @@ def save_rcoo(
     admits (``index_dtype="wide"`` keeps int64) — followed by its float64
     values.  Unlike ``.npz``, the format has no compression layer to
     inflate whole arrays through: :class:`RcooEntryReader` streams it back
-    one block at a time in bounded memory.
+    one block at a time in bounded memory.  The tensor is streamed through
+    :func:`write_rcoo`, the one rcoo writer.
     """
-    if block_nnz < 1:
-        raise ShapeError("block_nnz must be positive")
-    dtypes = index_dtypes_for_shape(tensor.shape, index_dtype)
-    # Atomic write: the container appears at ``path`` only once complete,
-    # so a crash mid-save never leaves a truncated rcoo behind.
-    with atomic_open(path) as handle:
-        handle.write(
-            _rcoo_header_bytes(tensor.shape, tensor.nnz, block_nnz, dtypes)
-        )
-        for start in range(0, tensor.nnz, block_nnz):
-            stop = min(start + block_nnz, tensor.nnz)
-            _write_rcoo_block(
-                handle,
-                tensor.indices[start:stop],
-                tensor.values[start:stop],
-                dtypes,
-            )
+    write_rcoo(
+        TensorEntryReader(tensor),
+        path,
+        block_nnz=block_nnz,
+        index_dtype=index_dtype,
+        shape=tensor.shape,
+    )
 
 
 def write_rcoo(
@@ -577,7 +553,12 @@ def write_rcoo(
                 raise ShapeError("an index exceeds the tensor shape")
             if not np.isfinite(values).all():
                 raise ShapeError("tensor values must be finite")
-            _write_rcoo_block(handle, indices, values, dtypes)
+            # One block: each index column in its narrow dtype, then values.
+            for k, dtype in enumerate(dtypes):
+                handle.write(
+                    np.ascontiguousarray(indices[:, k], dtype=dtype).tobytes()
+                )
+            handle.write(values.tobytes())
             nnz += indices.shape[0]
         handle.seek(_RCOO_NNZ_OFFSET)
         handle.write(struct.pack("<Q", nnz))
@@ -700,13 +681,7 @@ def load_rcoo(path: PathLike) -> SparseTensor:
             np.empty(0, dtype=np.float64),
             reader.shape,
         )
-    indices = (
-        np.concatenate([i for i, _ in chunks]) if len(chunks) > 1 else chunks[0][0]
-    )
-    values = (
-        np.concatenate([v for _, v in chunks]) if len(chunks) > 1 else chunks[0][1]
-    )
-    return SparseTensor(indices, values, reader.shape)
+    return SparseTensor(*_join_chunks(chunks), reader.shape)
 
 
 class TensorEntryReader:
@@ -821,12 +796,7 @@ def load_text(
     chunks = list(reader.iter_entry_chunks(DEFAULT_CHUNK_NNZ))
     if not chunks:
         raise DataFormatError(f"{path}: file contains no tensor entries")
-    indices = (
-        np.concatenate([i for i, _ in chunks]) if len(chunks) > 1 else chunks[0][0]
-    )
-    values = (
-        np.concatenate([v for _, v in chunks]) if len(chunks) > 1 else chunks[0][1]
-    )
+    indices, values = _join_chunks(chunks)
     if shape is None:
         # Per-column maxes beat one axis-0 reduction by ~7x on (nnz, N).
         shape = tuple(
@@ -871,11 +841,12 @@ def save_shards(
     ``directory`` and returns the built store, ready for out-of-core
     sweeps.  ``index_dtype`` selects the column-dtype policy (``"auto"``
     narrow / ``"wide"`` int64).  Exactly one input must be given:
-    ``tensor`` (in-RAM build) or ``source`` (a chunked entry reader — the
-    store is then built with the external-memory merge of
-    :mod:`repro.shards.merge`, reading at most ``chunk_nnz`` entries at a
-    time, and is bitwise-identical to the in-RAM build of the same
-    entries).
+    ``tensor`` (read through :class:`TensorEntryReader` at the default
+    chunk size, as :meth:`~repro.shards.ShardStore.build` does) or
+    ``source`` (a chunked entry reader, read ``chunk_nnz`` entries at a
+    time).  Either way the store is written by the external-memory merge
+    of :mod:`repro.shards.merge`, and the same entries give the same
+    files whichever input carried them.
     """
     from ..shards import ShardStore
 

@@ -1,8 +1,8 @@
 """Low-rank factor diffs: versioned checkpoint states as R@C updates.
 
-Successive factor states along a fit (or an incremental-update stream)
-differ in few rows — ALS rewrites whole rows, targeted re-solves rewrite
-only touched rows.  The difference ``new - old`` is therefore exactly
+Successive factor states along a fit differ in whole rows — ALS rewrites
+every row with observed entries and never a row without.  The difference
+``new - old`` is therefore exactly
 expressible as the product ``R @ C`` of a one-hot row-selection matrix
 ``R`` (shape ``(I, r)``, column ``j`` selecting changed row ``rows[j]``)
 and the compact matrix ``C = new[rows] - old[rows]`` (shape ``(r, J)``)

@@ -5,7 +5,9 @@ import pytest
 
 from repro.core import PTucker, PTuckerCache, PTuckerConfig
 from repro.core.core_tensor import initialize_core, initialize_factors
-from repro.kernels import contract_delta_block
+from repro.data import random_sparse_tensor
+from repro.kernels import contract_delta_block, contraction
+from repro.metrics.memory import run_with_traced_peak
 
 #: Factor tolerance of the grouped provider against the paper-literal one.
 #: Summing a j_n group before dividing rounds differently from dividing
@@ -158,3 +160,20 @@ class TestMemoryProfile:
         result = PTuckerCache(config).fit(planted_small.tensor)
         expected = planted_small.tensor.nnz * 27 * 8  # |Omega| * |G| * 8 bytes
         assert result.memory.peak_bytes >= expected
+
+    def test_pres_fill_peak_is_the_table_plus_a_tile(self, monkeypatch):
+        """At Figure 8's order-7 shape the Pres fill allocates the table and
+        tile-sized temporaries, not a second table-sized weight block; the
+        tiling leaves the table's bytes as a one-block fill writes them."""
+        tensor = random_sparse_tensor((50,) * 7, 800, seed=7)
+        ranks = (3,) * 7
+        (cache, _, core), peak = run_with_traced_peak(
+            lambda: _prepared_cache(tensor, ranks)
+        )
+        table_bytes = tensor.nnz * core.size * 8
+        assert cache._pres.nbytes == table_bytes
+        assert peak <= table_bytes + 4 * 1024 * 1024
+
+        monkeypatch.setattr(contraction, "TILE_BYTES", 1 << 62)
+        one_block, _, _ = _prepared_cache(tensor, ranks)
+        assert cache._pres.tobytes() == one_block._pres.tobytes()

@@ -137,7 +137,8 @@ class TestCrashSafeBuilds:
         def boom(directory, manifest):
             raise RuntimeError("injected crash before the commit point")
 
-        monkeypatch.setattr("repro.shards.store._write_manifest", boom)
+        # The one store builder (repro.shards.merge) commits the manifest.
+        monkeypatch.setattr("repro.shards.merge._write_manifest", boom)
         with pytest.raises(RuntimeError, match="injected crash"):
             ShardStore.build(planted_small.tensor, store_dir, shard_nnz=200)
         with pytest.raises(DataFormatError):

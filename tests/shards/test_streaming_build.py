@@ -1,4 +1,11 @@
-"""External-memory shard builds: bitwise identity with the in-RAM build."""
+"""External-memory shard builds: store contents and independence of chunking.
+
+``ShardStore.build`` streams an in-RAM tensor through the same external
+merge as every other source, so each reference store is checked against
+the tensor itself (the ``store_oracle`` fixture of ``conftest.py``), and the
+file-for-file comparisons check that the output does not depend on the
+chunk size, the merge cascade or the input source.
+"""
 
 import os
 
@@ -44,48 +51,56 @@ def assert_directories_identical(left, right):
 
 class TestBitwiseIdentity:
     @pytest.mark.parametrize("order", [3, 4, 5])
-    def test_orders(self, order, tmp_path):
+    def test_orders(self, store_oracle, order, tmp_path):
         tensor = random_tensor(order, 2_000, seed=order)
-        in_ram = str(tmp_path / "in_ram")
+        reference = str(tmp_path / "reference")
         streamed = str(tmp_path / "streamed")
-        ShardStore.build(tensor, in_ram, shard_nnz=700)
+        store_oracle(
+            ShardStore.build(tensor, reference, shard_nnz=700), tensor
+        )
         ShardStore.build_streaming(
             TensorEntryReader(tensor), streamed, shard_nnz=700, chunk_nnz=333
         )
-        assert_directories_identical(in_ram, streamed)
+        assert_directories_identical(reference, streamed)
 
     @pytest.mark.parametrize(
         "shard_nnz,chunk_nnz",
         [(1, 1), (13, 7), (100, 1000), (1000, 100), (257, 61), (5000, 5000)],
     )
-    def test_ragged_shard_and_chunk_sizes(self, shard_nnz, chunk_nnz, tmp_path):
+    def test_ragged_shard_and_chunk_sizes(
+        self, store_oracle, shard_nnz, chunk_nnz, tmp_path
+    ):
         tensor = random_tensor(3, 1_200, seed=17)
-        in_ram = str(tmp_path / "in_ram")
+        reference = str(tmp_path / "reference")
         streamed = str(tmp_path / "streamed")
-        ShardStore.build(tensor, in_ram, shard_nnz=shard_nnz)
+        store_oracle(
+            ShardStore.build(tensor, reference, shard_nnz=shard_nnz), tensor
+        )
         ShardStore.build_streaming(
             TensorEntryReader(tensor),
             streamed,
             shard_nnz=shard_nnz,
             chunk_nnz=chunk_nnz,
         )
-        assert_directories_identical(in_ram, streamed)
+        assert_directories_identical(reference, streamed)
 
-    def test_from_text_file(self, tmp_path):
+    def test_from_text_file(self, store_oracle, tmp_path):
         tensor = random_tensor(3, 900, seed=3)
         path = tmp_path / "t.tns"
         save_text(tensor, path)
-        in_ram = str(tmp_path / "in_ram")
+        reference = str(tmp_path / "reference")
         streamed = str(tmp_path / "streamed")
-        ShardStore.build(tensor, in_ram, shard_nnz=250)
+        store_oracle(
+            ShardStore.build(tensor, reference, shard_nnz=250), tensor
+        )
         store = ShardStore.build_streaming(
             TextEntryReader(path), streamed, shard_nnz=250, chunk_nnz=123
         )
-        assert_directories_identical(in_ram, streamed)
+        assert_directories_identical(reference, streamed)
         # The fingerprint matches the original tensor, so for_tensor reuses it.
         assert store.matches(tensor)
 
-    def test_duplicate_and_skewed_rows(self, tmp_path):
+    def test_duplicate_and_skewed_rows(self, store_oracle, tmp_path):
         """Ties everywhere: one dominant row id exercises stable merging."""
         rng = np.random.default_rng(11)
         nnz = 800
@@ -98,15 +113,15 @@ class TestBitwiseIdentity:
             axis=1,
         ).astype(np.int64)
         tensor = SparseTensor(indices, rng.standard_normal(nnz), (6, 4, 5))
-        in_ram = str(tmp_path / "in_ram")
+        reference = str(tmp_path / "reference")
         streamed = str(tmp_path / "streamed")
-        ShardStore.build(tensor, in_ram, shard_nnz=97)
+        store_oracle(ShardStore.build(tensor, reference, shard_nnz=97), tensor)
         ShardStore.build_streaming(
             TensorEntryReader(tensor), streamed, shard_nnz=97, chunk_nnz=53
         )
-        assert_directories_identical(in_ram, streamed)
+        assert_directories_identical(reference, streamed)
 
-    def test_single_entry_and_empty(self, tmp_path):
+    def test_single_entry_and_empty(self, store_oracle, tmp_path):
         single = SparseTensor(
             np.asarray([[0, 1, 2]]), np.asarray([3.5]), (2, 3, 4)
         )
@@ -114,32 +129,38 @@ class TestBitwiseIdentity:
             np.empty((0, 3), dtype=np.int64), np.empty(0), (2, 3, 4)
         )
         for name, tensor in (("single", single), ("empty", empty)):
-            in_ram = str(tmp_path / f"{name}_in_ram")
+            reference = str(tmp_path / f"{name}_reference")
             streamed = str(tmp_path / f"{name}_streamed")
-            ShardStore.build(tensor, in_ram, shard_nnz=1)
+            store_oracle(
+                ShardStore.build(tensor, reference, shard_nnz=1), tensor
+            )
             ShardStore.build_streaming(
                 TensorEntryReader(tensor), streamed, shard_nnz=1, chunk_nnz=1
             )
-            assert_directories_identical(in_ram, streamed)
+            assert_directories_identical(reference, streamed)
 
-    def test_cascaded_merge_matches_flat_merge(self, tmp_path, monkeypatch):
+    def test_cascaded_merge_matches_flat_merge(
+        self, store_oracle, tmp_path, monkeypatch
+    ):
         """Many tiny runs force the fd-bounded cascade; output is identical."""
         import repro.shards.merge as merge_module
 
         monkeypatch.setattr(merge_module, "MAX_OPEN_RUNS", 3)
         tensor = random_tensor(3, 1_500, seed=41)
-        in_ram = str(tmp_path / "in_ram")
+        reference = str(tmp_path / "reference")
         streamed = str(tmp_path / "streamed")
-        ShardStore.build(tensor, in_ram, shard_nnz=400)
+        store_oracle(
+            ShardStore.build(tensor, reference, shard_nnz=400), tensor
+        )
         # chunk_nnz=60 -> 25 runs per mode -> two cascade passes at fan-in 3.
         ShardStore.build_streaming(
             TensorEntryReader(tensor), streamed, shard_nnz=400, chunk_nnz=60
         )
-        assert_directories_identical(in_ram, streamed)
+        assert_directories_identical(reference, streamed)
 
     @pytest.mark.parametrize("max_open_runs", [128, 4])
     def test_runs_interleaving_at_every_entry(
-        self, tmp_path, monkeypatch, max_open_runs
+        self, store_oracle, tmp_path, monkeypatch, max_open_runs
     ):
         """Every run holds every mode-0 row twice and mode 1 deals rows out
         round-robin, so the merge switches runs at every entry (tied on
@@ -166,15 +187,17 @@ class TestBitwiseIdentity:
         indices = np.concatenate(chunks).astype(np.int64)
         shape = (run_nnz // 2, run_nnz * n_runs, 9)
         tensor = SparseTensor(indices, rng.standard_normal(indices.shape[0]), shape)
-        in_ram = str(tmp_path / "in_ram")
+        reference = str(tmp_path / "reference")
         streamed = str(tmp_path / "streamed")
-        ShardStore.build(tensor, in_ram, shard_nnz=777)
+        store_oracle(
+            ShardStore.build(tensor, reference, shard_nnz=777), tensor
+        )
         # One run per chunk; the default merge block (1 024 at this chunk
         # size) gives each of the six runs a window of 170 entries.
         ShardStore.build_streaming(
             TensorEntryReader(tensor), streamed, shard_nnz=777, chunk_nnz=run_nnz
         )
-        assert_directories_identical(in_ram, streamed)
+        assert_directories_identical(reference, streamed)
 
     @pytest.mark.parametrize("merge_block", [1, 2, 5, 64])
     def test_windowed_merge_order_and_block_bound(self, merge_block):
@@ -201,18 +224,20 @@ class TestBitwiseIdentity:
         assert all(col.dtype == np.int64 for (col,), _, _ in blocks)
 
     @pytest.mark.slow
-    def test_large_disk_heavy_build(self, tmp_path):
+    def test_large_disk_heavy_build(self, store_oracle, tmp_path):
         tensor = random_tensor(4, 60_000, seed=99, dim=64)
-        in_ram = str(tmp_path / "in_ram")
+        reference = str(tmp_path / "reference")
         streamed = str(tmp_path / "streamed")
-        ShardStore.build(tensor, in_ram, shard_nnz=7_000)
+        store_oracle(
+            ShardStore.build(tensor, reference, shard_nnz=7_000), tensor
+        )
         ShardStore.build_streaming(
             TensorEntryReader(tensor),
             streamed,
             shard_nnz=7_000,
             chunk_nnz=4_111,
         )
-        assert_directories_identical(in_ram, streamed)
+        assert_directories_identical(reference, streamed)
 
 
 class TestStreamingBuildBehaviour:
@@ -254,9 +279,9 @@ class TestStreamingBuildBehaviour:
             ShardStore.build_streaming(reader, str(tmp_path / "s"), chunk_nnz=0)
 
     def test_save_shards_source_keyword(self, random_small, tmp_path):
-        in_ram = str(tmp_path / "in_ram")
+        from_tensor = str(tmp_path / "from_tensor")
         streamed = str(tmp_path / "streamed")
-        save_shards(random_small, in_ram, shard_nnz=150)
+        save_shards(random_small, from_tensor, shard_nnz=150)
         save_shards(
             None,
             streamed,
@@ -264,7 +289,7 @@ class TestStreamingBuildBehaviour:
             source=TensorEntryReader(random_small),
             chunk_nnz=77,
         )
-        assert_directories_identical(in_ram, streamed)
+        assert_directories_identical(from_tensor, streamed)
 
     def test_save_shards_requires_exactly_one_input(self, random_small, tmp_path):
         with pytest.raises(ShapeError):

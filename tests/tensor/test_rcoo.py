@@ -1,7 +1,7 @@
 """Tests for the chunked binary rcoo COO container.
 
-Round-trips (in-RAM and streamed writes, multi-block files, empty tensors,
-wide and narrow dtypes), `open_entry_reader` dispatch by magic and
+Round-trips (tensor and text-sourced writes, multi-block files, empty
+tensors, wide and narrow dtypes), `open_entry_reader` dispatch by magic and
 extension, and the diagnostics for bad magic / truncated files.
 """
 
@@ -87,18 +87,25 @@ class TestRoundTrip:
         assert restored.nnz == 0
         assert restored.shape == (4, 5, 6)
 
-    def test_streamed_write_equals_in_ram_write(self, tensor, tmp_path):
-        """write_rcoo (nnz patched afterwards) and save_rcoo (nnz known up
-        front) produce byte-identical files at a matched block size."""
-        in_ram = tmp_path / "in-ram.rcoo"
-        streamed = tmp_path / "streamed.rcoo"
-        save_rcoo(tensor, in_ram, block_nnz=128)
-        write_rcoo(TensorEntryReader(tensor), streamed, block_nnz=128)
-        with open(in_ram, "rb") as fh:
-            left = fh.read()
-        with open(streamed, "rb") as fh:
-            right = fh.read()
-        assert left == right
+    def test_text_sourced_header_nnz_is_back_patched(self, tensor, tmp_path):
+        """The entry count is unknown until the stream ends: ragged text
+        blocks regrouped into 128-entry blocks (the last one partial) leave
+        the header's nnz field, patched after the last block, at 700."""
+        text = tmp_path / "t.tns"
+        save_text(tensor, text)
+        path = tmp_path / "t.rcoo"
+        reader = TextEntryReader(text, shape=tensor.shape, chunk_bytes=100)
+        write_rcoo(reader, path, block_nnz=128)
+        with open(path, "rb") as fh:
+            fh.seek(_RCOO_NNZ_OFFSET)
+            (nnz,) = struct.unpack("<Q", fh.read(8))
+        assert nnz == tensor.nnz == 700
+        restored = RcooEntryReader(path)
+        assert restored.nnz == nnz
+        header_bytes = restored._data_offset
+        entry_bytes = sum(d.itemsize for d in restored.index_dtypes) + 8
+        assert os.path.getsize(path) == header_bytes + nnz * entry_bytes
+        np.testing.assert_array_equal(load_rcoo(path).indices, tensor.indices)
 
     def test_streamed_write_infers_shape_from_text(self, tensor, tmp_path):
         """A shapeless text reader triggers the extra inference pass."""
