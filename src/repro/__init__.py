@@ -7,8 +7,8 @@ The package provides:
 * :mod:`repro.kernels` — contraction-ordered δ/reduction kernels shared by
   every solver hot path (see its docstring for the complexity analysis).
 * :mod:`repro.core` — P-Tucker, P-Tucker-Cache and P-Tucker-Approx.
-* :mod:`repro.baselines` — Tucker-ALS (HOOI), Tucker-wOpt, Tucker-CSF,
-  S-HOT and CP-ALS.
+* :mod:`repro.baselines` — Tucker-ALS (HOOI), Tucker-wOpt, Tucker-CSF and
+  S-HOT.
 * :mod:`repro.metrics` — reconstruction error, test RMSE, memory accounting.
 * :mod:`repro.shards` — out-of-core sharded sweeps: the mmap COO shard
   store and the streaming executor (bitwise-equal to in-core).

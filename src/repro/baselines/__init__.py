@@ -1,7 +1,6 @@
-"""Baseline Tucker and CP factorization methods the paper compares against."""
+"""Baseline Tucker factorization methods the paper compares against."""
 
 from .base import HooiBaseline, leading_left_singular_vectors
-from .cp_als import CpAls
 from .s_hot import SHot
 from .tucker_als import TuckerAls
 from .tucker_csf import TuckerCsf
@@ -14,5 +13,4 @@ __all__ = [
     "TuckerCsf",
     "SHot",
     "TuckerWopt",
-    "CpAls",
 ]

@@ -53,14 +53,13 @@ from __future__ import annotations
 
 import argparse
 import sys
-from typing import List, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
-from .baselines import CpAls, SHot, TuckerAls, TuckerCsf, TuckerWopt
+from .baselines import SHot, TuckerAls, TuckerCsf, TuckerWopt
 from .columns import INDEX_DTYPE_POLICIES
-from .core import PTucker, PTuckerApprox, PTuckerCache, PTuckerConfig, TuckerResult
-from .core.sampled import PTuckerSampled
+from .core import PTucker, PTuckerApprox, PTuckerCache, PTuckerConfig
 from .kernels.backends import available_backends
 from .model_io import load_model, load_result, save_model
 from .tensor import SparseTensor, load_text
@@ -70,12 +69,10 @@ ALGORITHMS = {
     "ptucker": PTucker,
     "ptucker-cache": PTuckerCache,
     "ptucker-approx": PTuckerApprox,
-    "ptucker-sampled": PTuckerSampled,
     "tucker-als": TuckerAls,
     "tucker-wopt": TuckerWopt,
     "tucker-csf": TuckerCsf,
     "s-hot": SHot,
-    "cp-als": CpAls,
 }
 
 

@@ -7,12 +7,10 @@ from .core_tensor import (
     SparseCore,
     initialize_core,
     initialize_factors,
-    least_squares_core,
     orthogonalize,
 )
 from .ptucker import PTucker, fit_ptucker, run_als
 from .result import TuckerResult
-from .sampled import PTuckerSampled
 from .row_update import (
     InMemorySource,
     brute_force_row_update,
@@ -25,7 +23,6 @@ __all__ = [
     "PTucker",
     "PTuckerCache",
     "PTuckerApprox",
-    "PTuckerSampled",
     "PTuckerConfig",
     "DEFAULT_CONFIG",
     "TuckerResult",
@@ -36,7 +33,6 @@ __all__ = [
     "orthogonalize",
     "initialize_core",
     "initialize_factors",
-    "least_squares_core",
     "SparseCore",
     "partial_reconstruction_errors",
     "truncate_noisy_entries",

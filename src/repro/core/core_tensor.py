@@ -1,7 +1,6 @@
-"""Core-tensor utilities: initialisation, the closed-form core update, the
-final orthogonalisation (Algorithm 2 lines 8-11) by CholeskyQR2 with a
-Householder QR fallback, and a sparse view of the core used by
-P-Tucker-Approx.
+"""Core-tensor utilities: initialisation, the final orthogonalisation
+(Algorithm 2 lines 8-11) by CholeskyQR2 with a Householder QR fallback, and a
+sparse view of the core used by P-Tucker-Approx.
 """
 
 from __future__ import annotations
@@ -12,9 +11,7 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from ..exceptions import ShapeError
-from ..tensor.coo import SparseTensor
 from ..tensor.dense import mode_product
-from ..tensor.operations import factor_rows_product
 
 
 def initialize_factors(
@@ -95,29 +92,6 @@ def orthogonalize(
         new_factors.append(q_matrix)
         new_core = mode_product(new_core, r_matrix, mode)
     return new_factors, new_core
-
-
-def least_squares_core(
-    tensor: SparseTensor,
-    factors: Sequence[np.ndarray],
-    regularization: float = 1e-9,
-) -> np.ndarray:
-    """Fit the core tensor to the observed entries with the factors fixed.
-
-    The model value at an observed entry is linear in the core entries with
-    per-entry weights ``Π_k a^(k)_{i_k j_k}`` (the rows produced by
-    :func:`factor_rows_product` with ``skip=-1``), so the optimal core is a
-    ridge-regularised linear least-squares solve.  The paper fits the core
-    implicitly through the factor updates; this explicit solve is used when a
-    fresh core is needed for fixed factors (e.g. after orthogonalisation of a
-    baseline's output or in tests).
-    """
-    ranks = tuple(int(np.asarray(f).shape[1]) for f in factors)
-    design = factor_rows_product(tensor, list(factors), skip=-1)
-    gram = design.T @ design + regularization * np.eye(design.shape[1])
-    rhs = design.T @ tensor.values
-    core_flat = np.linalg.solve(gram, rhs)
-    return core_flat.reshape(ranks)
 
 
 @dataclass

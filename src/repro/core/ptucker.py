@@ -12,9 +12,9 @@ inverse) as intermediate data — O(T·J²), Theorem 4 — which is what lets it
 scale where the HOOI-style baselines run out of memory.
 
 :func:`run_als` is that loop, written once: every fit — in-core, sharded,
-streamed, and the Cache, Approx and Sampled variants through the hook
-methods of :class:`PTucker` — runs it, so all of them share the same
-initialisation, checkpoint/resume and stop rule.
+streamed, and the Cache and Approx variants through the hook methods of
+:class:`PTucker` — runs it, so all of them share the same initialisation,
+checkpoint/resume and stop rule.
 """
 
 from __future__ import annotations
@@ -61,7 +61,7 @@ class PTucker:
         self.config = config if config is not None else PTuckerConfig()
 
     # ------------------------------------------------------------------
-    # Hooks overridden by the Cache, Approx and Sampled variants
+    # Hooks overridden by the Cache and Approx variants
     # ------------------------------------------------------------------
     def _check_supported(self, streaming: bool = False) -> None:
         """Refuse a configuration this solver cannot honour, before any work.
@@ -90,13 +90,6 @@ class PTucker:
         memory: Optional[MemoryTracker],
     ) -> None:
         """Per-run initialisation hook (the cache variant builds Pres here)."""
-
-    def _update_source(self, tensor: Optional[SparseTensor], entries, iteration: int):
-        """Entry source the factor updates of ``iteration`` read.
-
-        The sampled variant substitutes a random sample of Ω here.
-        """
-        return entries
 
     def _delta_provider(self, tensor: SparseTensor, factors, core, mode: int):
         """Return a δ provider for :func:`update_factor_mode`, or None."""
@@ -210,7 +203,7 @@ def run_als(
     :func:`~repro.core.core_tensor.orthogonalize`).  It first checks the
     ranks against the shape: each must be positive and at most its mode's
     length.  ``hooks`` is the solver whose hook methods specialise it (the
-    Cache, Approx and Sampled variants); ``None`` means plain P-Tucker.
+    Cache and Approx variants); ``None`` means plain P-Tucker.
 
     An in-RAM tensor is updated through this module's
     :func:`update_factor_mode` and measured with
@@ -291,11 +284,10 @@ def run_als(
         if trace.converged:
             break  # a resumed checkpoint already recorded convergence
         with timer.iteration():
-            update_source = hooks._update_source(tensor, entries, iteration)
             for mode in range(entries.order):
                 if executor is None:
                     update_factor_mode(
-                        update_source,
+                        entries,
                         factors,
                         core,
                         mode,

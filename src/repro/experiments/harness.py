@@ -14,7 +14,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..baselines import CpAls, SHot, TuckerAls, TuckerCsf, TuckerWopt
+from ..baselines import SHot, TuckerAls, TuckerCsf, TuckerWopt
 from ..core import PTucker, PTuckerApprox, PTuckerCache, PTuckerConfig, TuckerResult
 from ..exceptions import OutOfMemoryError, ShapeError
 from ..tensor.coo import SparseTensor
@@ -28,7 +28,6 @@ ALGORITHM_REGISTRY: Dict[str, Callable[[PTuckerConfig], object]] = {
     "Tucker-wOpt": TuckerWopt,
     "Tucker-CSF": TuckerCsf,
     "S-HOT": SHot,
-    "CP-ALS": CpAls,
 }
 
 #: the competitor set of the paper's evaluation (Section IV-A2)

@@ -2,9 +2,10 @@
 
 This package is the single home of the performance-critical inner loops of
 the repository: δ computation (Eq. 12), per-row normal-equation reduction
-(Eqs. 10-11), the row solves (Eq. 9) and sparse reconstruction (Eq. 4).  The P-Tucker solvers, the cache/approx/sampled variants, the
-``procpool`` workers and the HOOI-style baselines all route through these
-functions instead of carrying private copies of the math.
+(Eqs. 10-11), the row solves (Eq. 9) and sparse reconstruction (Eq. 4).
+The P-Tucker solvers, the cache/approx variants, the ``procpool`` workers
+and the HOOI-style baselines all route through these functions instead of
+carrying private copies of the math.
 
 Contraction ordering
 --------------------

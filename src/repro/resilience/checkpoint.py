@@ -21,9 +21,8 @@ verifiable or invisible; there is no torn state to misread.
 Resuming restores the factor matrices, core and convergence trace and
 re-enters the ALS loop at ``iteration + 1``.  The per-iteration update is
 deterministic given that state (the RNG only seeds the *initial* factors,
-which the checkpoint supersedes; the sampled variant replays its sample
-draws), so a resumed fit continues the trajectory **bitwise-identically**
-to an uninterrupted one — the chaos tests kill fits at random iterations
+which the checkpoint supersedes), so a resumed fit continues the
+trajectory **bitwise-identically** to an uninterrupted one — the chaos tests kill fits at random iterations
 and assert exact equality of the final model.  A ``config_digest``
 recorded in the manifest pins the trajectory-critical hyper-parameters
 (ranks, regularization, seed, backend, block size, orthogonalization,

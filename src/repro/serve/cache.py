@@ -86,14 +86,6 @@ class LRUCache:
         """Drop every entry (counters are preserved)."""
         self._entries.clear()
 
-    def invalidate(self, key: Hashable) -> bool:
-        """Drop one entry if cached; counted under ``<name>.invalidation``."""
-        if key in self._entries:
-            del self._entries[key]
-            self._count("invalidation")
-            return True
-        return False
-
     def invalidate_where(self, predicate: Callable[[Hashable], bool]) -> int:
         """Drop every entry whose key satisfies ``predicate``.
 

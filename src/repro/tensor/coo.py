@@ -291,17 +291,6 @@ class SparseTensor:
             return self.with_values(np.zeros_like(self.values)), lo, 1.0
         return self.with_values((self.values - lo) / span), lo, span
 
-    def sample(
-        self, fraction: float, rng: Optional[np.random.Generator] = None
-    ) -> "SparseTensor":
-        """Return a tensor with a random ``fraction`` of the observed entries."""
-        if not 0.0 < fraction <= 1.0:
-            raise ValueError("fraction must be in (0, 1]")
-        rng = np.random.default_rng() if rng is None else rng
-        keep = max(1, int(round(fraction * self.nnz))) if self.nnz else 0
-        rows = rng.choice(self.nnz, size=keep, replace=False) if keep else []
-        return SparseTensor(self.indices[rows], self.values[rows], self.shape)
-
     # ------------------------------------------------------------------
     # Equality (mainly for tests)
     # ------------------------------------------------------------------

@@ -1,13 +1,12 @@
-"""Tests for Tucker-wOpt and the CP-ALS reference."""
+"""Tests for the Tucker-wOpt baseline."""
 
 import numpy as np
 import pytest
 
-from repro.baselines import CpAls, TuckerWopt
+from repro.baselines import TuckerWopt
 from repro.core import PTuckerConfig
 from repro.data import planted_tucker_tensor
 from repro.exceptions import OutOfMemoryError
-from repro.tensor import SparseTensor
 
 
 class TestTuckerWopt:
@@ -47,47 +46,3 @@ class TestTuckerWopt:
         wopt = TuckerWopt(config).fit(planted_small.tensor)
         ptucker = PTucker(config).fit(planted_small.tensor)
         assert wopt.memory.peak_bytes > 100 * ptucker.memory.peak_bytes
-
-
-class TestCpAls:
-    def test_error_decreases_and_converges(self, planted_small):
-        config = PTuckerConfig(ranks=(3, 3, 3), max_iterations=10, seed=0, tolerance=0.0)
-        result = CpAls(config).fit(planted_small.tensor)
-        errors = result.trace.errors
-        assert errors[-1] < 0.5 * errors[0]
-
-    def test_core_is_superdiagonal(self, planted_small):
-        config = PTuckerConfig(ranks=(3, 3, 3), max_iterations=3, seed=0)
-        result = CpAls(config).fit(planted_small.tensor)
-        core = result.core
-        for index in np.ndindex(*core.shape):
-            if len(set(index)) != 1:
-                assert core[index] == 0.0
-
-    def test_rejects_mixed_ranks(self, planted_small):
-        config = PTuckerConfig(ranks=(2, 3, 2), max_iterations=2, seed=0)
-        with pytest.raises(ValueError):
-            CpAls(config).fit(planted_small.tensor)
-
-    def test_factor_columns_unit_norm(self, planted_small):
-        config = PTuckerConfig(ranks=(3, 3, 3), max_iterations=4, seed=0)
-        result = CpAls(config).fit(planted_small.tensor)
-        for factor in result.factors:
-            norms = np.linalg.norm(factor, axis=0)
-            np.testing.assert_allclose(norms, np.ones_like(norms), rtol=1e-6)
-
-    def test_recovers_planted_cp_structure(self, rng):
-        """A rank-1 planted tensor should be fit almost exactly."""
-        dims = (12, 10, 8)
-        vectors = [rng.uniform(0.5, 1.0, size=d) for d in dims]
-        dense = np.einsum("i,j,k->ijk", *vectors)
-        tensor = SparseTensor.from_dense(dense, keep_zeros=True)
-        config = PTuckerConfig(
-            ranks=(1, 1, 1),
-            max_iterations=10,
-            seed=0,
-            tolerance=0.0,
-            regularization=1e-9,
-        )
-        result = CpAls(config).fit(tensor)
-        assert result.trace.errors[-1] < 1e-5 * tensor.norm()

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.core import PTucker, PTuckerConfig, least_squares_core, orthogonalize
+from repro.core import PTucker, PTuckerConfig, orthogonalize
 from repro.core import core_tensor
 from repro.core.core_tensor import (
     SparseCore,
@@ -15,6 +15,21 @@ from repro.exceptions import ShapeError
 from repro.metrics.errors import reconstruction_error
 from repro.tensor import sparse_reconstruct
 from repro.tensor.dense import mode_product
+from repro.tensor.operations import factor_rows_product
+
+
+def least_squares_core(tensor, factors, regularization=1e-9):
+    """Reference: the ridge least-squares core for fixed factors.
+
+    The model value at an observed entry is linear in the core entries with
+    per-entry weights ``Π_k a^(k)_{i_k j_k}`` (the rows of
+    :func:`factor_rows_product` with ``skip=-1``).
+    """
+    ranks = tuple(int(np.asarray(f).shape[1]) for f in factors)
+    design = factor_rows_product(tensor, list(factors), skip=-1)
+    gram = design.T @ design + regularization * np.eye(design.shape[1])
+    core_flat = np.linalg.solve(gram, design.T @ tensor.values)
+    return core_flat.reshape(ranks)
 
 
 def householder_orthogonalize(factors, core):

@@ -44,6 +44,19 @@ def test_relative_links_resolve(doc):
         assert path.exists(), f"{doc.name}: broken relative link {target!r}"
 
 
+def test_readme_lists_exactly_the_cli_algorithms():
+    """The ``--algorithm`` row names every solver the CLI offers, no more."""
+    from repro.cli import ALGORITHMS
+
+    row = next(
+        line
+        for line in README.read_text(encoding="utf-8").splitlines()
+        if line.startswith("| `--algorithm` |")
+    )
+    choices = row.split("|")[3]
+    assert set(re.findall(r"`([^`]+)`", choices)) == set(ALGORITHMS)
+
+
 def test_readme_documents_the_cli_flags():
     """The CLI reference table keeps up with the parser's flags."""
     text = README.read_text(encoding="utf-8")

@@ -3,9 +3,11 @@
 import numpy as np
 import pytest
 
+from repro import cli
 from repro.core import PTuckerConfig
 from repro.experiments import (
     ALGORITHM_REGISTRY,
+    PAPER_COMPETITORS,
     make_solver,
     render_table,
     run_algorithm,
@@ -16,18 +18,19 @@ from repro.experiments.report import format_cell, ratio
 
 
 class TestHarness:
-    def test_registry_contains_all_paper_methods(self):
-        for name in (
+    def test_registry_holds_exactly_the_paper_methods(self):
+        """The three P-Tucker methods, Tucker-ALS (Table 3) and the
+        evaluation's competitors — no more, and the CLI offers the same
+        solvers, so neither table can carry a method the other lacks."""
+        paper_methods = {
             "P-Tucker",
             "P-Tucker-Cache",
             "P-Tucker-Approx",
             "Tucker-ALS",
-            "Tucker-wOpt",
-            "Tucker-CSF",
-            "S-HOT",
-            "CP-ALS",
-        ):
-            assert name in ALGORITHM_REGISTRY
+            *PAPER_COMPETITORS,
+        }
+        assert set(ALGORITHM_REGISTRY) == paper_methods
+        assert set(cli.ALGORITHMS.values()) == set(ALGORITHM_REGISTRY.values())
 
     def test_make_solver_unknown_name(self):
         with pytest.raises(KeyError):

@@ -7,13 +7,7 @@ import pytest
 
 from faultinject import FaultInjector
 from repro.cli import main
-from repro.core import (
-    PTucker,
-    PTuckerApprox,
-    PTuckerCache,
-    PTuckerConfig,
-    PTuckerSampled,
-)
+from repro.core import PTucker, PTuckerApprox, PTuckerCache, PTuckerConfig
 from repro.core.trace import ConvergenceTrace, IterationRecord
 from repro.exceptions import DataFormatError, ShapeError
 from repro.resilience import CheckpointManager, fit_state_digest, resume_state
@@ -272,21 +266,7 @@ class TestFitResume:
         with pytest.raises(DataFormatError, match="config digest"):
             second(config.with_updates(resume=True)).fit(planted_small.tensor)
 
-    @pytest.mark.parametrize(
-        "make",
-        [
-            pytest.param(PTuckerApprox, id="approx"),
-            pytest.param(
-                lambda c: PTuckerSampled(c, sample_fraction=0.5), id="sampled"
-            ),
-            pytest.param(
-                lambda c: PTuckerSampled(
-                    c, sample_fraction=0.5, resample_each_iteration=False
-                ),
-                id="sampled-fixed",
-            ),
-        ],
-    )
+    @pytest.mark.parametrize("make", [pytest.param(PTuckerApprox, id="approx")])
     @pytest.mark.parametrize("killed_after", [1, 3])
     def test_variant_resume_is_bitwise_identical(
         self, planted_small, tmp_path, monkeypatch, bitwise, make, killed_after

@@ -10,7 +10,7 @@ smaller than a single row segment.
 import numpy as np
 import pytest
 
-from repro.core import PTucker, PTuckerCache, PTuckerConfig
+from repro.core import PTucker, PTuckerApprox, PTuckerCache, PTuckerConfig
 from repro.core.core_tensor import initialize_core, initialize_factors
 from repro.core.row_update import update_factor_mode
 from repro.data import random_sparse_tensor
@@ -157,13 +157,19 @@ def test_config_shard_dir_routes_fit_through_store(tmp_path):
     np.testing.assert_array_equal(again.core, via_config.core)
 
 
-def test_shard_dir_rejected_for_solver_variants(tmp_path):
+@pytest.mark.parametrize("solver", [PTuckerCache, PTuckerApprox])
+def test_shard_dir_rejected_for_solver_variants(tmp_path, solver):
     config = PTuckerConfig(
         ranks=(2, 2, 2), max_iterations=1, shard_dir=str(tmp_path / "s")
     )
     tensor, _, _ = _problem((8, 7, 6), (2, 2, 2), nnz=100)
-    with pytest.raises(ShapeError):
-        PTuckerCache(config).fit(tensor)
+    with pytest.raises(
+        ShapeError,
+        match="shard_dir streaming supports the base P-Tucker solver only",
+    ):
+        solver(config).fit(tensor)
+    # Refused before the shard build: no store is left behind.
+    assert not (tmp_path / "s").exists()
 
 
 def test_source_conflicts_are_rejected(tmp_path):

@@ -12,7 +12,7 @@ import os
 import numpy as np
 import pytest
 
-from repro.core import PTucker, PTuckerConfig
+from repro.core import PTucker, PTuckerApprox, PTuckerCache, PTuckerConfig
 from repro.exceptions import DataFormatError, ShapeError
 from repro.shards import ShardStore
 from repro.tensor import SparseTensor, load_shards, save_shards, save_text
@@ -341,11 +341,13 @@ class TestFitStreaming:
         PTucker(config).fit_streaming(TensorEntryReader(tensor))
         assert ShardStore.open(store_dir).matches(tensor)
 
-    def test_variants_rejected(self, random_small):
-        from repro.core import PTuckerCache
-
-        with pytest.raises(ShapeError):
-            PTuckerCache(PTuckerConfig(ranks=(2, 2, 2))).fit_streaming(
+    @pytest.mark.parametrize("solver", [PTuckerCache, PTuckerApprox])
+    def test_variants_rejected(self, random_small, solver):
+        with pytest.raises(
+            ShapeError,
+            match="streaming ingest supports the base P-Tucker solver only",
+        ):
+            solver(PTuckerConfig(ranks=(2, 2, 2))).fit_streaming(
                 TensorEntryReader(random_small)
             )
 

@@ -161,14 +161,6 @@ class TestSplitAndTransform:
         assert lo == 2.0
         assert np.all(normalized.values == 0.0)
 
-    def test_sample_fraction(self, random_small, rng):
-        sampled = random_small.sample(0.5, rng=rng)
-        assert sampled.nnz == round(0.5 * random_small.nnz)
-
-    def test_sample_rejects_zero(self, random_small):
-        with pytest.raises(ValueError):
-            random_small.sample(0.0)
-
     def test_with_values_keeps_pattern(self, small_sparse_tensor):
         new = small_sparse_tensor.with_values(np.ones(5))
         np.testing.assert_array_equal(new.indices, small_sparse_tensor.indices)

@@ -192,7 +192,7 @@ class TestFactorizeCommand:
         # Refused before the shard build: no store is left behind.
         assert not shards.exists() or list(shards.iterdir()) == []
 
-    @pytest.mark.parametrize("algorithm", ["ptucker-approx", "ptucker-sampled"])
+    @pytest.mark.parametrize("algorithm", ["ptucker-approx"])
     def test_checkpoint_dir_accepts_variants(
         self, tensor_file, tmp_path, capsys, algorithm
     ):
@@ -279,7 +279,7 @@ class TestFromTextFlag:
         path, _ = tensor_file
         code = main(
             ["fit", path, "--ranks", "2", "2", "2", "--from-text",
-             "--algorithm", "cp-als"]
+             "--algorithm", "tucker-als"]
         )
         assert code == 2
         assert "--from-text" in capsys.readouterr().err
