@@ -379,14 +379,6 @@ def _build_parser() -> argparse.ArgumentParser:
         help="projected-vector LRU capacity; 0 disables caching "
         "(default 4096)",
     )
-    serve.add_argument(
-        "--workers",
-        type=int,
-        default=0,
-        help="supervised query worker processes; queries are item-sharded "
-        "across them with bitwise-identical answers, and serving degrades "
-        "to in-loop execution if workers die (default 0 = in-loop)",
-    )
 
     query = subparsers.add_parser(
         "query", help="query a model file or a running serve endpoint"
@@ -696,17 +688,6 @@ def _command_serve(args: argparse.Namespace) -> int:
             file=sys.stderr,
         )
         return 2
-    engine = None
-    if args.workers > 0:
-        from .serve.workers import ServingWorkerEngine
-
-        engine = ServingWorkerEngine(
-            args.model,
-            local_model=model,
-            n_workers=args.workers,
-            mmap=args.mmap,
-            store_path=args.shards or None,
-        )
     serve_model(
         model,
         host=host,
@@ -714,7 +695,6 @@ def _command_serve(args: argparse.Namespace) -> int:
         stdio=args.stdio,
         max_batch=args.max_batch,
         max_wait_ms=args.max_wait_ms,
-        engine=engine,
     )
     return 0
 

@@ -1,7 +1,8 @@
 """Supervised multi-process execution fabric.
 
-The fabric is the robustness layer under every multi-process feature of
-the library: a pool of **spawned worker processes** (fresh interpreters,
+The fabric is the robustness layer under the library's one
+multi-process feature, the ``procpool`` kernel backend: a pool of
+**spawned worker processes** (fresh interpreters,
 ``python -m repro.fabric.worker``) driven over a **length-prefixed pipe
 protocol** (:mod:`~repro.fabric.protocol`) by a supervisor state machine
 (:mod:`~repro.fabric.supervisor`) that detects and recovers from every
@@ -26,9 +27,9 @@ hedging are invisible in the output — a disturbed run is bitwise
 identical to an undisturbed one, which the chaos suite asserts with real
 SIGKILL/SIGSTOP/wedge faults.
 
-Consumers: the ``procpool`` kernel backend
+Consumer: the ``procpool`` kernel backend
 (:mod:`repro.kernels.backends.procpool`), which runs every process-parallel
-row update, and multi-worker serving (:mod:`repro.serve.workers`).
+row update.  Serving is in-process and never imports this package.
 """
 
 from .protocol import Frame, FrameKind, FrameReader, decode_payload, encode_frame

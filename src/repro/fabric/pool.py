@@ -18,11 +18,9 @@ process died is respawned after a backoff delay with decorrelated jitter
 (:class:`repro.resilience.retry.BackoffPolicy`), and every spawn replays
 the pool's **setup log** — the ordered sequence of ``broadcast_setup``
 calls — before the slot is offered work, so a replacement worker always
-reaches the same state (model loaded, factors broadcast, updates applied)
-as the peers it rejoins.  Pipe ordering guarantees a worker applies
-setups before any task sent after them; ``SETUP_ACK`` frames additionally
-report *how far* each worker has caught up, which is what readiness
-checks (serving ``/health``) key on.
+reaches the same state (the sweep's core and factors broadcast) as the
+peers it rejoins.  Pipe ordering guarantees a worker applies setups
+before any task sent after them.
 """
 
 from __future__ import annotations
@@ -120,7 +118,6 @@ class WorkerHandle:
         self.last_beat = self.spawned_at
         self.pid: Optional[int] = self.proc.pid
         self.hello_seen = False
-        self.acked_seq = 0
         #: Key of the task currently dispatched to this worker, if any.
         self.current_task: Optional[Any] = None
         self.task_started_at: float = 0.0
@@ -204,7 +201,6 @@ class _Slot:
         self.handle: Optional[WorkerHandle] = None
         self.backoff = backoff
         self.respawn_at = 0.0
-        self.restarts = 0
 
 
 class WorkerPool:
@@ -280,7 +276,6 @@ class WorkerPool:
             return
         handle.kill() if killed else handle.close()
         slot.handle = None
-        slot.restarts += 1
         slot.respawn_at = time.monotonic() + slot.backoff.next_delay()
         self.counters.add("fabric.workers_killed" if killed
                           else "fabric.workers_died")
@@ -306,19 +301,17 @@ class WorkerPool:
         fn_path: str,
         payload: Any,
         replace_prefix: Optional[str] = None,
-    ) -> int:
+    ) -> None:
         """Append a setup to the replay log and send it to live workers.
 
-        Returns the setup's sequence number; a worker whose
-        ``acked_seq`` reaches it has applied this setup and everything
-        before it.  Dead slots catch up automatically at respawn.
+        Dead slots catch up automatically at respawn.
 
         ``replace_prefix`` compacts the replay log: earlier entries whose
         key starts with the prefix are dropped before this one is
         appended.  Per-sweep broadcasts (kernel state that a new sweep
         fully supersedes) use this so the log — and therefore respawn
         cost and supervisor memory — stays bounded over arbitrarily long
-        fits, while ordered histories (model updates) leave it unset.
+        fits; setups that must all be replayed leave it unset.
         """
         self._seq += 1
         record = (self._seq, key, fn_path, payload)
@@ -330,38 +323,6 @@ class WorkerPool:
         self._setups.append(record)
         for handle in self.live_handles():
             handle.send(FrameKind.SETUP, record)
-        return self._seq
-
-    def all_acked(self) -> bool:
-        """Every slot is live and has applied the full setup log."""
-        return all(
-            slot.handle is not None and slot.handle.acked_seq >= self._seq
-            for slot in self.slots
-        )
-
-    def liveness(self) -> List[Dict[str, Any]]:
-        """JSON-ready per-slot liveness (``/health`` payload material)."""
-        now = time.monotonic()
-        report = []
-        for slot in self.slots:
-            handle = slot.handle
-            report.append(
-                {
-                    "worker": slot.worker_id,
-                    "alive": handle is not None and handle.alive,
-                    "pid": handle.pid if handle is not None else None,
-                    "restarts": slot.restarts,
-                    "last_heartbeat_age_s": (
-                        round(now - handle.last_beat, 3)
-                        if handle is not None
-                        else None
-                    ),
-                    "setup_caught_up": (
-                        handle is not None and handle.acked_seq >= self._seq
-                    ),
-                }
-            )
-        return report
 
     def shutdown(self) -> None:
         """Politely stop every worker, then make sure they are gone."""

@@ -27,7 +27,6 @@ kind           direction  payload
 ``RESULT``     w -> s     ``(task_key, result)``
 ``ERROR``      w -> s     ``(task_key, exception, traceback_text)``
 ``SETUP``      s -> w     ``(seq, key, callable_path, payload)`` — shared state
-``SETUP_ACK``  w -> s     ``seq`` — the setup was applied (readiness signal)
 ``TASK``       s -> w     ``(task_key, callable_path, payload)``
 ``SHUTDOWN``   s -> w     ``None`` — drain and exit
 =============  =========  ====================================================
@@ -75,7 +74,6 @@ class FrameKind(enum.IntEnum):
     RESULT = 3
     ERROR = 4
     SETUP = 5
-    SETUP_ACK = 6
     TASK = 7
     SHUTDOWN = 8
 

@@ -50,7 +50,7 @@ from typing import Any, Dict, List, NamedTuple, Optional, Set
 
 from ..exceptions import ReproError
 from ..metrics.timing import Counters
-from ..resilience.retry import BackoffPolicy, Deadline
+from ..resilience.retry import BackoffPolicy
 from .pool import (
     DEFAULT_HEARTBEAT_INTERVAL,
     DEFAULT_SPAWN_GRACE,
@@ -96,7 +96,7 @@ class PoisonedTaskError(FabricError):
 
 
 class WorkerSetupError(FabricError):
-    """A setup broadcast failed inside a worker (or never got applied)."""
+    """A setup broadcast raised inside a worker."""
 
 
 class Task(NamedTuple):
@@ -193,58 +193,25 @@ class TaskSupervisor:
         self.shutdown()
 
     # ------------------------------------------------------------------
-    # Setup broadcasts and readiness
+    # Setup broadcasts
     # ------------------------------------------------------------------
     def broadcast_setup(
         self,
         key: str,
         fn: str,
         payload: Any,
-        wait: bool = False,
-        timeout: float = 60.0,
         replace_prefix: Optional[str] = None,
-    ) -> int:
+    ) -> None:
         """Replay-logged shared state for every present and future worker.
 
-        With ``wait=True`` the call drives the event loop until every
-        slot acknowledged the full setup log (raising
-        :class:`WorkerSetupError` on timeout); otherwise readiness can be
-        polled later via :meth:`ready`.
+        Pipe ordering makes a live worker apply it before any task sent
+        after it, and a respawned worker replays the whole log before it
+        takes work, so no explicit barrier is needed.
         """
         self.start()
-        seq = self.pool.broadcast_setup(
+        self.pool.broadcast_setup(
             key, fn, payload, replace_prefix=replace_prefix
         )
-        if wait and not self.wait_ready(timeout):
-            raise WorkerSetupError(
-                f"{self.name}: workers did not acknowledge setup "
-                f"{key!r} within {timeout}s"
-            )
-        return seq
-
-    def ready(self) -> bool:
-        """True when every slot is live and has applied the setup log."""
-        self.poll()
-        return self.pool.all_acked()
-
-    def wait_ready(self, timeout: float) -> bool:
-        deadline = Deadline.after(timeout)
-        while True:
-            self.poll(deadline.clamp(_MAX_WAIT))
-            if self.pool.all_acked():
-                return True
-            if deadline.expired:
-                return False
-
-    def poll(self, wait: float = 0.0) -> None:
-        """One supervision step with no wave running: respawn, drain, check."""
-        self.start()
-        self._step(wait)
-
-    def liveness(self) -> List[Dict[str, Any]]:
-        """Per-worker liveness snapshot (drains frames first)."""
-        self.poll()
-        return self.pool.liveness()
 
     # ------------------------------------------------------------------
     # Task waves
@@ -459,8 +426,6 @@ class TaskSupervisor:
             handle.pid = int(payload["pid"])
         elif kind is FrameKind.HEARTBEAT:
             pass  # the timestamp update above is the whole point
-        elif kind is FrameKind.SETUP_ACK:
-            handle.acked_seq = max(handle.acked_seq, int(payload))
         elif kind is FrameKind.RESULT:
             key, result = payload
             if handle.current_task == key:

@@ -220,8 +220,6 @@ def main() -> int:
                         )
                     except BaseException as exc:  # noqa: BLE001
                         _send_error(out, lock, ("__setup__", seq, key), exc)
-                        continue
-                    _send(out, lock, FrameKind.SETUP_ACK, seq)
                 elif frame.kind is FrameKind.TASK:
                     key, fn_path, payload = frame.payload
                     state["task"] = key

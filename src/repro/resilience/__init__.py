@@ -27,8 +27,7 @@ budgets, :class:`~repro.resilience.retry.BackoffPolicy` exponential
 backoff with decorrelated jitter, and the
 :func:`~repro.resilience.retry.retry` driver.  The execution fabric
 (:mod:`repro.fabric`) schedules worker respawns and task re-dispatches
-with it, so the ``procpool`` row updates and multi-worker serving inherit
-the same policy.
+with it, so the ``procpool`` row updates inherit the same policy.
 """
 
 from .retry import (

@@ -20,12 +20,9 @@ dense tensor:
   concurrent requests into one kernel call.
 * :mod:`repro.serve.server` — the stdlib asyncio HTTP / stdin JSON-lines
   front end with ``/stats`` and graceful shutdown.
-* :mod:`repro.serve.workers` — multi-worker serving on the supervised
-  execution fabric (:mod:`repro.fabric`): every worker holds the full
-  model, top-K queries are item-sharded and canonical-merged (answers
-  bitwise identical to in-loop), ``/health`` reports per-worker liveness
-  (503 until ready), and the engine degrades gracefully to the in-loop
-  model when workers die.
+
+Serving is in-process: one :class:`ServingModel` answers every query
+behind the micro-batcher; no worker processes are involved.
 
 Everything reports stats through :class:`repro.metrics.Counters` and
 :class:`repro.metrics.LatencyWindow` — no private counter mechanisms.
@@ -35,13 +32,11 @@ from .batch import MicroBatcher
 from .cache import LRUCache
 from .model import ServingModel
 from .topk import TopKResult, topk_scores
-from .workers import ServingWorkerEngine
 
 __all__ = [
     "LRUCache",
     "MicroBatcher",
     "ServingModel",
-    "ServingWorkerEngine",
     "TopKResult",
     "topk_scores",
 ]

@@ -28,15 +28,10 @@ Shutdown is graceful from every direction — ``POST /shutdown``, the
 ``shutdown`` op, EOF on stdin, SIGTERM or SIGINT: in-flight requests are
 drained through the batcher before the loop exits.
 
-With an ``engine`` (:class:`~repro.serve.workers.ServingWorkerEngine`,
-``repro serve --workers N``), queries execute on supervised worker
-processes instead of in-loop and the health surface becomes meaningful:
-``GET /health`` reports ``ready`` plus per-worker liveness and answers
-**503** until every worker is up and caught up on the setup log (also
-before the first model is loaded — the server refuses traffic it would
-serve degraded), and ``GET /stats`` carries a ``degraded`` flag while
-any worker slot is down.  Requests keep succeeding throughout: the
-engine falls back to the in-loop model whenever the pool cannot answer.
+Serving is in-process: the batcher hands each coalesced group to the
+:class:`~repro.serve.model.ServingModel` on an executor thread, and the
+server is ready as soon as it exists (the constructor takes a loaded
+model), so ``GET /health`` always answers 200.
 """
 
 from __future__ import annotations
@@ -52,7 +47,6 @@ from ..exceptions import ReproError
 from ..metrics import Counters, LatencyWindow
 from .batch import DEFAULT_MAX_BATCH, DEFAULT_MAX_WAIT_MS, MicroBatcher
 from .model import ServingModel
-from .workers import ServingWorkerEngine
 
 #: Largest accepted HTTP request body (1 MB of JSON indices is ~50k queries).
 MAX_BODY_BYTES = 1 << 20
@@ -76,10 +70,8 @@ class ModelServer:
         model: ServingModel,
         max_batch: int = DEFAULT_MAX_BATCH,
         max_wait_ms: float = DEFAULT_MAX_WAIT_MS,
-        engine: Optional[ServingWorkerEngine] = None,
     ) -> None:
         self.model = model
-        self.engine = engine
         self.counters: Counters = model.counters
         self.batcher = MicroBatcher(
             self._execute_batch,
@@ -97,18 +89,11 @@ class ModelServer:
     # Batched execution (runs in the executor thread)
     # ------------------------------------------------------------------
     def _execute_batch(self, group: Tuple, payloads: List[Any]) -> List[Any]:
-        # With an engine the kernels run on supervised worker processes
-        # (item-sharded, canonical-merged — answers bitwise identical to
-        # in-loop); the engine itself falls back to self.model when the
-        # pool cannot answer, so this routing never fails requests.
         kind = group[0]
         if kind == "predict":
             lengths = [len(p) for p in payloads]
             flat = [row for payload in payloads for row in payload]
-            if self.engine is not None:
-                values = self.engine.predict(flat)
-            else:
-                values = self.model.predict(flat)
+            values = self.model.predict(flat)
             out: List[Any] = []
             offset = 0
             for length in lengths:
@@ -117,10 +102,7 @@ class ModelServer:
             return out
         if kind == "topk":
             _, mode, k, exclude = group
-            if self.engine is not None:
-                results = self.engine.topk_batch(payloads, mode, k, exclude)
-            else:
-                results = self.model.topk_batch(payloads, mode, k, exclude)
+            results = self.model.topk_batch(payloads, mode, k, exclude)
             return [
                 {
                     "items": [int(i) for i in r.items],
@@ -180,37 +162,10 @@ class ModelServer:
         payload["latency"] = {
             name: window.snapshot() for name, window in self.latency.items()
         }
-        if self.engine is not None:
-            serving = self.engine.stats()
-            payload["serving"] = serving
-            payload["degraded"] = serving["degraded"]
-        else:
-            payload["degraded"] = False
         return payload
-
-    def ready(self) -> bool:
-        """Readiness: the model is loaded and every serving worker is up.
-
-        In-loop serving is ready as soon as the server exists (the
-        constructor requires a loaded model); with an engine, readiness
-        additionally requires every worker slot live and caught up on
-        the setup log — ``/health`` answers 503 until then.
-        """
-        if self.model is None:
-            return False
-        if self.engine is not None:
-            return self.engine.ready()
-        return True
 
     def op_health(self) -> Dict[str, Any]:
-        ready = self.ready()
-        payload: Dict[str, Any] = {
-            "status": "ok" if ready else "unavailable",
-            "ready": ready,
-        }
-        if self.engine is not None:
-            payload["workers"] = self.engine.liveness()
-        return payload
+        return {"status": "ok", "ready": True}
 
     def request_shutdown(self) -> None:
         """Signal the run loop to drain and exit."""
@@ -248,7 +203,6 @@ class ModelServer:
             200: "OK",
             400: "Bad Request",
             404: "Not Found",
-            503: "Service Unavailable",
         }.get(status, "Error")
         writer.write(
             (
@@ -306,8 +260,6 @@ class ModelServer:
             payload = await self.handle_request(route, request)
         except (ServingError, ReproError, ValueError) as exc:
             return 400, {"error": str(exc)}
-        if route == "health" and not payload.get("ready", True):
-            return 503, payload
         return 200, payload
 
     # ------------------------------------------------------------------
@@ -375,11 +327,6 @@ class ModelServer:
         stdio_task = (
             asyncio.ensure_future(self._stdio_loop()) if stdio else None
         )
-        poll_task = (
-            asyncio.ensure_future(self._engine_poll_loop())
-            if self.engine is not None
-            else None
-        )
         try:
             await self.shutdown_event.wait()
         finally:
@@ -390,22 +337,7 @@ class ModelServer:
                 stdio_task.cancel()
                 with contextlib.suppress(asyncio.CancelledError):
                     await stdio_task
-            if poll_task is not None:
-                poll_task.cancel()
-                with contextlib.suppress(asyncio.CancelledError):
-                    await poll_task
             await self.batcher.close()
-
-    async def _engine_poll_loop(self, interval: float = 0.25) -> None:
-        """Drive worker respawns/heartbeat checks even with no traffic.
-
-        Without this, a killed serving worker would only be detected and
-        respawned when the next query touches the supervisor.
-        """
-        loop = asyncio.get_running_loop()
-        while True:
-            await loop.run_in_executor(None, self.engine.poll)
-            await asyncio.sleep(interval)
 
 
 def serve_model(
@@ -415,18 +347,7 @@ def serve_model(
     stdio: bool = False,
     max_batch: int = DEFAULT_MAX_BATCH,
     max_wait_ms: float = DEFAULT_MAX_WAIT_MS,
-    engine: Optional[ServingWorkerEngine] = None,
 ) -> None:
-    """Blocking entry point: build a :class:`ModelServer` and run it.
-
-    A passed ``engine`` is owned for the duration of the call: its worker
-    pool is shut down when serving stops, however serving stops.
-    """
-    server = ModelServer(
-        model, max_batch=max_batch, max_wait_ms=max_wait_ms, engine=engine
-    )
-    try:
-        asyncio.run(server.run(host=host, port=port, stdio=stdio))
-    finally:
-        if engine is not None:
-            engine.shutdown()
+    """Blocking entry point: build a :class:`ModelServer` and run it."""
+    server = ModelServer(model, max_batch=max_batch, max_wait_ms=max_wait_ms)
+    asyncio.run(server.run(host=host, port=port, stdio=stdio))

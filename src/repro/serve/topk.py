@@ -155,16 +155,6 @@ class ItemProjection:
         screen[:, rows] = _scaled(new_rows, self.exponent).T
         return ItemProjection(screen, factor, sums, margin, self.exponent)
 
-    def columns(self, lo: int, hi: int) -> "ItemProjection":
-        """Items ``[lo, hi)`` as views; the margin stays the whole mode's."""
-        return ItemProjection(
-            self.screen[:, lo:hi],
-            self.factor[lo:hi],
-            self.sums[lo:hi],
-            self.margin,
-            self.exponent,
-        )
-
 
 def _scaled(rows: np.ndarray, exponent: int) -> np.ndarray:
     """``rows · 2^exponent`` in float64 (exact barring underflow)."""

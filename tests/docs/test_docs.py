@@ -84,7 +84,6 @@ def test_readme_documents_the_cli_flags():
         "--stdio",
         "--no-http",
         "--mmap",
-        "--workers",
     ):
         assert flag in text, f"README CLI table is missing {flag}"
     for command in (
@@ -127,7 +126,6 @@ def test_readme_documents_the_cli_flags():
         ("repro.fabric.pool", ("setup log", "respawn", "backoff")),
         ("repro.fabric.worker", ("dotted path", "HEARTBEAT", "SIGSTOP")),
         ("repro.kernels.backends.procpool", ("fabric", "GIL", "bitwise", "solves")),
-        ("repro.serve.workers", ("item axis", "degrades", "no-blend")),
         ("repro.updates", ("DeltaLog", "targeted", "compaction")),
         ("repro.updates.deltalog", ("deltalog.json", "commit", "sha256")),
         ("repro.updates.union", ("read_mode_block", "bitwise", "log-append")),

@@ -53,11 +53,10 @@ class TestDispatch:
             np.testing.assert_array_equal(sent, received)
 
     def test_work_spreads_across_workers(self, supervisor):
-        # Both workers must be up (a setup ack is an answer) before the
-        # wave, or a fast-booting worker drains it alone; then enough
-        # slow-ish tasks that both workers must participate.
-        supervisor.broadcast_setup("spread", f"{TASKFNS}:setup_store", None)
-        assert supervisor.wait_ready(30.0)
+        # Both workers must be up before the wave, or a fast-booting
+        # worker drains it alone; then enough slow-ish tasks that both
+        # workers must participate.
+        _warm(supervisor)
         pids = supervisor.run_tasks(_tasks("pid", [5] * 8))
         assert len(set(pids)) == 2
 
@@ -89,22 +88,6 @@ class TestSetups:
         )
         results = supervisor.run_tasks(_tasks("read_setup", ["shared"] * 2))
         assert results == [{"answer": 41}, {"answer": 41}]
-
-    def test_wait_ready_reports_caught_up_pool(self, supervisor):
-        supervisor.broadcast_setup(
-            "shared2", f"{TASKFNS}:setup_store", {"answer": 42}
-        )
-        assert supervisor.wait_ready(30.0)
-        assert supervisor.ready()
-
-    def test_liveness_shape(self, supervisor):
-        supervisor.wait_ready(30.0)
-        report = supervisor.liveness()
-        assert len(report) == 2
-        for entry in report:
-            assert entry["alive"] is True
-            assert isinstance(entry["pid"], int)
-            assert entry["setup_caught_up"] is True
 
 
 class TestFailures:
@@ -191,7 +174,7 @@ class TestHedging:
         with TaskSupervisor(
             2, hedge=True, hedge_after=0.05, counters=counters
         ) as sup:
-            sup.wait_ready(30.0)
+            _warm(sup)
             # One slow task, nothing else: the second worker idles, the
             # hedge duplicates the straggler, first finisher wins.
             results = sup.run_tasks(_tasks("sleep_ms", [400]))
@@ -222,10 +205,11 @@ class TestHedging:
         assert counters.get("fabric.hedges") == 0
 
 
-def _warm(sup):
-    """Wait until both workers run: a setup ack proves the import is done."""
-    sup.broadcast_setup("warm", f"{TASKFNS}:setup_store", None)
-    assert sup.wait_ready(30.0)
+def _warm(sup, timeout=30.0):
+    """Run short unhedged waves until both workers have answered a task."""
+    deadline = time.monotonic() + timeout
+    while len(set(sup.run_tasks(_tasks("pid", [50, 50]), hedge=False))) < 2:
+        assert time.monotonic() < deadline, "a worker never answered"
 
 
 class TestEventLoop:

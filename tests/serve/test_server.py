@@ -272,5 +272,35 @@ class TestEndToEnd:
                 process.wait(timeout=15)
 
 
+def test_serving_loads_no_fabric_module(model_file):
+    """``repro.serve`` and the CLI's serve path never import the process
+    fabric: serving is in-process, the fabric belongs to ``procpool``."""
+    import repro
+
+    script = """
+import sys
+import repro.cli
+import repro.serve
+import repro.serve.server
+
+served = []
+repro.serve.server.serve_model = lambda model, **kwargs: served.append(model)
+assert repro.cli.main(["serve", sys.argv[1], "--port", "0"]) == 0
+assert len(served) == 1
+print(sorted(m for m in sys.modules if m.split(".")[:2] == ["repro", "fabric"]))
+"""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.path.dirname(os.path.dirname(repro.__file__))
+    done = subprocess.run(
+        [sys.executable, "-c", script, model_file],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[]"
+
+
 def reply_values_approx(values):
     return [pytest.approx(v) for v in values]

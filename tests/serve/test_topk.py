@@ -17,7 +17,6 @@ from repro.serve.topk import (
     screen_exponent,
     topk_scores,
 )
-from repro.serve.workers import _merge_topk
 
 
 def brute_topk(scores, k, exclude=None):
@@ -355,26 +354,3 @@ class TestFloat32Screen:
         assert screen_exponent(projection.margin) == projection.exponent
         # Unscaled factors keep exponent 0; the scaled one's moves.
         assert (len(exponents) > 1) == (scale != 1.0)
-
-    def test_item_shards_merge_to_the_unsharded_answer(self, bitwise):
-        """Two column shards, each screened against its own float32 view
-        and rescored from its own factor rows, merge canonically to the
-        unsharded answer — near ties and exclusions included."""
-        factor, group = near_tie_factor(items=6001)
-        projection = ItemProjection.build(factor)
-        q = np.array([[1.0, 1.0, 1.0, 1.0], [0.5, 2.0, -1.0, 0.25]])
-        exclude = [group[-3:], None]
-        k = 12
-        whole = topk_scores(q, projection, k, exclude)
-        assert_all_same(whole, brute_force(q, factor, k, exclude), bitwise)
-        edges = [0, 3001, 6001]
-        parts = []
-        for lo, hi in zip(edges[:-1], edges[1:]):
-            local = [
-                None if e is None else e[(e >= lo) & (e < hi)] - lo
-                for e in exclude
-            ]
-            shard = topk_scores(q, projection.columns(lo, hi), k, local)
-            parts.append([(r.items + lo, r.scores) for r in shard])
-        merged = [_merge_topk([p[row] for p in parts], k) for row in range(2)]
-        assert_all_same(merged, whole, bitwise)

@@ -390,3 +390,11 @@ class TestServeCommand:
         path, _ = model_file
         assert main(["serve", path, "--no-http"]) == 2
         assert "--stdio" in capsys.readouterr().err
+
+    def test_workers_flag_is_refused(self, model_file, capsys):
+        """Serving has one in-process path; ``--workers`` is not an option."""
+        path, _ = model_file
+        with pytest.raises(SystemExit) as excinfo:
+            main(["serve", path, "--workers", "2"])
+        assert excinfo.value.code == 2
+        assert "--workers" in capsys.readouterr().err
