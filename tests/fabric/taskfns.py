@@ -57,6 +57,11 @@ def read_setup(context, payload):
     return context.setups[payload]
 
 
+def setup_keys(context, payload):
+    """Return the sorted keys of this worker's applied setups."""
+    return sorted(context.setups)
+
+
 def tasks_executed(context, payload):
     """Return how many tasks this worker has executed (incl. this one)."""
     return context.tasks_executed

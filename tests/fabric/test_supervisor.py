@@ -6,6 +6,8 @@ scenarios (SIGKILL/SIGSTOP/wedge mid-sweep) live in
 ``test_chaos_fabric.py`` behind the ``chaos`` marker.
 """
 
+import contextlib
+import os
 import time
 
 import numpy as np
@@ -89,6 +91,54 @@ class TestSetups:
         results = supervisor.run_tasks(_tasks("read_setup", ["shared"] * 2))
         assert results == [{"answer": 41}, {"answer": 41}]
 
+    def test_respawned_worker_replays_the_setup_log(self, tmp_path):
+        """The only worker dies on its first task; its replacement has
+        replayed every setup before it takes the re-dispatched task."""
+        counters = Counters()
+        with _kill_once(tmp_path), TaskSupervisor(
+            1, hedge=False, backoff=FAST_BACKOFF, counters=counters
+        ) as sup:
+            sup.broadcast_setup("a", f"{TASKFNS}:setup_store", {"answer": 1})
+            sup.broadcast_setup("b", f"{TASKFNS}:setup_store", {"answer": 2})
+            results = sup.run_tasks(_tasks("read_setup", ["a", "b"] * 3))
+        assert results == [{"answer": 1}, {"answer": 2}] * 3
+        assert counters.get("fabric.workers_died") == 1
+        assert counters.get("fabric.workers_spawned") == 2
+
+    def test_replace_prefix_compacts_what_a_respawn_replays(self, tmp_path):
+        """Setups superseded through ``replace_prefix`` are not replayed:
+        the replacement worker holds only the latest per-sweep entry."""
+        counters = Counters()
+        with _kill_once(tmp_path), TaskSupervisor(
+            1, hedge=False, backoff=FAST_BACKOFF, counters=counters
+        ) as sup:
+            sup.broadcast_setup("base", f"{TASKFNS}:setup_store", 0)
+            for sweep in range(3):
+                sup.broadcast_setup(
+                    f"sweep/{sweep}",
+                    f"{TASKFNS}:setup_store",
+                    sweep,
+                    replace_prefix="sweep/",
+                )
+            keys = sup.run_tasks(_tasks("setup_keys", [None]))[0]
+        assert counters.get("fabric.workers_died") == 1
+        assert keys == ["base", "sweep/2"]
+
+
+class TestCounters:
+    def test_each_task_is_dispatched_and_completed_once(self):
+        """Without hedging or failures the ``fabric.*`` task counters
+        match the wave size exactly."""
+        counters = Counters()
+        with TaskSupervisor(2, hedge=False, counters=counters) as sup:
+            assert sup.run_tasks(_tasks("double", [1, 2, 3, 4, 5])) == [
+                2, 4, 6, 8, 10,
+            ]
+        assert counters.get("fabric.tasks_dispatched") == 5
+        assert counters.get("fabric.tasks_completed") == 5
+        assert counters.get("fabric.workers_spawned") == 2
+        assert counters.get("fabric.redispatches") == 0
+
 
 class TestFailures:
     def test_deterministic_error_propagates_with_remote_traceback(self):
@@ -144,23 +194,11 @@ class TestFailures:
         can otherwise be out-run by a hedged twin on the other worker, so
         the wave ends before the death is seen and nothing is re-dispatched.
         """
-        import os
-
-        from repro.fabric.worker import INJECT_KILL_ENV
-
         counters = Counters()
-        old = os.environ.get(INJECT_KILL_ENV)
-        os.environ[INJECT_KILL_ENV] = str(tmp_path / "kill-once")
-        try:
-            with TaskSupervisor(
-                2, hedge=False, backoff=FAST_BACKOFF, counters=counters
-            ) as sup:
-                results = sup.run_tasks(_tasks("double", list(range(8))))
-        finally:
-            if old is None:
-                del os.environ[INJECT_KILL_ENV]
-            else:  # pragma: no cover - env hygiene
-                os.environ[INJECT_KILL_ENV] = old
+        with _kill_once(tmp_path), TaskSupervisor(
+            2, hedge=False, backoff=FAST_BACKOFF, counters=counters
+        ) as sup:
+            results = sup.run_tasks(_tasks("double", list(range(8))))
         assert results == [2 * i for i in range(8)]
         assert counters.get("fabric.workers_died") >= 1
         assert counters.get("fabric.redispatches") >= 1
@@ -203,6 +241,22 @@ class TestHedging:
             results = sup.run_tasks(_tasks("sleep_ms", [150]))
         assert results == [150]
         assert counters.get("fabric.hedges") == 0
+
+
+@contextlib.contextmanager
+def _kill_once(tmp_path):
+    """Make the first worker task to claim the sentinel SIGKILL itself."""
+    from repro.fabric.worker import INJECT_KILL_ENV
+
+    old = os.environ.get(INJECT_KILL_ENV)
+    os.environ[INJECT_KILL_ENV] = str(tmp_path / "kill-once")
+    try:
+        yield
+    finally:
+        if old is None:
+            del os.environ[INJECT_KILL_ENV]
+        else:  # pragma: no cover - env hygiene
+            os.environ[INJECT_KILL_ENV] = old
 
 
 def _warm(sup, timeout=30.0):

@@ -78,6 +78,19 @@ class TestBatchInvariance:
             bitwise(b.items, s.items, f"items for context {contexts[n]}")
             bitwise(b.scores, s.scores, f"scores for context {contexts[n]}")
 
+    @pytest.mark.parametrize("mode,k", [(1, 3), (1, 9), (0, 4), (2, 5)])
+    def test_batched_equals_single_in_every_item_mode(self, mode, k, bitwise):
+        """Every mode can be the item mode of a batch; k=9 spans the whole
+        mode-1 axis, so ties down to the last item are included."""
+        contexts = [[2, 4], [0, 0], [5, 3], [1, 2], [3, 1]]
+        model, _, _ = make_model((6, 9, 5), (2, 3, 2), seed=24)
+        batch = model.topk_batch(contexts, mode, k)
+        fresh, _, _ = make_model((6, 9, 5), (2, 3, 2), seed=24)
+        for context, ours in zip(contexts, batch):
+            single = fresh.topk(context, mode, k)
+            bitwise(ours.items, single.items, f"items for {context}")
+            bitwise(ours.scores, single.scores, f"scores for {context}")
+
     def test_cache_hits_do_not_change_answers(self, bitwise):
         model, _, _ = make_model((10, 500, 4), (2, 3, 2), seed=4)
         context = (7, 0, 2)
@@ -245,6 +258,54 @@ class TestItemProjection:
             expected = canonical_topk(exact[row], 10, mine)
             bitwise(results[row].items, expected.items, f"items {contexts[row]}")
             bitwise(results[row].scores, expected.scores, f"scores {contexts[row]}")
+
+    @pytest.mark.parametrize("exclude_observed", [False, True])
+    @pytest.mark.parametrize("k", [3, 6, 7])
+    def test_near_ties_match_the_float64_brute_force(
+        self, tmp_path, k, exclude_observed, bitwise
+    ):
+        """Rows tied to 1e-12 (below float32 resolution) and an exactly
+        tied pair, spread over a 6000-item axis, rank exactly as in the
+        float64 full scan, with and without the store's exclusions."""
+        from repro.shards import ShardStore
+        from repro.tensor import SparseTensor
+
+        shape, ranks = (3, 6000, 2), (1, 4, 1)
+        rng = np.random.default_rng(31)
+        items = rng.uniform(-0.2, 0.2, (6000, 4))
+        near = np.array([2990, 2995, 3000, 3004, 3010, 4000, 10, 5990])
+        rows = rng.uniform(-2.0, 2.0, (near.shape[0], 4))
+        target = 1.0 + 1e-12 * np.arange(near.shape[0])
+        rows[:, 0] = target - rows[:, 1:].sum(axis=1)
+        rows[-1] = rows[-2]
+        items[near] = rows
+        factors = [np.array([[1.0], [2.0], [-1.0]]), items, np.ones((2, 1))]
+        model = ServingModel(factors, np.ones(ranks), algorithm="ptucker")
+        observed = np.array([[0, 3010, 1], [0, 17, 1], [1, 2995, 0]])
+        model.attach_store(
+            ShardStore.build(
+                SparseTensor(
+                    indices=observed, values=np.ones(3), shape=shape
+                ),
+                str(tmp_path / "shards"),
+            )
+        )
+        contexts = [[0, 1], [1, 0], [2, 1]]
+        answers = model.topk_batch(
+            contexts, 1, k, exclude_observed=exclude_observed
+        )
+        q = model.project(contexts, 1)
+        for row, (user, other) in enumerate(contexts):
+            seen = observed[
+                (observed[:, 0] == user) & (observed[:, 2] == other), 1
+            ]
+            expected = canonical_topk(
+                score_block(q[row : row + 1], items.T)[0],
+                k,
+                seen if exclude_observed else None,
+            )
+            bitwise(answers[row].items, expected.items, f"items {row}")
+            bitwise(answers[row].scores, expected.scores, f"scores {row}")
 
     def test_hot_swapped_screen_equals_a_fresh_build(self, bitwise):
         model, factors, core = make_model((6, 2500, 4), (2, 5, 2), seed=21)

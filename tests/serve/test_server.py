@@ -81,6 +81,34 @@ class TestHandleRequest:
         reply = call(ModelServer(build_model()), "health", {})
         assert reply == {"status": "ok", "ready": True}
 
+    @pytest.mark.parametrize("mode", [0, 1, 2])
+    def test_coalesced_topk_equals_single_queries_bitwise(self, mode):
+        """Concurrent requests the batcher fuses into one batch answer
+        byte for byte like single queries on a fresh model."""
+        server = ModelServer(build_model(), max_batch=8, max_wait_ms=50.0)
+        contexts = [[2, 4], [0, 0], [5, 3], [1, 2], [3, 1]]
+
+        async def scenario():
+            try:
+                return await asyncio.gather(
+                    *(
+                        server.handle_request(
+                            "topk", {"context": c, "mode": mode, "k": 4}
+                        )
+                        for c in contexts
+                    )
+                )
+            finally:
+                await server.batcher.close()
+
+        replies = asyncio.run(scenario())
+        assert server.batcher.snapshot()["batches"] == 1
+        reference = build_model()
+        for context, reply in zip(contexts, replies):
+            expected = reference.topk(context, mode=mode, k=4)
+            assert reply["items"] == [int(i) for i in expected.items]
+            assert np.array(reply["scores"]).tobytes() == expected.scores.tobytes()
+
     def test_stats_payload_shape(self):
         model = build_model()
         server = ModelServer(model)
@@ -99,6 +127,17 @@ class TestHandleRequest:
         assert stats["latency"]["predict"]["count"] == 1
         assert stats["latency"]["topk"]["count"] == 0
         assert "query_cache" in stats and "counters" in stats
+
+    def test_stats_and_health_carry_only_in_process_keys(self):
+        """/stats is the model's own payload plus the batcher and latency
+        windows; neither endpoint reports worker or degradation state."""
+        model = build_model()
+        server = ModelServer(model)
+        stats = server.op_stats()
+        assert set(stats) == set(model.stats()) | {"batcher", "latency"}
+        assert set(server.op_health()) == {"status", "ready"}
+        for key in ("workers", "serving", "degraded"):
+            assert key not in stats
 
     @pytest.mark.parametrize(
         "op, request_body, message",
