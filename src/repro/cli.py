@@ -58,7 +58,6 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .baselines import SHot, TuckerAls, TuckerCsf, TuckerWopt
-from .columns import INDEX_DTYPE_POLICIES
 from .core import PTucker, PTuckerApprox, PTuckerCache, PTuckerConfig
 from .kernels.backends import available_backends
 from .model_io import load_model, load_result, save_model
@@ -138,15 +137,6 @@ def _build_parser() -> argparse.ArgumentParser:
         default=DEFAULT_CHUNK_NNZ,
         help="entries read per chunk during --from-text ingest "
         "(default: 5e5; bounds ingest peak memory)",
-    )
-    factorize.add_argument(
-        "--index-dtype",
-        choices=INDEX_DTYPE_POLICIES,
-        default="auto",
-        help="index storage: 'auto' (default) keeps every index column in "
-        "the narrowest dtype its mode dimension admits (uint8/16/32, "
-        "int64 fallback) in RAM and on disk; 'wide' forces int64. "
-        "Results are bitwise-identical either way",
     )
     factorize.add_argument("--regularization", type=float, default=0.01)
     factorize.add_argument("--max-iterations", type=int, default=20)
@@ -239,13 +229,6 @@ def _build_parser() -> argparse.ArgumentParser:
         type=int,
         default=DEFAULT_CHUNK_NNZ,
         help="entries read per chunk (default: 5e5; bounds peak memory)",
-    )
-    ingest.add_argument(
-        "--index-dtype",
-        choices=INDEX_DTYPE_POLICIES,
-        default="auto",
-        help="index column dtypes of the output: 'auto' (default) "
-        "narrowest per mode dimension, 'wide' int64",
     )
     ingest.add_argument(
         "--zero-based",
@@ -479,7 +462,6 @@ def _command_factorize(args: argparse.Namespace) -> int:
         shard_dir=args.shards or None,
         shard_nnz=args.shard_nnz,
         ingest_chunk_nnz=args.chunk_nnz,
-        index_dtype=args.index_dtype,
         checkpoint_dir=args.checkpoint_dir or None,
         checkpoint_every=args.checkpoint_every,
         checkpoint_diff=args.checkpoint_diff,
@@ -532,12 +514,7 @@ def _command_ingest(args: argparse.Namespace) -> int:
 
     reader = open_entry_reader(args.input, one_based=not args.zero_based)
     if args.format == "rcoo":
-        shape = write_rcoo(
-            reader,
-            args.out,
-            block_nnz=args.chunk_nnz,
-            index_dtype=args.index_dtype,
-        )
+        shape = write_rcoo(reader, args.out, block_nnz=args.chunk_nnz)
         written = RcooEntryReader(args.out)
         print(f"ingested {args.input} into rcoo container at {args.out}")
         print(f"shape: {shape}")
@@ -554,7 +531,6 @@ def _command_ingest(args: argparse.Namespace) -> int:
         shard_nnz=args.shard_nnz,
         source=reader,
         chunk_nnz=args.chunk_nnz,
-        index_dtype=args.index_dtype,
     )
     n_shards = sum(len(store.mode_shards(mode)) for mode in range(store.order))
     print(f"ingested {args.input} into shard store at {store.directory}")

@@ -7,8 +7,8 @@ the single home of the fix:
 
 * :func:`index_dtype_for_dim` / :func:`index_dtypes_for_shape` — the
   narrowest unsigned dtype a mode dimension admits (``uint8`` / ``uint16``
-  / ``uint32``, with an ``int64`` fallback for dimensions beyond 2**32),
-  or ``int64`` everywhere under the ``"wide"`` policy.
+  / ``uint32``, with an ``int64`` fallback for dimensions beyond 2**32).
+  Every writer and every in-RAM mode context uses exactly these dtypes.
 * :class:`IndexColumns` — a columnar ``(nnz, N)`` integer block: one 1-D
   array per mode, each in its own dtype.  It supports exactly the access
   patterns the kernels use on a 2-D index array (``block[:, k]``,
@@ -18,7 +18,7 @@ the single home of the fix:
   indices end to end.  NumPy's fancy indexing accepts unsigned index
   arrays directly, and integer arithmetic against an int64 accumulator
   promotes value-exactly, so all downstream float64 math is bitwise
-  identical to the wide path.
+  identical to an int64 index matrix.
 
 ``np.asarray(block)`` (via ``__array__``) materialises the conventional
 int64 matrix for cold paths that genuinely need one (building a
@@ -33,14 +33,11 @@ kernel layer — which must not import each other — build on it.
 
 from __future__ import annotations
 
-from typing import Optional, Sequence, Tuple, Union
+from typing import Sequence, Tuple, Union
 
 import numpy as np
 
 from .exceptions import ShapeError
-
-#: Valid values of the ``index_dtype`` policy knob.
-INDEX_DTYPE_POLICIES = ("auto", "wide")
 
 #: Narrow candidates, in width order.  ``int64`` (not ``uint64``) is the
 #: fallback so the widest columns stay directly interoperable with every
@@ -48,28 +45,14 @@ INDEX_DTYPE_POLICIES = ("auto", "wide")
 _NARROW_CANDIDATES = (np.uint8, np.uint16, np.uint32)
 
 
-def check_index_dtype_policy(policy: str) -> str:
-    """Validate an ``index_dtype`` knob value and return it."""
-    if policy not in INDEX_DTYPE_POLICIES:
-        raise ShapeError(
-            f"unknown index_dtype {policy!r}; choose one of "
-            f"{INDEX_DTYPE_POLICIES}"
-        )
-    return policy
-
-
-def index_dtype_for_dim(dim: int, policy: str = "auto") -> np.dtype:
+def index_dtype_for_dim(dim: int) -> np.dtype:
     """The narrowest unsigned dtype that can hold indices ``0 .. dim-1``.
 
     Boundaries are inclusive on the dimension: ``dim=256`` still fits
     ``uint8`` (largest index 255), ``dim=257`` needs ``uint16``;
     ``dim=2**32`` fits ``uint32``, anything larger falls back to
-    ``int64``.  Under the ``"wide"`` policy every dimension maps to
     ``int64``.
     """
-    check_index_dtype_policy(policy)
-    if policy == "wide":
-        return np.dtype(np.int64)
     largest = int(dim) - 1
     for candidate in _NARROW_CANDIDATES:
         if largest <= int(np.iinfo(candidate).max):
@@ -79,14 +62,12 @@ def index_dtype_for_dim(dim: int, policy: str = "auto") -> np.dtype:
 
 def index_dtype_for_max(largest_index: int) -> np.dtype:
     """The narrowest dtype admitting ``largest_index`` (spill-run helper)."""
-    return index_dtype_for_dim(int(largest_index) + 1, "auto")
+    return index_dtype_for_dim(int(largest_index) + 1)
 
 
-def index_dtypes_for_shape(
-    shape: Sequence[int], policy: str = "auto"
-) -> Tuple[np.dtype, ...]:
-    """Per-mode index dtypes of a tensor shape under a policy."""
-    return tuple(index_dtype_for_dim(int(dim), policy) for dim in shape)
+def index_dtypes_for_shape(shape: Sequence[int]) -> Tuple[np.dtype, ...]:
+    """Per-mode index dtypes of a tensor shape."""
+    return tuple(index_dtype_for_dim(int(dim)) for dim in shape)
 
 
 class IndexColumns:
@@ -119,41 +100,6 @@ class IndexColumns:
                     f"index columns must be integer arrays, got {column.dtype}"
                 )
         self.columns = columns
-
-    # ------------------------------------------------------------------
-    @classmethod
-    def from_matrix(
-        cls,
-        indices: np.ndarray,
-        shape: Optional[Sequence[int]] = None,
-        policy: str = "auto",
-    ) -> "IndexColumns":
-        """Narrow a 2-D index matrix into per-mode columns.
-
-        Column ``k`` is cast to :func:`index_dtype_for_dim` of
-        ``shape[k]`` (or of the column's own maximum when ``shape`` is
-        omitted).  This is the one place a copy happens; every later
-        access is a view.
-        """
-        indices = np.asarray(indices)
-        if indices.ndim != 2:
-            raise ShapeError("expected an (nnz, order) index matrix")
-        order = indices.shape[1]
-        if shape is not None and len(shape) != order:
-            raise ShapeError(
-                f"shape has {len(shape)} modes, index matrix has {order}"
-            )
-        columns = []
-        for k in range(order):
-            column = indices[:, k]
-            if shape is not None:
-                dtype = index_dtype_for_dim(int(shape[k]), policy)
-            elif column.shape[0]:
-                dtype = index_dtype_for_max(int(column.max()))
-            else:
-                dtype = np.dtype(np.int64)
-            columns.append(np.ascontiguousarray(column, dtype=dtype))
-        return cls(columns)
 
     # ------------------------------------------------------------------
     @property

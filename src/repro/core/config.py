@@ -70,14 +70,9 @@ class PTuckerConfig:
         ``fit --from-text`` / ``ingest``).  Bounds the ingest pass's peak
         memory; the built store is bitwise-identical for every value.
     index_dtype:
-        Index storage policy: ``"auto"`` (default) keeps every index
-        column — in-RAM mode contexts and on-disk shard stores alike — in
-        the narrowest unsigned dtype its mode dimension admits
-        (``uint8``/``uint16``/``uint32``, ``int64`` beyond 2**32);
-        ``"wide"`` forces the historical int64 everywhere.  Index dtype
-        never touches a float64, so both settings produce bitwise-identical
-        fits; ``"auto"`` simply moves 3-8x fewer index bytes at typical
-        dimensions.  See :mod:`repro.columns`.
+        Accepts only ``"auto"`` (anything else raises ``ShapeError``):
+        every index column, in RAM and on disk, is held in the narrowest
+        dtype its mode dimension admits (see :mod:`repro.columns`).
     checkpoint_dir:
         When set, the fit writes a versioned crash-safe checkpoint
         (factors + core + convergence trace, each file checksummed, the
@@ -119,6 +114,8 @@ class PTuckerConfig:
     shard_dir: Optional[str] = None
     shard_nnz: int = 1_000_000
     ingest_chunk_nnz: int = 500_000
+    # Held only for benchmarks/e2e/workloads.py:175, which passes it to
+    # ShardStore.for_tensor; delete it with that line.
     index_dtype: str = "auto"
     checkpoint_dir: Optional[str] = None
     checkpoint_every: int = 1
@@ -148,9 +145,11 @@ class PTuckerConfig:
             raise ShapeError("resume=True requires checkpoint_dir")
         if self.checkpoint_diff and not self.checkpoint_dir:
             raise ShapeError("checkpoint_diff=True requires checkpoint_dir")
-        from ..columns import check_index_dtype_policy
-
-        check_index_dtype_policy(self.index_dtype)
+        if self.index_dtype != "auto":
+            raise ShapeError(
+                f"unknown index_dtype {self.index_dtype!r}; indices are "
+                "always stored in narrow columns ('auto')"
+            )
         from ..kernels.backends import get_backend
 
         try:

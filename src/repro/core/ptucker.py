@@ -147,7 +147,6 @@ class PTucker:
                 directory,
                 shard_nnz=config.shard_nnz,
                 chunk_nnz=config.ingest_chunk_nnz,
-                index_dtype=config.index_dtype,
             )
             executor = ShardedSweepExecutor(
                 store, backend=config.backend, block_size=config.block_size
@@ -180,7 +179,6 @@ class PTucker:
                 tensor,
                 config.shard_dir,
                 shard_nnz=config.shard_nnz,
-                index_dtype=config.index_dtype,
             )
             executor = ShardedSweepExecutor(
                 store, backend=config.backend, block_size=config.block_size
@@ -215,7 +213,7 @@ def run_als(
     hooks = hooks if hooks is not None else PTucker(config)
     if isinstance(source, SparseTensor):
         tensor, executor = source, None
-        entries = InMemorySource.build(tensor, index_dtype=config.index_dtype)
+        entries = InMemorySource.build(tensor)
         backend, block_size = config.backend, config.block_size
     else:
         tensor, executor = None, source

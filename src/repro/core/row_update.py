@@ -52,15 +52,11 @@ the contraction path against; the library itself has this one kernel.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..columns import (
-    IndexColumns,
-    check_index_dtype_policy,
-    index_dtypes_for_shape,
-)
+from ..columns import IndexColumns, index_dtypes_for_shape
 from ..kernels import (  # noqa: F401 - re-exported for downstream callers
     make_delta_contractor,
     normal_equations_sorted,
@@ -84,11 +80,10 @@ class ModeContext:
     perm:
         Permutation that sorts observed entries by their mode-n index.
     sorted_indices / sorted_values:
-        The tensor's entries in that order.  ``sorted_indices`` is either
-        the conventional ``(nnz, N)`` int64 matrix (``index_dtype="wide"``)
-        or a narrow columnar :class:`~repro.columns.IndexColumns` block
-        (``index_dtype="auto"``); both support the 2-D access patterns the
-        kernels use and yield bitwise-identical sweeps.
+        The tensor's entries in that order.  ``sorted_indices`` is a
+        narrow columnar :class:`~repro.columns.IndexColumns` block, one
+        column per mode in the dtype its dimension admits; it supports the
+        2-D access patterns the kernels use.
     row_ids:
         The distinct mode-n indices that actually have observed entries
         (rows with an empty Ω^{(n)}_{i_n} keep their current factor values,
@@ -101,43 +96,32 @@ class ModeContext:
 
     mode: int
     perm: np.ndarray
-    sorted_indices: Union[np.ndarray, IndexColumns]
+    sorted_indices: IndexColumns
     sorted_values: np.ndarray
     row_ids: np.ndarray
     row_starts: np.ndarray
     row_counts: np.ndarray
 
 
-def build_mode_context(
-    tensor: SparseTensor, mode: int, index_dtype: str = "wide"
-) -> ModeContext:
+def build_mode_context(tensor: SparseTensor, mode: int) -> ModeContext:
     """Precompute the per-mode entry ordering and row segments.
 
-    ``index_dtype="auto"`` keeps the sorted indices as narrow per-mode
-    columns (:class:`~repro.columns.IndexColumns`) instead of an int64
-    matrix — 3-8x fewer index bytes resident per mode at typical
-    dimensions, with every downstream kernel consuming the columns
-    directly.  The float64 entries and the update results are bitwise
-    identical either way.
+    The sorted indices are kept as narrow per-mode columns
+    (:class:`~repro.columns.IndexColumns`), the layout a shard store
+    holds on disk — 3-8x fewer index bytes resident per mode than an int64
+    matrix at typical dimensions, with every downstream kernel consuming
+    the columns directly.
     """
-    check_index_dtype_policy(index_dtype)
     perm = tensor.sort_by_mode(mode)
-    if index_dtype == "auto":
-        sorted_indices = IndexColumns(
-            [
-                np.ascontiguousarray(tensor.indices[perm, k], dtype=dtype)
-                for k, dtype in enumerate(
-                    index_dtypes_for_shape(tensor.shape)
-                )
-            ]
-        )
-        mode_column = sorted_indices.column(mode)
-    else:
-        sorted_indices = tensor.indices[perm]
-        mode_column = sorted_indices[:, mode]
+    sorted_indices = IndexColumns(
+        [
+            np.ascontiguousarray(tensor.indices[perm, k], dtype=dtype)
+            for k, dtype in enumerate(index_dtypes_for_shape(tensor.shape))
+        ]
+    )
     sorted_values = tensor.values[perm]
     row_ids, row_starts, row_counts = np.unique(
-        mode_column, return_index=True, return_counts=True
+        sorted_indices.column(mode), return_index=True, return_counts=True
     )
     return ModeContext(
         mode=mode,
@@ -169,12 +153,11 @@ class InMemorySource:
     def build(
         cls,
         tensor: SparseTensor,
-        index_dtype: str = "wide",
         modes: Optional[Sequence[int]] = None,
     ) -> "InMemorySource":
         """Sort ``tensor`` once per mode (every mode unless ``modes`` is given)."""
         modes = range(tensor.order) if modes is None else modes
-        contexts = [build_mode_context(tensor, mode, index_dtype) for mode in modes]
+        contexts = [build_mode_context(tensor, mode) for mode in modes]
         return cls(tensor, contexts)
 
     @property

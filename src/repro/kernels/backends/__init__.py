@@ -25,7 +25,7 @@ strategies subclass :class:`KernelBackend` and call
 Every backend consumes entry blocks in either layout — the conventional
 ``(m, N)`` int64 matrix or the narrow columnar
 :class:`~repro.columns.IndexColumns` of format-v2 shard stores and
-``index_dtype="auto"`` mode contexts — without widening copies, and
+in-RAM mode contexts — without widening copies, and
 produces bit-identical results for both.
 """
 

@@ -36,8 +36,9 @@ text parser against the frozen seed per-line loop
 in-RAM one (``seconds_build_*``, ``peak_traced_mb_build_*``,
 ``peak_rss_mb_build_*``, ``streaming_build_equals_incore``) — see
 :func:`_bench_ingest` — and the **narrow columnar index format** (shard
-store v2): on-disk index bytes per entry and total store size under
-``index_dtype="auto"`` vs ``"wide"`` (``index_bytes_per_nnz_*``,
+store v2): on-disk index bytes per entry and total store size of the
+narrow store against an int64 copy of it, the layout of the retired wide
+index policy frozen here (``index_bytes_per_nnz_*``,
 ``store_disk_bytes_*``, ``index_bytes_ratio_wide_over_narrow``), the
 streamed sweep seconds over each (``seconds_sweep_narrow`` /
 ``seconds_sweep_wide``) and their bitwise equality
@@ -57,6 +58,7 @@ from __future__ import annotations
 import gc
 import json
 import os
+import shutil
 import tempfile
 from functools import partial
 from time import perf_counter
@@ -71,9 +73,11 @@ from ..metrics.memory import run_with_traced_peak
 from ..core.row_update import (
     InMemorySource,
     brute_force_row_update,
+    build_mode_context,
     update_factor_mode,
 )
 from ..exceptions import DataFormatError
+from ..resilience.atomic import atomic_write_json
 from ..tensor.coo import SparseTensor
 from ..tensor.io import TextEntryReader, load_text, save_npz, save_text
 from .backends import available_backends
@@ -205,7 +209,7 @@ def kron_update_factor_mode(
     kernel did.  Updates ``factors[mode]`` in place and returns it.
     """
     if isinstance(source, SparseTensor):
-        source = InMemorySource.build(source, modes=(mode,))
+        source = _int64_source(source, mode)
     row_ids, _, row_counts = source.mode_segmentation(mode)
     n_rows = row_ids.shape[0]
     rank = factors[mode].shape[1]
@@ -228,9 +232,20 @@ def kron_update_factor_mode(
     return factors[mode]
 
 
+def _int64_source(tensor: SparseTensor, mode: int) -> InMemorySource:
+    """``tensor`` sorted for ``mode`` over the int64 index matrix the seed read.
+
+    The library's mode contexts hold narrow index columns; the frozen seed
+    kernel is timed on the ``(nnz, N)`` int64 matrix it was written for.
+    """
+    context = build_mode_context(tensor, mode)
+    context.sorted_indices = tensor.indices[context.perm]
+    return InMemorySource(tensor, [context])
+
+
 def _time_update(
     update: Callable[..., np.ndarray],
-    tensor: SparseTensor,
+    source: InMemorySource,
     factors: Sequence[np.ndarray],
     core: np.ndarray,
     repeats: int,
@@ -241,7 +256,6 @@ def _time_update(
     ``update`` has :func:`~repro.core.row_update.update_factor_mode`'s
     leading signature (the library sweep or the frozen seed one).
     """
-    source = InMemorySource.build(tensor, modes=(0,))
     best = float("inf")
     for _ in range(repeats):
         fresh = [np.array(f, copy=True) for f in factors]
@@ -468,6 +482,30 @@ def _directory_bytes(directory: str, suffix: Optional[str] = None) -> int:
     return total
 
 
+def _write_wide_copy(store, directory: str) -> None:
+    """Write ``store`` to ``directory`` with every index column as int64.
+
+    This is the store the retired wide index policy wrote, frozen here as
+    the baseline of the ``*_wide`` columns: the same shard, segment and
+    value files, each ``.col<k>.npy`` widened to int64, and a manifest
+    recording ``int64`` columns under the ``"wide"`` policy, which
+    :meth:`~repro.shards.ShardStore.open` still reads.
+    """
+    from ..shards.store import MANIFEST_NAME
+
+    shutil.copytree(store.directory, directory)
+    for mode in range(store.order):
+        for shard in store.mode_shards(mode):
+            for relative in shard.column_paths:
+                path = os.path.join(directory, relative)
+                np.save(path, np.load(path).astype(np.int64))
+    with open(store.manifest_path(), "r", encoding="utf-8") as handle:
+        manifest = json.load(handle)
+    manifest["dtypes"]["index_columns"] = ["int64"] * store.order
+    manifest["dtypes"]["index_dtype"] = "wide"
+    atomic_write_json(os.path.join(directory, MANIFEST_NAME), manifest)
+
+
 def _bench_index_dtype(
     tensor: SparseTensor,
     factors: Sequence[np.ndarray],
@@ -477,13 +515,13 @@ def _bench_index_dtype(
 ) -> Dict[str, object]:
     """Narrow vs. wide index columns: store size and streamed sweep time.
 
-    Builds the cell's shard store twice — ``index_dtype="auto"`` (narrow
-    columns) and ``"wide"`` (int64 columns) — and records the on-disk
-    index bytes per entry and total store size of each, plus the wall time
-    of one streamed mode-0 sweep over each store at a matched block size
-    and the bitwise equality of the two updated factors.  Index dtype
-    never touches a float64, so ``narrow_equals_wide`` asserts the whole
-    point of format v2: 3-8x fewer index bytes for free.
+    Builds the cell's (narrow) shard store and an int64 copy of it
+    (:func:`_write_wide_copy`), and records the on-disk index bytes per
+    entry and total store size of each, plus the wall time of one
+    streamed mode-0 sweep over each store at a matched block size and the
+    bitwise equality of the two updated factors.  Index dtype never
+    touches a float64, so ``narrow_equals_wide`` asserts the whole point
+    of format v2: 3-8x fewer index bytes for free.
     """
     from ..shards import ShardStore, ShardedSweepExecutor
 
@@ -493,11 +531,13 @@ def _bench_index_dtype(
     executors: Dict[str, ShardedSweepExecutor] = {}
     best: Dict[str, float] = {"narrow": float("inf"), "wide": float("inf")}
     with tempfile.TemporaryDirectory(prefix="repro-dtype-bench-") as work:
-        for policy, tag in (("auto", "narrow"), ("wide", "wide")):
-            store_dir = os.path.join(work, policy)
-            store = ShardStore.build(
-                tensor, store_dir, shard_nnz=block_size, index_dtype=policy
-            )
+        narrow = ShardStore.build(
+            tensor, os.path.join(work, "narrow"), shard_nnz=block_size
+        )
+        _write_wide_copy(narrow, os.path.join(work, "wide"))
+        for tag in ("narrow", "wide"):
+            store_dir = os.path.join(work, tag)
+            store = ShardStore.open(store_dir)
             index_bytes = sum(
                 _directory_bytes(store_dir, suffix=f".col{k}.npy")
                 for k in range(tensor.order)
@@ -776,12 +816,14 @@ def run_microbench(
         nnz, rank, order = cell["nnz"], cell["rank"], cell["order"]
         tensor, factors, core = _random_problem(nnz, rank, order, seed + cell_seed)
         seconds_kron = _time_update(
-            kron_update_factor_mode, tensor, factors, core, repeats
+            kron_update_factor_mode, _int64_source(tensor, 0), factors, core,
+            repeats,
         )
+        source = InMemorySource.build(tensor, modes=(0,))
         backend_seconds = {
             name: _time_update(
                 partial(update_factor_mode, backend=name),
-                tensor, factors, core, repeats,
+                source, factors, core, repeats,
             )
             for name in backend_names
         }

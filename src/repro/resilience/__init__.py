@@ -22,21 +22,13 @@ Wire it with ``PTuckerConfig(checkpoint_dir=..., checkpoint_every=...,
 resume=...)`` or the CLI ``fit --checkpoint-dir DIR`` / ``--resume``.
 
 A third half, :mod:`repro.resilience.retry`, is the shared *transient
-failure* vocabulary: :class:`~repro.resilience.retry.Deadline` wall-clock
-budgets, :class:`~repro.resilience.retry.BackoffPolicy` exponential
-backoff with decorrelated jitter, and the
-:func:`~repro.resilience.retry.retry` driver.  The execution fabric
+failure* vocabulary: :class:`~repro.resilience.retry.BackoffPolicy`
+exponential backoff with decorrelated jitter.  The execution fabric
 (:mod:`repro.fabric`) schedules worker respawns and task re-dispatches
 with it, so the ``procpool`` row updates inherit the same policy.
 """
 
-from .retry import (
-    BackoffPolicy,
-    Deadline,
-    RetryExhaustedError,
-    decorrelated_jitter,
-    retry,
-)
+from .retry import BackoffPolicy, decorrelated_jitter
 from .atomic import (
     TMP_SUFFIX,
     atomic_open,
@@ -78,11 +70,8 @@ __all__ = [
     "CHECKPOINT_VERSION",
     "CheckpointManager",
     "CheckpointState",
-    "Deadline",
-    "RetryExhaustedError",
     "TMP_SUFFIX",
     "decorrelated_jitter",
-    "retry",
     "atomic_open",
     "atomic_save_array",
     "atomic_write_bytes",

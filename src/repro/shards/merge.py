@@ -73,11 +73,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..columns import (
-    check_index_dtype_policy,
-    index_dtype_for_max,
-    index_dtypes_for_shape,
-)
+from ..columns import index_dtype_for_max, index_dtypes_for_shape
 from ..exceptions import DataFormatError, ShapeError
 from ..kernels.backends.threaded import env_workers
 from ..resilience.atomic import (
@@ -292,11 +288,9 @@ class _IngestState:
         tmp_dir: str,
         shape: Optional[Sequence[int]],
         chunk_nnz: int = MERGE_BLOCK_NNZ,
-        index_dtype: str = "auto",
     ) -> None:
         self.tmp_dir = tmp_dir
         self.chunk_nnz = int(chunk_nnz)
-        self.index_dtype = check_index_dtype_policy(index_dtype)
         self.declared_shape = (
             tuple(int(s) for s in shape) if shape is not None else None
         )
@@ -335,7 +329,7 @@ class _IngestState:
 
     def column_dtypes(self) -> Tuple[np.dtype, ...]:
         """Final per-column dtypes (known once ingest has seen every entry)."""
-        return index_dtypes_for_shape(self.shape(), self.index_dtype)
+        return index_dtypes_for_shape(self.shape())
 
 
 def _spill_chunk(
@@ -349,22 +343,16 @@ def _spill_chunk(
     writes run as one task; with more than one spill worker the per-mode
     tasks overlap on a thread pool.  A stable argsort of a narrow column
     equals the stable argsort of the int64 column value for value, so the
-    runs are identical to the serial wide spill's, byte order aside.
+    runs order the entries exactly as an int64 sort would.
     """
     base = state.nnz
     run = state.run_count
-    if state.index_dtype == "wide":
-        columns = [
-            np.ascontiguousarray(indices[:, k]) for k in range(state.order)
-        ]
-    else:
-        columns = [
-            np.ascontiguousarray(
-                indices[:, k],
-                dtype=index_dtype_for_max(int(indices[:, k].max())),
-            )
-            for k in range(state.order)
-        ]
+    columns = [
+        np.ascontiguousarray(
+            indices[:, k], dtype=index_dtype_for_max(int(indices[:, k].max()))
+        )
+        for k in range(state.order)
+    ]
 
     def spill_mode(mode: int) -> None:
         perm = np.argsort(columns[mode], kind="stable")
@@ -619,20 +607,16 @@ def streaming_build(
     shard_nnz: int = DEFAULT_SHARD_NNZ,
     chunk_nnz: Optional[int] = None,
     shape: Optional[Sequence[int]] = None,
-    index_dtype: str = "auto",
 ) -> Dict[str, object]:
     """Build the shard-store layout from a chunked entry source; return its manifest.
 
     See the module docstring for the algorithm and
     :meth:`repro.shards.ShardStore.build_streaming` for the public entry
     point.  ``shape`` (or ``source.shape``) is required only when the
-    source yields no entries; otherwise it is inferred.  ``index_dtype``
-    selects the column-dtype policy (``"auto"`` narrow / ``"wide"``
-    int64).
+    source yields no entries; otherwise it is inferred.
     """
     if shard_nnz < 1:
         raise ShapeError("shard_nnz must be at least 1")
-    check_index_dtype_policy(index_dtype)
     chunk_nnz = DEFAULT_CHUNK_NNZ if chunk_nnz is None else int(chunk_nnz)
     if chunk_nnz < 1:
         raise ShapeError("chunk_nnz must be at least 1")
@@ -667,7 +651,7 @@ def streaming_build(
     # but validate() rejects.
     _retire_manifest(directory)
     os.makedirs(tmp_dir)
-    state = _IngestState(tmp_dir, shape, chunk_nnz, index_dtype)
+    state = _IngestState(tmp_dir, shape, chunk_nnz)
     state.max_spill_workers = spill_workers()
     try:
         _ingest(state, source, chunk_nnz)
@@ -741,7 +725,6 @@ def streaming_build(
             state.shape(),
             state.nnz,
             shard_nnz,
-            index_dtype,
             fingerprint,
             modes_json,
         )

@@ -33,7 +33,9 @@ Directory layout::
 
 The manifest records the per-column index dtypes (identical across modes —
 column ``k`` always holds mode-``k`` indices), the ``index_dtype`` policy
-that chose them (``"auto"`` narrow / ``"wide"`` int64), and, per shard, the
+that chose them (always ``auto``, the narrowest dtype per dimension;
+older builds could also write ``wide``, all-int64 columns, which this
+reader still opens), and, per shard, the
 global entry range ``[start, stop)`` it covers in the mode-sorted order,
 the row range ``[first_row, last_row]`` its entries touch, and the segment
 bookkeeping (``segment_offset`` — the position in ``row_ids`` of the first
@@ -50,9 +52,9 @@ in-core mode ordering (ties preserved by the stable sort), any consumer
 that walks the shards with the same block boundaries as the in-core path
 performs bit-for-bit the same floating-point operations; that is what makes
 :class:`~repro.shards.executor.ShardedSweepExecutor` bitwise-equal to the
-in-core sweep.  Narrowing the index dtype never touches a float64, so
-``index_dtype="auto"`` and ``"wide"`` stores produce bitwise-identical
-sweeps too.
+in-core sweep.  Narrowing the index dtype never touches a float64, so a
+``wide`` store written by an older build sweeps bitwise-equal to the
+narrow store of the same tensor.
 
 Version-1 directories (a single int64 ``shardNNNN.indices.npy`` matrix per
 shard) are no longer read; :meth:`ShardStore.open` raises a
@@ -71,11 +73,7 @@ from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..columns import (
-    IndexColumns,
-    check_index_dtype_policy,
-    index_dtypes_for_shape,
-)
+from ..columns import IndexColumns, index_dtypes_for_shape
 from ..exceptions import DataFormatError, ShapeError
 from ..resilience.atomic import atomic_write_json, fsync_directory
 from ..tensor.coo import SparseTensor
@@ -256,7 +254,6 @@ def _manifest_payload(
     shape: Sequence[int],
     nnz: int,
     shard_nnz: int,
-    index_dtype: str,
     fingerprint: Dict[str, object],
     modes_json: List[Dict[str, object]],
 ) -> Dict[str, object]:
@@ -269,11 +266,9 @@ def _manifest_payload(
         "nnz": int(nnz),
         "shard_nnz": int(shard_nnz),
         "dtypes": {
-            "index_columns": [
-                str(d) for d in index_dtypes_for_shape(shape, index_dtype)
-            ],
+            "index_columns": [str(d) for d in index_dtypes_for_shape(shape)],
             "values": "float64",
-            "index_dtype": index_dtype,
+            "index_dtype": "auto",
         },
         "fingerprint": fingerprint,
         "modes": modes_json,
@@ -382,9 +377,7 @@ class ShardStore:
             self.nnz: int = int(manifest["nnz"])
             self.shard_nnz: int = int(manifest["shard_nnz"])
             dtypes = manifest["dtypes"]
-            self.index_dtype: str = check_index_dtype_policy(
-                str(dtypes["index_dtype"])
-            )
+            policy = str(dtypes["index_dtype"])
             self.index_dtypes: Tuple[np.dtype, ...] = tuple(
                 np.dtype(str(name)) for name in dtypes["index_columns"]
             )
@@ -398,12 +391,21 @@ class ShardStore:
                 f"{self.directory}: manifest lists {len(self.index_dtypes)} "
                 f"index dtypes for an order-{len(self.shape)} shape"
             )
-        expected = index_dtypes_for_shape(self.shape, self.index_dtype)
+        if policy == "auto":
+            expected = index_dtypes_for_shape(self.shape)
+        elif policy == "wide":
+            # All-int64 columns, as builds before narrow-only stores wrote
+            # them; they read, fit and compact like narrow ones.
+            expected = (np.dtype(np.int64),) * len(self.shape)
+        else:
+            raise DataFormatError(
+                f"{self.directory}: unknown index_dtype policy {policy!r}"
+            )
         if self.index_dtypes != expected:
             raise DataFormatError(
                 f"{self.directory}: manifest index dtypes "
                 f"{[str(d) for d in self.index_dtypes]} do not match the "
-                f"{self.index_dtype!r} policy for shape {self.shape}"
+                f"{policy!r} policy for shape {self.shape}"
             )
         self.fingerprint: Dict[str, float] = dict(manifest.get("fingerprint", {}))
         if len(modes) != len(self.shape):
@@ -462,7 +464,7 @@ class ShardStore:
         return (
             f"ShardStore(dir={self.directory!r}, shape={self.shape}, "
             f"nnz={self.nnz}, shards={n_shards}, "
-            f"index_dtype={self.index_dtype!r})"
+            f"index_dtypes={[str(d) for d in self.index_dtypes]})"
         )
 
     # ------------------------------------------------------------------
@@ -474,7 +476,6 @@ class ShardStore:
         tensor: SparseTensor,
         directory: str,
         shard_nnz: int = DEFAULT_SHARD_NNZ,
-        index_dtype: str = "auto",
     ) -> "ShardStore":
         """Convert ``tensor`` into a shard store at ``directory``.
 
@@ -482,11 +483,10 @@ class ShardStore:
         (the :class:`~repro.core.row_update.ModeContext` ordering, ties kept
         in the tensor's entry order) and written as consecutive shards of at
         most ``shard_nnz`` entries, one narrow column file per mode plus
-        the float64 values (``index_dtype="wide"`` keeps int64 columns).
-        The tensor is streamed through :meth:`build_streaming` at the
-        default chunk size — there is one store builder.  An existing store
-        in ``directory`` is replaced; unrelated files in the directory are
-        left alone.
+        the float64 values.  The tensor is streamed through
+        :meth:`build_streaming` at the default chunk size — there is one
+        store builder.  An existing store in ``directory`` is replaced;
+        unrelated files in the directory are left alone.
         """
         from ..tensor.io import TensorEntryReader
 
@@ -495,7 +495,6 @@ class ShardStore:
             directory,
             shard_nnz=shard_nnz,
             shape=tensor.shape,
-            index_dtype=index_dtype,
         )
 
     @classmethod
@@ -506,7 +505,6 @@ class ShardStore:
         shard_nnz: int = DEFAULT_SHARD_NNZ,
         chunk_nnz: Optional[int] = None,
         shape: Optional[Sequence[int]] = None,
-        index_dtype: str = "auto",
     ) -> "ShardStore":
         """Build a shard store from a chunked entry source, out of core.
 
@@ -533,7 +531,6 @@ class ShardStore:
             shard_nnz=shard_nnz,
             chunk_nnz=chunk_nnz,
             shape=shape,
-            index_dtype=index_dtype,
         )
         return cls(os.fspath(directory), manifest)
 
@@ -574,32 +571,32 @@ class ShardStore:
         tensor: SparseTensor,
         directory: str,
         shard_nnz: int = DEFAULT_SHARD_NNZ,
+        # Held only for benchmarks/e2e/workloads.py:175, which passes
+        # ``index_dtype=config.index_dtype``; delete it with that line.
         index_dtype: str = "auto",
     ) -> "ShardStore":
         """Open ``directory`` if it already shards ``tensor``; build otherwise.
 
         A store is reused when its shape, nnz and entry digest match the
         tensor (see :meth:`matches`) — repeated CLI runs over the same
-        dataset then skip the rewrite.  Any mismatch (including a
-        different ``shard_nnz`` or ``index_dtype`` policy) triggers a
-        rebuild; a version-1 directory is rebuilt in place.
+        dataset then skip the rewrite.  A matching ``wide`` store
+        written by an older build is reused too: it sweeps bitwise-equal
+        to a narrow one.  Any mismatch (including a different
+        ``shard_nnz``) triggers a rebuild; a version-1 directory is rebuilt
+        in place.  ``index_dtype`` accepts only ``"auto"``.
         """
-        check_index_dtype_policy(index_dtype)
+        if index_dtype != "auto":
+            raise ShapeError(
+                f"unknown index_dtype {index_dtype!r}; indices are always "
+                "stored in narrow columns ('auto')"
+            )
         try:
             store = cls.open(directory)
         except DataFormatError:
-            return cls.build(
-                tensor, directory, shard_nnz=shard_nnz, index_dtype=index_dtype
-            )
-        if (
-            store.matches(tensor)
-            and store.shard_nnz == int(shard_nnz)
-            and store.index_dtype == index_dtype
-        ):
+            return cls.build(tensor, directory, shard_nnz=shard_nnz)
+        if store.matches(tensor) and store.shard_nnz == int(shard_nnz):
             return store
-        return cls.build(
-            tensor, directory, shard_nnz=shard_nnz, index_dtype=index_dtype
-        )
+        return cls.build(tensor, directory, shard_nnz=shard_nnz)
 
     def matches(self, tensor: SparseTensor) -> bool:
         """True when this store was built from exactly ``tensor``.

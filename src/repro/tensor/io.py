@@ -43,7 +43,7 @@ from typing import Iterator, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from ..columns import check_index_dtype_policy, index_dtypes_for_shape
+from ..columns import index_dtypes_for_shape
 from ..exceptions import DataFormatError, ShapeError
 from ..resilience.atomic import atomic_open
 from .coo import SparseTensor
@@ -461,7 +461,6 @@ def save_rcoo(
     tensor: SparseTensor,
     path: PathLike,
     block_nnz: int = DEFAULT_RCOO_BLOCK_NNZ,
-    index_dtype: str = "auto",
 ) -> None:
     """Write a sparse tensor as a chunked binary rcoo container.
 
@@ -469,17 +468,16 @@ def save_rcoo(
     block size, nnz, shape, per-column dtype codes), then
     ``ceil(nnz / block_nnz)`` fixed-size blocks, each holding the block's
     index columns — every column in the narrowest dtype its mode dimension
-    admits (``index_dtype="wide"`` keeps int64) — followed by its float64
-    values.  Unlike ``.npz``, the format has no compression layer to
-    inflate whole arrays through: :class:`RcooEntryReader` streams it back
-    one block at a time in bounded memory.  The tensor is streamed through
-    :func:`write_rcoo`, the one rcoo writer.
+    admits — followed by its float64 values.  Unlike ``.npz``, the format
+    has no compression layer to inflate whole arrays through:
+    :class:`RcooEntryReader` streams it back one block at a time in
+    bounded memory.  The tensor is streamed through :func:`write_rcoo`,
+    the one rcoo writer.
     """
     write_rcoo(
         TensorEntryReader(tensor),
         path,
         block_nnz=block_nnz,
-        index_dtype=index_dtype,
         shape=tensor.shape,
     )
 
@@ -488,7 +486,6 @@ def write_rcoo(
     source,
     path: PathLike,
     block_nnz: int = DEFAULT_RCOO_BLOCK_NNZ,
-    index_dtype: str = "auto",
     shape: Optional[Sequence[int]] = None,
 ) -> Tuple[int, ...]:
     """Stream any chunked entry source into an rcoo container; return its shape.
@@ -509,7 +506,6 @@ def write_rcoo(
     """
     if block_nnz < 1:
         raise ShapeError("block_nnz must be positive")
-    check_index_dtype_policy(index_dtype)
     if shape is None:
         shape = getattr(source, "shape", None)
     if shape is None:
@@ -530,7 +526,7 @@ def write_rcoo(
             )
         shape = tuple(int(m) + 1 for m in maxima)
     shape = tuple(int(s) for s in shape)
-    dtypes = index_dtypes_for_shape(shape, index_dtype)
+    dtypes = index_dtypes_for_shape(shape)
     bound = np.asarray(shape, dtype=np.int64)
     nnz = 0
     # Atomic write; the nnz back-patch below happens on the temporary
@@ -715,8 +711,8 @@ class ShardEntryReader:
     """Chunked reader over an existing shard store (canonical entry order).
 
     Streams the store's mode-0 sorted sequence through the entry-chunk
-    protocol, so a store can be re-sharded (different ``shard_nnz`` or
-    ``index_dtype``) or re-exported without materialising the tensor.
+    protocol, so a store can be re-sharded (different ``shard_nnz``) or
+    re-exported without materialising the tensor.
     A retired version-1 directory is refused by
     :meth:`~repro.shards.store.ShardStore.open` with the rebuild recipe.
     """
@@ -831,7 +827,6 @@ def save_shards(
     *,
     source=None,
     chunk_nnz: int = DEFAULT_CHUNK_NNZ,
-    index_dtype: str = "auto",
 ):
     """Export a tensor (or a streamed entry source) as a shard store.
 
@@ -839,8 +834,7 @@ def save_shards(
     :class:`~repro.shards.store.ShardStore` (per-mode, per-column narrow
     ``.npy`` index files plus float64 values and a JSON manifest) at
     ``directory`` and returns the built store, ready for out-of-core
-    sweeps.  ``index_dtype`` selects the column-dtype policy (``"auto"``
-    narrow / ``"wide"`` int64).  Exactly one input must be given:
+    sweeps.  Exactly one input must be given:
     ``tensor`` (read through :class:`TensorEntryReader` at the default
     chunk size, as :meth:`~repro.shards.ShardStore.build` does) or
     ``source`` (a chunked entry reader, read ``chunk_nnz`` entries at a
@@ -858,11 +852,8 @@ def save_shards(
             os.fspath(directory),
             shard_nnz=shard_nnz,
             chunk_nnz=chunk_nnz,
-            index_dtype=index_dtype,
         )
-    return ShardStore.build(
-        tensor, os.fspath(directory), shard_nnz=shard_nnz, index_dtype=index_dtype
-    )
+    return ShardStore.build(tensor, os.fspath(directory), shard_nnz=shard_nnz)
 
 
 def load_shards(directory: PathLike) -> SparseTensor:

@@ -163,7 +163,6 @@ def compact(
         shard_nnz=int(shard_nnz) if shard_nnz else store.shard_nnz,
         chunk_nnz=int(chunk_nnz) if chunk_nnz else None,
         shape=store.shape,
-        index_dtype=store.index_dtype,
     )
     new_files = _store_relative_files(new_store)
     old_files = _store_relative_files(store)

@@ -11,7 +11,9 @@ from repro.columns import (
     index_dtype_for_max,
     index_dtypes_for_shape,
 )
+from repro.core.row_update import build_mode_context
 from repro.exceptions import ShapeError
+from repro.tensor.coo import SparseTensor
 
 
 @pytest.fixture
@@ -73,15 +75,18 @@ class TestIndexColumns:
         out = as_index_block(matrix)
         assert isinstance(out, np.ndarray)
 
-    def test_from_matrix_narrows_by_shape(self):
-        matrix = np.asarray([[0, 5], [3, 70_000]], dtype=np.int64)
-        block = IndexColumns.from_matrix(matrix, shape=(4, 70_001))
-        assert block.dtypes == (np.dtype(np.uint8), np.dtype(np.uint32))
-        np.testing.assert_array_equal(np.asarray(block), matrix)
-        # Without a shape the columns narrow to their own maxima.
-        assert IndexColumns.from_matrix(matrix).dtypes == (
+    def test_mode_context_holds_narrow_columns(self):
+        """Every in-RAM mode context narrows its columns by the shape."""
+        indices = np.asarray([[3, 5], [0, 70_000], [3, 0]], dtype=np.int64)
+        tensor = SparseTensor(indices, np.arange(3.0), shape=(4, 70_001))
+        context = build_mode_context(tensor, 0)
+        assert isinstance(context.sorted_indices, IndexColumns)
+        assert context.sorted_indices.dtypes == (
             np.dtype(np.uint8),
             np.dtype(np.uint32),
+        )
+        np.testing.assert_array_equal(
+            np.asarray(context.sorted_indices), indices[context.perm]
         )
 
     def test_validation(self):
@@ -93,8 +98,6 @@ class TestIndexColumns:
             IndexColumns([np.zeros(2, dtype=np.int64), np.zeros(3, dtype=np.int64)])
         with pytest.raises(ShapeError):
             IndexColumns([np.zeros(2, dtype=np.float64)])
-        with pytest.raises(ShapeError):
-            IndexColumns.from_matrix(np.zeros((2, 3), dtype=np.int64), shape=(4, 4))
 
     def test_pickle_round_trip(self, block):
         """Process-pool workers receive gathered blocks by pickle."""
@@ -116,11 +119,10 @@ class TestDtypeHelpers:
         assert index_dtype_for_max(2**32 - 1) == np.dtype(np.uint32)
         assert index_dtype_for_max(2**32) == np.dtype(np.int64)
 
-    def test_index_dtypes_for_shape_policies(self):
+    def test_index_dtypes_for_shape(self):
         shape = (10, 300, 100_000)
         assert index_dtypes_for_shape(shape) == (
             np.dtype(np.uint8),
             np.dtype(np.uint16),
             np.dtype(np.uint32),
         )
-        assert index_dtypes_for_shape(shape, "wide") == (np.dtype(np.int64),) * 3

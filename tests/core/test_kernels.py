@@ -362,6 +362,27 @@ class TestUpdateFactorModeKernels:
                 if k != mode:
                     assert via_kron[k].tobytes() == factors[k].tobytes()
 
+    def test_frozen_kron_sweep_reads_the_int64_matrix(self, rng, monkeypatch):
+        """The seed baseline keeps timing the int64 layout it was written
+        for, while the library's own contexts hold narrow columns."""
+        from repro.kernels import microbench
+
+        tensor, factors, core = random_problem(rng, (12, 10, 9), (4, 3, 5), 180)
+        seen = []
+        delta = microbench.compute_delta_block
+
+        def spy(indices, *args):
+            seen.append(indices)
+            return delta(indices, *args)
+
+        monkeypatch.setattr(microbench, "compute_delta_block", spy)
+        kron_update_factor_mode(tensor, factors, core, 1, 0.01, block_size=64)
+        assert sum(block.shape[0] for block in seen) == tensor.nnz
+        for block in seen:
+            assert isinstance(block, np.ndarray) and block.dtype == np.int64
+        source = microbench.InMemorySource.build(tensor, modes=(1,))
+        assert source.contexts[1].sorted_indices.dtypes == (np.dtype(np.uint8),) * 3
+
     def test_kernel_keyword_is_gone(self, rng):
         """One row-update kernel: there is no ``kernel=`` switch to pass."""
         tensor, factors, core = random_problem(rng, (5, 4, 3), (2, 2, 2), 20)

@@ -67,7 +67,6 @@ def test_readme_documents_the_cli_flags():
         "--ranks",
         "--from-text",
         "--chunk-nnz",
-        "--index-dtype",
         "--format",
         "--out",
         "--checkpoint-dir",
@@ -117,9 +116,7 @@ def test_readme_documents_the_cli_flags():
         ("repro.resilience", ("atomic_open", "CheckpointManager", "bitwise")),
         ("repro.resilience.atomic", ("fsync", "rename", "crash")),
         ("repro.resilience.checkpoint", ("manifest", "bitwise", "resume")),
-        # ``retry`` the function shadows the submodule for pydoc (like
-        # ``updates.compact``); the needles target the function docstring.
-        ("repro.resilience.retry", ("deadline", "backoff", "attempts")),
+        ("repro.resilience.retry", ("BackoffPolicy", "backoff", "jitter")),
         ("repro.fabric", ("TaskSupervisor", "heartbeat", "bitwise")),
         ("repro.fabric.protocol", ("frame", "magic", "length")),
         ("repro.fabric.supervisor", ("hedg", "deadline", "poison")),

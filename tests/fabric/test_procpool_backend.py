@@ -333,7 +333,7 @@ class TestWorkerFailure:
 
         tensor = planted_small.tensor
         factors, core, (indices, values, starts) = _sweep_inputs(tensor, 0)
-        out_of_range = indices.copy()
+        out_of_range = np.asarray(indices)  # an int64 copy of the columns
         out_of_range[:, 1] = tensor.shape[1] + 1000
         supervisor = TaskSupervisor(2, name="raising")
         backend = ProcpoolBackend(

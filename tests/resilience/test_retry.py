@@ -1,43 +1,8 @@
-"""Tests for the shared retry machinery (deadlines, backoff, driver)."""
+"""Tests for the shared retry machinery (backoff with decorrelated jitter)."""
 
 import pytest
 
-from repro.resilience import (
-    BackoffPolicy,
-    Deadline,
-    RetryExhaustedError,
-    decorrelated_jitter,
-    retry,
-)
-
-
-class TestDeadline:
-    def test_unbounded_never_expires(self):
-        deadline = Deadline.none()
-        assert deadline.remaining() is None
-        assert not deadline.expired
-        assert deadline.clamp(3.5) == 3.5
-
-    def test_after_counts_down(self):
-        deadline = Deadline.after(60.0)
-        remaining = deadline.remaining()
-        assert 0.0 < remaining <= 60.0
-        assert not deadline.expired
-
-    def test_expired_deadline(self):
-        deadline = Deadline.after(0.0)
-        assert deadline.expired
-        assert deadline.remaining() == 0.0
-        assert deadline.clamp(10.0) == 0.0
-
-    def test_clamp_bounds_interval_by_budget(self):
-        deadline = Deadline.after(0.5)
-        assert deadline.clamp(10.0) <= 0.5
-        assert deadline.clamp(0.0) == 0.0
-
-    def test_clamp_never_negative(self):
-        assert Deadline.after(1.0).clamp(-5.0) == 0.0
-        assert Deadline.none().clamp(-5.0) == 0.0
+from repro.resilience import BackoffPolicy, decorrelated_jitter
 
 
 class TestBackoffPolicy:
@@ -88,85 +53,3 @@ class TestBackoffPolicy:
         for _ in range(100):
             assert decorrelated_jitter(0.1, 1.5, 40.0, rng) <= 1.5
 
-
-class TestRetry:
-    def test_success_needs_no_retry(self):
-        calls = []
-
-        def fn():
-            calls.append(1)
-            return "ok"
-
-        assert retry(fn, attempts=3, sleep=lambda s: None) == "ok"
-        assert len(calls) == 1
-
-    def test_succeeds_after_transient_failures(self):
-        state = {"failures": 2}
-        slept = []
-
-        def fn():
-            if state["failures"]:
-                state["failures"] -= 1
-                raise OSError("transient")
-            return 42
-
-        result = retry(
-            fn,
-            attempts=5,
-            backoff=BackoffPolicy(base=0.01, cap=0.02, jitter="none"),
-            sleep=slept.append,
-        )
-        assert result == 42
-        assert len(slept) == 2  # one sleep per failed attempt
-
-    def test_exhaustion_reraises_last_exception(self):
-        def fn():
-            raise OSError("always")
-
-        with pytest.raises(OSError, match="always"):
-            retry(fn, attempts=3, sleep=lambda s: None)
-
-    def test_non_matching_exception_propagates_immediately(self):
-        calls = []
-
-        def fn():
-            calls.append(1)
-            raise KeyError("deterministic bug")
-
-        with pytest.raises(KeyError):
-            retry(fn, attempts=5, retry_on=(OSError,), sleep=lambda s: None)
-        assert len(calls) == 1
-
-    def test_expired_deadline_stops_between_attempts(self):
-        def fn():
-            raise OSError("transient")
-
-        with pytest.raises(RetryExhaustedError, match="deadline expired"):
-            retry(
-                fn,
-                attempts=100,
-                deadline=Deadline.after(0.0),
-                sleep=lambda s: None,
-            )
-
-    def test_on_retry_observes_each_failure(self):
-        seen = []
-        state = {"failures": 2}
-
-        def fn():
-            if state["failures"]:
-                state["failures"] -= 1
-                raise OSError("boom")
-            return "done"
-
-        retry(
-            fn,
-            attempts=5,
-            on_retry=lambda attempt, exc: seen.append((attempt, str(exc))),
-            sleep=lambda s: None,
-        )
-        assert seen == [(1, "boom"), (2, "boom")]
-
-    def test_attempts_must_be_positive(self):
-        with pytest.raises(ValueError):
-            retry(lambda: None, attempts=0)

@@ -209,7 +209,7 @@ class TestEndToEnd:
         env["PYTHONPATH"] = os.pathsep.join(
             p for p in ("src", env.get("PYTHONPATH", "")) if p
         )
-        process = subprocess.Popen(
+        with subprocess.Popen(
             [
                 sys.executable,
                 "-m",
@@ -225,90 +225,91 @@ class TestEndToEnd:
             stderr=subprocess.PIPE,
             env=env,
             text=True,
-        )
-        try:
-            banner = process.stdout.readline()
-            match = re.search(r"http://([\d.]+):(\d+)", banner)
-            assert match, f"no serving banner in {banner!r}"
-            base = f"http://{match.group(1)}:{match.group(2)}"
+        ) as process:
+            try:
+                banner = process.stdout.readline()
+                match = re.search(r"http://([\d.]+):(\d+)", banner)
+                assert match, f"no serving banner in {banner!r}"
+                base = f"http://{match.group(1)}:{match.group(2)}"
 
-            assert get(base, "/health") == {"status": "ok", "ready": True}
+                assert get(base, "/health") == {"status": "ok", "ready": True}
 
-            reply = post(base, "/predict", {"index": [1, 2, 3]})
-            assert len(reply["values"]) == 1
+                reply = post(base, "/predict", {"index": [1, 2, 3]})
+                assert len(reply["values"]) == 1
 
-            reply = post(
-                base, "/topk", {"context": [2, 4], "mode": 1, "k": 3}
-            )
-            assert len(reply["items"]) == 3
-            assert reply["scores"] == sorted(reply["scores"], reverse=True)
-
-            # Same queries over the stdin JSON-lines transport.
-            process.stdin.write(
-                json.dumps({"op": "predict", "index": [1, 2, 3]}) + "\n"
-            )
-            process.stdin.flush()
-            stdio_reply = json.loads(process.stdout.readline())
-            assert stdio_reply["values"] == reply_values_approx(
-                post(base, "/predict", {"index": [1, 2, 3]})["values"]
-            )
-
-            process.stdin.write(
-                json.dumps(
-                    {"op": "topk", "context": [2, 4], "mode": 1, "k": 3}
+                reply = post(
+                    base, "/topk", {"context": [2, 4], "mode": 1, "k": 3}
                 )
-                + "\n"
-            )
-            process.stdin.flush()
-            stdio_topk = json.loads(process.stdout.readline())
-            assert stdio_topk["items"] == reply["items"]
+                assert len(reply["items"]) == 3
+                assert reply["scores"] == sorted(reply["scores"], reverse=True)
 
-            stats = get(base, "/stats")
-            assert stats["latency"]["predict"]["count"] >= 2
-            assert stats["batcher"]["requests"] >= 4
+                # Same queries over the stdin JSON-lines transport.
+                process.stdin.write(
+                    json.dumps({"op": "predict", "index": [1, 2, 3]}) + "\n"
+                )
+                process.stdin.flush()
+                stdio_reply = json.loads(process.stdout.readline())
+                assert stdio_reply["values"] == reply_values_approx(
+                    post(base, "/predict", {"index": [1, 2, 3]})["values"]
+                )
 
-            # Malformed request surfaces as HTTP 400, not a crash.
-            bad = urllib.request.Request(
-                base + "/topk",
-                data=json.dumps({"context": [2, 4]}).encode("utf-8"),
-                headers={"Content-Type": "application/json"},
-            )
-            with pytest.raises(urllib.error.HTTPError) as excinfo:
-                urllib.request.urlopen(bad, timeout=10)
-            assert excinfo.value.code == 400
+                process.stdin.write(
+                    json.dumps(
+                        {"op": "topk", "context": [2, 4], "mode": 1, "k": 3}
+                    )
+                    + "\n"
+                )
+                process.stdin.flush()
+                stdio_topk = json.loads(process.stdout.readline())
+                assert stdio_topk["items"] == reply["items"]
 
-            process.send_signal(signal.SIGTERM)
-            process.stdin.close()
-            assert process.wait(timeout=15) == 0
-        finally:
-            if process.poll() is None:
-                process.kill()
-                process.wait(timeout=15)
+                stats = get(base, "/stats")
+                assert stats["latency"]["predict"]["count"] >= 2
+                assert stats["batcher"]["requests"] >= 4
+
+                # Malformed request surfaces as HTTP 400, not a crash.
+                bad = urllib.request.Request(
+                    base + "/topk",
+                    data=json.dumps({"context": [2, 4]}).encode("utf-8"),
+                    headers={"Content-Type": "application/json"},
+                )
+                with pytest.raises(urllib.error.HTTPError) as excinfo:
+                    urllib.request.urlopen(bad, timeout=10)
+                assert excinfo.value.code == 400
+                excinfo.value.close()
+
+                process.send_signal(signal.SIGTERM)
+                process.stdin.close()
+                assert process.wait(timeout=15) == 0
+            finally:
+                if process.poll() is None:
+                    process.kill()
+                    process.wait(timeout=15)
 
     def test_shutdown_endpoint_stops_the_server(self, model_file):
         env = dict(os.environ)
         env["PYTHONPATH"] = os.pathsep.join(
             p for p in ("src", env.get("PYTHONPATH", "")) if p
         )
-        process = subprocess.Popen(
+        with subprocess.Popen(
             [sys.executable, "-m", "repro", "serve", model_file, "--port", "0"],
             stdout=subprocess.PIPE,
             stderr=subprocess.PIPE,
             env=env,
             text=True,
-        )
-        try:
-            banner = process.stdout.readline()
-            match = re.search(r"http://([\d.]+):(\d+)", banner)
-            assert match, f"no serving banner in {banner!r}"
-            base = f"http://{match.group(1)}:{match.group(2)}"
-            reply = post(base, "/shutdown", {})
-            assert reply == {"status": "shutting down"}
-            assert process.wait(timeout=15) == 0
-        finally:
-            if process.poll() is None:
-                process.kill()
-                process.wait(timeout=15)
+        ) as process:
+            try:
+                banner = process.stdout.readline()
+                match = re.search(r"http://([\d.]+):(\d+)", banner)
+                assert match, f"no serving banner in {banner!r}"
+                base = f"http://{match.group(1)}:{match.group(2)}"
+                reply = post(base, "/shutdown", {})
+                assert reply == {"status": "shutting down"}
+                assert process.wait(timeout=15) == 0
+            finally:
+                if process.poll() is None:
+                    process.kill()
+                    process.wait(timeout=15)
 
 
 def test_serving_loads_no_fabric_module(model_file):

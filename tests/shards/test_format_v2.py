@@ -2,9 +2,10 @@
 
 Covers the dtype-boundary property (uint8/16/32/int64 chosen exactly at the
 documented dimension boundaries, including synthetic shapes beyond 2**32),
-the bitwise narrow-vs-wide contract of stores and sweeps, the clear error a
-retired v1 directory produces (and the in-place rebuild ``fit --shards``
-does instead), and the forced single-worker spill path.
+the clear error a retired v1 directory produces (and the in-place rebuild
+``fit --shards`` does instead), and the forced single-worker spill path.
+The wide (int64) layout older builds wrote is covered by
+``test_index_layout.py``.
 """
 
 import json
@@ -15,14 +16,9 @@ import numpy as np
 import pytest
 
 from repro.columns import IndexColumns, index_dtype_for_dim, index_dtypes_for_shape
-from repro.core.row_update import (
-    InMemorySource,
-    build_mode_context,
-    update_factor_mode,
-)
 from repro.data import random_sparse_tensor
-from repro.exceptions import DataFormatError, ShapeError
-from repro.shards import ShardStore, ShardedSweepExecutor
+from repro.exceptions import DataFormatError
+from repro.shards import ShardStore
 from repro.shards.store import MANIFEST_NAME
 from repro.tensor import SparseTensor, TensorEntryReader
 from repro.cli import main as cli_main
@@ -69,18 +65,14 @@ class TestDtypeBoundaries:
     )
     def test_dim_boundaries(self, dim, expected):
         assert index_dtype_for_dim(dim) == np.dtype(expected)
-        # The wide policy ignores the dimension entirely.
-        assert index_dtype_for_dim(dim, "wide") == np.dtype(np.int64)
 
-    def test_shape_helper_and_policy_validation(self):
+    def test_shape_helper(self):
         dtypes = index_dtypes_for_shape((256, 257, 2**32 + 1))
         assert dtypes == (
             np.dtype(np.uint8),
             np.dtype(np.uint16),
             np.dtype(np.int64),
         )
-        with pytest.raises(ShapeError):
-            index_dtypes_for_shape((4, 4), "narrow")
 
     def test_store_columns_use_boundary_dtypes(self, tmp_path, rng):
         """A synthetic shape straddling the boundaries lands every dtype."""
@@ -125,96 +117,6 @@ class TestDtypeBoundaries:
             TensorEntryReader(tensor), streamed, shard_nnz=64, chunk_nnz=57
         )
         assert_directories_identical(in_ram, streamed)
-
-
-class TestNarrowVsWideBitwise:
-    """index_dtype="auto" and "wide" produce bit-identical numerics."""
-
-    @pytest.mark.parametrize("order", [3, 4, 5])
-    def test_incore_contexts_bitwise_equal(self, order, rng, bitwise):
-        from repro.kernels.backends import available_backends
-
-        shape = tuple([13, 300, 9, 70_000, 5][:order])
-        tensor = random_sparse_tensor(shape, nnz=600, seed=order)
-        ranks = tuple([3, 2, 4, 2, 3][:order])
-        core = rng.uniform(-0.5, 0.5, size=ranks)
-        factors = [
-            rng.uniform(-0.5, 0.5, size=(dim, rank))
-            for dim, rank in zip(shape, ranks)
-        ]
-        for backend in available_backends():
-            for mode in range(order):
-                results = {}
-                for policy in ("wide", "auto"):
-                    context = build_mode_context(
-                        tensor, mode, index_dtype=policy
-                    )
-                    if policy == "auto":
-                        assert isinstance(context.sorted_indices, IndexColumns)
-                    fresh = [np.array(f, copy=True) for f in factors]
-                    update_factor_mode(
-                        InMemorySource(tensor, [context]),
-                        fresh,
-                        core,
-                        mode,
-                        0.01,
-                        block_size=150,
-                        backend=backend,
-                    )
-                    results[policy] = fresh[mode]
-                bitwise(
-                    results["auto"],
-                    results["wide"],
-                    f"backend={backend} mode={mode}",
-                )
-
-    @pytest.mark.parametrize("backend", ["numpy", "threaded"])
-    def test_sharded_sweep_bitwise_equal(self, backend, tmp_path, rng, bitwise):
-        tensor = random_sparse_tensor((40, 25, 12), nnz=900, seed=11)
-        core = rng.uniform(-0.5, 0.5, size=(3, 3, 3))
-        factors = [
-            rng.uniform(-0.5, 0.5, size=(dim, 3)) for dim in tensor.shape
-        ]
-        results = {}
-        for policy in ("auto", "wide"):
-            store = ShardStore.build(
-                tensor, tmp_path / policy, shard_nnz=128, index_dtype=policy
-            )
-            tensor.clear_caches()
-            executor = ShardedSweepExecutor(
-                store, backend=backend, block_size=200
-            )
-            fresh = [np.array(f, copy=True) for f in factors]
-            executor.update_factor_mode(fresh, core, 0, 0.01)
-            results[policy] = fresh[0]
-        bitwise(results["auto"], results["wide"], f"backend={backend}")
-
-    def test_full_fit_bitwise_equal(self, bitwise):
-        from repro.core import PTucker, PTuckerConfig
-
-        tensor = random_sparse_tensor((20, 14, 9), nnz=500, seed=3)
-        fits = {}
-        for policy in ("auto", "wide"):
-            config = PTuckerConfig(
-                ranks=(3, 3, 3), max_iterations=3, index_dtype=policy
-            )
-            fits[policy] = PTucker(config).fit(tensor)
-        bitwise(fits["auto"].core, fits["wide"].core, "auto vs wide core")
-        for mode, (narrow, wide) in enumerate(
-            zip(fits["auto"].factors, fits["wide"].factors)
-        ):
-            bitwise(narrow, wide, f"auto vs wide factor {mode}")
-
-    def test_for_tensor_rebuilds_on_policy_change(self, tmp_path):
-        tensor = random_sparse_tensor((30, 20, 10), nnz=300, seed=7)
-        target = tmp_path / "store"
-        narrow = ShardStore.for_tensor(tensor, target, shard_nnz=100)
-        assert narrow.index_dtype == "auto"
-        wide = ShardStore.for_tensor(
-            tensor, target, shard_nnz=100, index_dtype="wide"
-        )
-        assert wide.index_dtype == "wide"
-        assert all(d == np.dtype(np.int64) for d in wide.index_dtypes)
 
 
 def _downgrade_to_v1(directory: str) -> None:
@@ -337,7 +239,7 @@ class TestV1Handling:
         )
         assert code == 0
         rebuilt = ShardStore.open(v1_dir)
-        assert rebuilt.index_dtype == "auto"
+        assert rebuilt.index_dtypes == index_dtypes_for_shape(rebuilt.shape)
         assert rebuilt.to_tensor().allclose(tensor)
 
 

@@ -56,17 +56,6 @@ class TestRoundTrip:
             np.dtype(np.uint8),
         )
 
-    def test_wide_policy_stores_int64(self, tensor, tmp_path):
-        narrow = tmp_path / "narrow.rcoo"
-        wide = tmp_path / "wide.rcoo"
-        save_rcoo(tensor, narrow)
-        save_rcoo(tensor, wide, index_dtype="wide")
-        assert RcooEntryReader(wide).index_dtypes == (np.dtype(np.int64),) * 3
-        assert os.path.getsize(wide) > os.path.getsize(narrow)
-        np.testing.assert_array_equal(
-            load_rcoo(wide).indices, load_rcoo(narrow).indices
-        )
-
     def test_chunks_are_bounded(self, tensor, tmp_path):
         path = tmp_path / "t.rcoo"
         save_rcoo(tensor, path, block_nnz=128)

@@ -133,7 +133,6 @@ class TestCommitProtocol:
             scratch,
             shard_nnz=store.shard_nnz,
             shape=store.shape,
-            index_dtype=store.index_dtype,
         )
         new_files = _store_relative_files(new_store)
         old_files = _store_relative_files(store)
